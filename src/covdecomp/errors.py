@@ -26,7 +26,7 @@ class EmptyTruthSupport(CovdecompError):
 
 
 class InfeasibleConstraints(CovdecompError):
-    """The witness program's fixed support pattern admits no solution."""
+    """The witness program's dual variable diverged."""
 
 
 class NonPositiveDiagonal(CovdecompError):

@@ -93,14 +93,14 @@ def _chol_ok(a):
         return False
 
 
-def validate_model(m, eps_tie=GROUND_TRUTH_EPS_TIE):
+def validate_model(m):
     """Check the four identifiability conditions on a model.
+
+    Ties |J_ij| == lambda_star are detected within GROUND_TRUTH_EPS_TIE.
 
     Parameters
     ----------
     m : DecompositionModel
-    eps_tie : float
-        Tolerance for detecting |J_ij| == lambda_star ties.
 
     Returns
     -------
@@ -124,7 +124,7 @@ def validate_model(m, eps_tie=GROUND_TRUTH_EPS_TIE):
         if not _chol_ok(0.5 * (overall + overall.T)):
             violations.append("positive-definiteness: overall covariance is not PD")
     off = ~np.eye(p, dtype=bool)
-    too_big = np.abs(j) > lam + eps_tie
+    too_big = np.abs(j) > lam + GROUND_TRUTH_EPS_TIE
     too_big &= off
     for i, jj in zip(*np.nonzero(np.triu(too_big))):
         violations.append(
@@ -134,7 +134,7 @@ def validate_model(m, eps_tie=GROUND_TRUTH_EPS_TIE):
     bad_diag = np.nonzero(np.diag(r) != 0.0)[0]
     for i in bad_diag:
         violations.append("residual diagonal: sigma_residual[%d,%d] must be zero" % (i, i))
-    clipped = off & (np.abs(j) >= lam - eps_tie)
+    clipped = off & (np.abs(j) >= lam - GROUND_TRUTH_EPS_TIE)
     has_res = off & (r != 0.0)
     for i, jj in zip(*np.nonzero(np.triu(clipped & ~has_res))):
         violations.append(

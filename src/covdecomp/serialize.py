@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedCsv, PreconditionViolated
+from .errors import MalformedCsv, NonNumericCell, PreconditionViolated
 from .model import DecompositionModel, validate_model
 from .sampling import SampleSet
 from .symmat import read_matrix_csv, write_matrix_csv
@@ -109,14 +109,53 @@ def load_result(dirpath):
     return j_hat, sigma_r, diagnostics
 
 
+def read_csv_table(path):
+    """Parse a rectangular numeric CSV with a header row.
+
+    Returns ``(header, data)``, the stripped header cells and an n x p
+    float array; blank lines are skipped. Raises ``MalformedCsv`` for an
+    empty, header-only or ragged file and ``NonNumericCell`` for a cell
+    that is not a float.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise MalformedCsv("%s is empty" % path)
+    header = [cell.strip() for cell in rows[0]]
+    body = rows[1:]
+    if not body:
+        raise MalformedCsv("%s has a header but no data rows" % path)
+    width = len(header)
+    data = np.empty((len(body), width))
+    for ri, row in enumerate(body):
+        if len(row) != width:
+            raise MalformedCsv(
+                "%s: row %d has %d cells, expected %d"
+                % (path, ri + 2, len(row), width)
+            )
+        for ci, cell in enumerate(row):
+            try:
+                data[ri, ci] = float(cell)
+            except ValueError:
+                raise NonNumericCell(ri, ci, cell) from None
+    return header, data
+
+
 def save_samples(samples, dirpath):
-    """Write sample rows to data.csv plus meta.json."""
+    """Write sample rows to data.csv plus meta.json.
+
+    The header is ``model_meta["columns"]`` when present (an ingested
+    file keeps its column names) and x0..x{p-1} otherwise.
+    """
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     data = np.asarray(samples.data)
+    header = samples.model_meta.get("columns") or [
+        "x%d" % k for k in range(data.shape[1])
+    ]
     with open(d / "data.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x%d" % k for k in range(data.shape[1])])
+        writer.writerow(header)
         for row in data:
             writer.writerow([repr(float(v)) for v in row])
     meta = {
@@ -133,11 +172,7 @@ def save_samples(samples, dirpath):
 def load_samples(dirpath):
     d = Path(dirpath)
     meta = _read_json(d / "meta.json")
-    with open(d / "data.csv", "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise MalformedCsv("sample file %s has no data rows" % (d / "data.csv"))
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    _, data = read_csv_table(d / "data.csv")
     return SampleSet(data=data, seed=meta.get("seed"),
                      model_meta=meta.get("model_meta", {}))
 

@@ -5,8 +5,7 @@ limiting estimator, and the support-constrained witness program.
 The primal program solved here is
 
     min_{J > 0}  <Sigma_hat, J> - log det J + gamma ||J||_{1,off}
-    subject to   ||J||_{inf,off} <= lambda_off   (and a diagonal cap
-                 lambda_on when finite).
+    subject to   ||J||_{inf,off} <= lambda_off.
 
 Consensus splitting J = Z gives closed-form proximal steps: the J-update
 is an eigendecomposition, the Z-update is entrywise soft-thresholding
@@ -14,7 +13,6 @@ followed by clamping to the box.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,55 +26,35 @@ logger = logging.getLogger(__name__)
 # certification check; entries are small dicts, never matrices
 solve_log = []
 
-
-def clear_solve_log():
-    del solve_log[:]
+# clip-detection band relative to the box: an off-diagonal entry with
+# |J_ij| >= lambda_off - CLIP_TIE * lambda_off counts as clipped
+CLIP_TIE = 1e-4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Regularization levels, ADMM controls, and tolerances.
+    """Regularization levels, iteration cap, and tolerances.
 
     ``lambda_off`` is the off-diagonal linf cap (may be +inf, which
-    removes the box); ``lambda_on`` caps the diagonal and defaults to
-    +inf. ``eps_tie`` is the clip-detection band |J_ij| >= lambda_off -
-    eps_tie; when None it resolves to 1e-4 * lambda_off. ``over_relax``
-    is the standard ADMM over-relaxation factor (1.0 disables it).
+    removes the box). ``eps_abs`` and ``eps_rel`` set both the ADMM
+    stopping rule and the KKT bound a converged result must meet.
     """
 
     gamma: float
     lambda_off: float
-    lambda_on: float = math.inf
-    rho_admm: float = 1.0
     max_iter: int = 5000
     eps_abs: float = 1e-8
     eps_rel: float = 1e-6
-    eps_tie: float = None
-    over_relax: float = 1.0
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if not self.lambda_off > 0:
             raise ValueError("lambda_off must be positive (possibly +inf)")
-        if not self.lambda_on > 0:
-            raise ValueError("lambda_on must be positive (possibly +inf)")
-        if self.rho_admm <= 0 or self.max_iter < 1:
-            raise ValueError("rho_admm must be > 0 and max_iter >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if self.eps_abs <= 0 or self.eps_rel <= 0:
             raise ValueError("eps_abs and eps_rel must be positive")
-        if self.eps_tie is not None:
-            if self.eps_tie <= 0:
-                raise ValueError("eps_tie must be positive")
-            if np.isfinite(self.lambda_off) and self.eps_tie >= self.lambda_off:
-                raise ValueError("eps_tie must be smaller than lambda_off")
-        if not 0 < self.over_relax < 2:
-            raise ValueError("over_relax must lie in (0, 2)")
-
-    def resolved_eps_tie(self):
-        if self.eps_tie is not None:
-            return self.eps_tie
-        return 1e-4 * self.lambda_off if np.isfinite(self.lambda_off) else 0.0
 
 
 @dataclass
@@ -111,20 +89,24 @@ def _prox_logdet(rhs, rho):
     return 0.5 * (j + j.T)
 
 
-def _admm_loop(sigma, cfg, z_prox, z0, u0, rho0, infeasibility_guard=False):
-    p = sigma.shape[0]
-    z = z0.copy()
-    u = u0.copy()
-    rho = rho0
-    relax = cfg.over_relax
+def _admm_loop(sigma, cfg, z_prox, warm_start=None, infeasibility_guard=False):
+    # a cold start begins at the inverse diagonal with rho = 1; a warm
+    # start resumes from a previous result's iterate, dual and rho
+    if warm_start is None:
+        z = np.diag(1.0 / np.diag(sigma))
+        u = np.zeros_like(sigma)
+        rho = 1.0
+    else:
+        z = np.array(warm_start.j_hat, dtype=float)
+        u = np.array(warm_start.u_scaled, dtype=float)
+        rho = warm_start.rho_final
     converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
         j = _prox_logdet(rho * (z - u) - sigma, rho)
         z_old = z
-        j_relaxed = relax * j + (1.0 - relax) * z_old
-        z = z_prox(j_relaxed + u, rho)
-        u = u + (j_relaxed - z)
+        z = z_prox(j + u, rho)
+        u = u + (j - z)
         if infeasibility_guard:
             u_max = np.abs(u).max()
             if not np.isfinite(u_max) or u_max > 1e8:
@@ -155,15 +137,16 @@ def _admm_loop(sigma, cfg, z_prox, z0, u0, rho0, infeasibility_guard=False):
                 "support-constrained program diverged "
                 "(|U|_inf = %.3e after %d iterations)" % (np.abs(u).max(), it)
             )
+    if not converged:
+        logger.warning("ADMM hit max_iter=%d without converging", cfg.max_iter)
     return j, z, u, rho, it, converged
 
 
-def _pd_or_none(a):
-    try:
-        np.linalg.cholesky(a)
-        return a
-    except np.linalg.LinAlgError:
-        return None
+def _pair_mask(pairs, p):
+    mask = np.zeros((p, p), dtype=bool)
+    for a, b in pairs:
+        mask[a, b] = mask[b, a] = True
+    return mask
 
 
 def _subgradient_certificate(j_hat, j_inv, sigma, gamma):
@@ -180,12 +163,10 @@ def _subgradient_certificate(j_hat, j_inv, sigma, gamma):
 
 
 def _clip_mask(j_hat, cfg):
-    p = j_hat.shape[0]
+    # may include diagonal entries; _extract zeroes the diagonal
     if not np.isfinite(cfg.lambda_off):
-        return np.zeros((p, p), dtype=bool)
-    mask = np.abs(j_hat) >= cfg.lambda_off - cfg.resolved_eps_tie()
-    mask &= ~np.eye(p, dtype=bool)
-    return mask
+        return np.zeros(j_hat.shape, dtype=bool)
+    return np.abs(j_hat) >= cfg.lambda_off - CLIP_TIE * cfg.lambda_off
 
 
 def _extract(j_hat, j_inv, sigma, z_gamma, cfg, clip_mask):
@@ -200,6 +181,8 @@ def _extract(j_hat, j_inv, sigma, z_gamma, cfg, clip_mask):
         (int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(conflict)))
     )
     r[conflict] = 0.0
+    if conflicts:
+        logger.warning("zeroed %d sign-conflicting residual entries", len(conflicts))
     return r, conflicts
 
 
@@ -207,7 +190,7 @@ def extract_residual(j_hat, sigma_hat, z_gamma, cfg, clip_pairs=None):
     """Recover the residual covariance from the stationarity identity.
 
     Entries are ``(J^-1 - Sigma_hat - gamma z_gamma)_ij`` on the clip
-    set {|j_hat_ij| >= lambda_off - eps_tie, i != j} and zero elsewhere;
+    set {|j_hat_ij| >= (1 - CLIP_TIE) lambda_off, i != j} and zero elsewhere;
     sign conflicts with j_hat beyond 1e-8 are zeroed (and logged).
     ``clip_pairs`` overrides the detected clip set (the witness program
     extracts on its fixed S_R).
@@ -220,12 +203,8 @@ def extract_residual(j_hat, sigma_hat, z_gamma, cfg, clip_pairs=None):
     if clip_pairs is None:
         mask = _clip_mask(j, cfg)
     else:
-        mask = np.zeros(j.shape, dtype=bool)
-        for a, b in clip_pairs:
-            mask[a, b] = mask[b, a] = a != b
-    r, conflicts = _extract(j, j_inv, sigma, zg, cfg, mask)
-    if conflicts:
-        logger.warning("zeroed %d sign-conflicting residual entries", len(conflicts))
+        mask = _pair_mask(clip_pairs, j.shape[0])
+    r, _ = _extract(j, j_inv, sigma, zg, cfg, mask)
     return SymmetricMatrix(r)
 
 
@@ -262,12 +241,6 @@ def _objective_gap(j_hat, sigma, sigma_m, sigma_r, cfg):
     r_l1 = float(np.abs(sigma_r[off]).sum())
     lam_term = cfg.lambda_off * r_l1 if r_l1 > 0 else 0.0
     dual = logdet_pd(sigma_m) - lam_term
-    if np.isfinite(cfg.lambda_on):
-        # diagonal-cap multipliers: (J^-1 - Sigma)_ii on clipped diagonal
-        # entries; interior entries are stationary and contribute nothing
-        clipped = ~_kkt_diag_mask(j_hat, cfg)
-        d_l1 = float(np.abs((np.diag(sigma_m) - np.diag(sigma))[clipped]).sum())
-        dual -= cfg.lambda_on * d_l1
     return primal - dual - p
 
 
@@ -276,9 +249,7 @@ def duality_gap(result, sigma_hat, cfg):
 
     The shift comes from substituting the stationarity identity
     <Sigma_hat, J> = p - lambda ||Sigma_R||_{1,off} - gamma ||J||_{1,off}
-    into the dual; at the optimum the gap is zero. A finite diagonal cap
-    adds its own multiplier term -lambda_on ||(J^-1 - Sigma)_d||_1 over
-    the clipped diagonal, which vanishes in the default +inf regime.
+    into the dual; at the optimum the gap is zero.
     """
     return _objective_gap(
         np.asarray(result.j_hat), np.asarray(sigma_hat, dtype=float),
@@ -299,35 +270,35 @@ def post_check_overall_pd(result):
     return result.overall_pd, result.min_eig_overall
 
 
-def _kkt_diag_mask(j_hat, cfg):
-    # diagonal stationarity (Sigma_M)_d = (Sigma_hat)_d applies wherever
-    # the diagonal cap is inactive; clipped diagonal entries carry the
-    # experimental structured-noise multipliers instead
-    d = np.abs(np.diag(j_hat))
-    if not np.isfinite(cfg.lambda_on):
-        return np.ones(j_hat.shape[0], dtype=bool)
-    return d < cfg.lambda_on - cfg.resolved_eps_tie()
-
-
 def _finalize(j_cand, z_cand, u, rho, iterations, converged, sigma, cfg,
               clip_mask=None, kkt_mask=None, record_gap=True):
     # the Z iterate carries the exact zeros and exact clips produced by
     # the prox; report it whenever it is PD, else fall back to J
-    j_hat = _pd_or_none(z_cand)
-    if j_hat is None:
+    try:
+        np.linalg.cholesky(z_cand)
+        j_hat = z_cand
+    except np.linalg.LinAlgError:
         j_hat = j_cand
     j_inv = np.linalg.inv(j_hat)
     j_inv = 0.5 * (j_inv + j_inv.T)
     zg = _subgradient_certificate(j_hat, j_inv, sigma, cfg.gamma)
     mask = _clip_mask(j_hat, cfg) if clip_mask is None else clip_mask
     r, conflicts = _extract(j_hat, j_inv, sigma, zg, cfg, mask)
-    if conflicts:
-        logger.warning("zeroed %d sign-conflicting residual entries", len(conflicts))
     stationarity = sigma - j_inv + r + cfg.gamma * zg
-    p = sigma.shape[0]
-    keep = np.ones((p, p), dtype=bool) if kkt_mask is None else kkt_mask.copy()
-    keep[np.eye(p, dtype=bool)] = _kkt_diag_mask(j_hat, cfg)
-    kkt = float(np.abs(stationarity[keep]).max()) if keep.any() else 0.0
+    if kkt_mask is not None:
+        stationarity = stationarity[kkt_mask]
+    kkt = float(np.abs(stationarity).max())
+    # the loop stops on ADMM residuals; a result counts as converged only
+    # if its KKT residual also meets the bound the tolerances imply
+    bound = 10.0 * (cfg.eps_abs + cfg.eps_rel
+                    * max(np.abs(sigma).max(), np.abs(j_hat).max()))
+    if converged and kkt > bound:
+        logger.warning(
+            "ADMM residuals settled after %d iterations but the KKT residual "
+            "%.3e exceeds its bound %.3e; reported as not converged",
+            iterations, kkt, bound,
+        )
+        converged = False
     gap = _objective_gap(j_hat, sigma, j_inv, r, cfg)
     result = SolveResult(
         j_hat=SymmetricMatrix(j_hat),
@@ -371,8 +342,9 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
     Returns
     -------
     SolveResult
-        ``converged`` is False when max_iter is exhausted (the best
-        iterate is still returned and a warning logged).
+        ``converged`` is False when max_iter is exhausted or when the
+        KKT residual exceeds 10 (eps_abs + eps_rel max(|Sigma|, |J|));
+        the best iterate is still returned and a warning logged.
     """
     sigma = np.asarray(sigma_hat, dtype=float)
     if np.any(np.diag(sigma) <= 0):
@@ -382,23 +354,10 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         a = np.sign(m) * np.maximum(np.abs(m) - cfg.gamma / rho, 0.0)
         if np.isfinite(cfg.lambda_off):
             a = np.clip(a, -cfg.lambda_off, cfg.lambda_off)
-        d = np.diag(m)
-        if np.isfinite(cfg.lambda_on):
-            d = np.clip(d, -cfg.lambda_on, cfg.lambda_on)
-        np.fill_diagonal(a, d)
+        np.fill_diagonal(a, np.diag(m))
         return a
 
-    if warm_start is not None:
-        z0 = np.array(warm_start.j_hat, dtype=float)
-        u0 = np.array(warm_start.u_scaled, dtype=float)
-        rho0 = warm_start.rho_final
-    else:
-        z0 = np.diag(1.0 / np.diag(sigma))
-        u0 = np.zeros_like(sigma)
-        rho0 = cfg.rho_admm
-    j, z, u, rho, it, converged = _admm_loop(sigma, cfg, z_prox, z0, u0, rho0)
-    if not converged:
-        logger.warning("admm_solve hit max_iter=%d without converging", cfg.max_iter)
+    j, z, u, rho, it, converged = _admm_loop(sigma, cfg, z_prox, warm_start)
     return _finalize(j, z, u, rho, it, converged, sigma, cfg)
 
 
@@ -409,12 +368,16 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
     ``s_r`` are fixed to ``lambda_off * sign``, and the free entries
     (s_m minus s_r, off-diagonal) carry the l1 penalty with no box. The
     residual is extracted on ``s_r`` from the equality-constraint
-    multipliers, and the KKT residual is evaluated on the free set only.
+    multipliers, and the KKT residual is evaluated on the free set and
+    the diagonal only; ``converged`` follows the same KKT rule as
+    ``admm_solve``.
 
     Raises
     ------
     InfeasibleConstraints
-        When the fixed pattern drives the dual variable to divergence.
+        Backstop for a diverging dual variable. With the diagonal free
+        every fixed pattern has a PD completion, so this signals an
+        iteration that broke down rather than an infeasible program.
     PreconditionViolated
         If lambda_off is infinite, s_r is not inside s_m, or the
         diagonal is not inside s_m.
@@ -425,12 +388,8 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
     if not np.isfinite(cfg.lambda_off):
         raise PreconditionViolated("witness program needs a finite lambda_off")
     p = sigma.shape[0]
-    mask_m = np.zeros((p, p), dtype=bool)
-    for a, b in s_m:
-        mask_m[a, b] = mask_m[b, a] = True
-    mask_r = np.zeros((p, p), dtype=bool)
-    for a, b in s_r:
-        mask_r[a, b] = mask_r[b, a] = True
+    mask_m = _pair_mask(s_m, p)
+    mask_r = _pair_mask(s_r, p)
     if not np.all(np.diag(mask_m)):
         raise PreconditionViolated("s_m must contain the diagonal")
     if np.any(mask_r & ~mask_m) or np.any(np.diag(mask_r)):
@@ -447,19 +406,12 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
             free_off, np.sign(m) * np.maximum(np.abs(m) - cfg.gamma / rho, 0.0), 0.0
         )
         a = np.where(mask_r, fixed_r, a)
-        d = np.diag(m)
-        if np.isfinite(cfg.lambda_on):
-            d = np.clip(d, -cfg.lambda_on, cfg.lambda_on)
-        np.fill_diagonal(a, d)
+        np.fill_diagonal(a, np.diag(m))
         return a
 
-    z0 = np.diag(1.0 / np.diag(sigma))
-    u0 = np.zeros_like(sigma)
     j, z, u, rho, it, converged = _admm_loop(
-        sigma, cfg, z_prox, z0, u0, cfg.rho_admm, infeasibility_guard=True
+        sigma, cfg, z_prox, infeasibility_guard=True
     )
-    if not converged:
-        logger.warning("witness_solve hit max_iter=%d without converging", cfg.max_iter)
     kkt_mask = free_off.copy()
     kkt_mask[eye] = True
     return _finalize(
@@ -467,21 +419,3 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
         clip_mask=mask_r, kkt_mask=kkt_mask, record_gap=False,
     )
 
-
-def diagonal_residual(result, sigma_hat, cfg):
-    """Experimental: diagonal residual multipliers of the structured-noise
-    variant (finite lambda_on).
-
-    Mirrors the off-diagonal rule on the diagonal clip set
-    {|j_hat_ii| >= lambda_on - eps_tie}: entries are
-    ``(J^-1 - Sigma_hat)_ii`` there and zero elsewhere. Returned
-    separately so sigma_r_hat keeps its exactly-zero diagonal.
-    """
-    j = np.asarray(result.j_hat)
-    sigma = np.asarray(sigma_hat, dtype=float)
-    diff = np.diag(np.asarray(result.sigma_m_hat) - sigma)
-    if not np.isfinite(cfg.lambda_on):
-        return np.zeros(j.shape[0])
-    tie = cfg.eps_tie if cfg.eps_tie is not None else 1e-4 * cfg.lambda_on
-    active = np.abs(np.diag(j)) >= cfg.lambda_on - tie
-    return np.where(active, diff, 0.0)

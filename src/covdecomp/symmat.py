@@ -114,32 +114,6 @@ class PairIndexSet:
         return "PairIndexSet(%d pairs, dim=%d)" % (len(self.pairs), self.dim)
 
 
-def eig_sym(m):
-    """Full symmetric eigendecomposition.
-
-    Parameters
-    ----------
-    m : SymmetricMatrix or ndarray
-        Symmetric matrix.
-
-    Returns
-    -------
-    eigenvalues : ndarray of shape (p,)
-        Sorted ascending.
-    eigenvectors : ndarray of shape (p, p)
-        Orthonormal columns, ``m == V diag(w) V.T``.
-    """
-    a = np.asarray(m, dtype=float)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            "eigendecomposition failed for dim=%d matrix (max |entry| %.3e): %s"
-            % (a.shape[0], np.abs(a).max(), exc)
-        ) from exc
-    return w, v
-
-
 def logdet_pd(m):
     """Log-determinant of a positive definite matrix via Cholesky.
 

@@ -75,6 +75,10 @@ class TestSpecFromConfig:
         with pytest.raises(ValueError, match="solver overrides"):
             spec_from_config(solver={"epsilon": 1e-9})
 
+    def test_removed_solver_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown solver overrides"):
+            spec_from_config(solver={"over_relax": 1.0})
+
     def test_lists_become_tuples(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sample_sizes": [100, 200], "c_gamma": [2.0]}))
@@ -310,6 +314,18 @@ class TestMainEntry:
         assert summary["n"] == 3 and summary["p"] == 2
         loaded = cd.load_samples(out / "samples")
         assert loaded.data.shape == (3, 2)
+        header = (out / "samples" / "data.csv").read_text().splitlines()[0]
+        assert header == "a,b"
+
+    def test_fit_data_checks_policy_before_parsing(self, tmp_path, caplog):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b\n1.0,oops\n")
+        with caplog.at_level("ERROR", logger="covdecomp.cli"):
+            code = main(["fit", "--data", str(data),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert any("--lambda fixed:V" in m for m in caplog.messages)
+        assert not any("oops" in m for m in caplog.messages)
 
     def test_ingest_requires_data(self, tmp_path):
         assert main(["ingest", "--out", str(tmp_path / "out")]) == 2

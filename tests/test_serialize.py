@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import covdecomp as cd
-from covdecomp import InfoModel, PreconditionViolated, SolverConfig
+from covdecomp import InfoModel, MalformedCsv, PreconditionViolated, SolverConfig
 
 
 class TestModelRoundTrip:
@@ -114,6 +114,13 @@ class TestSamplesRoundTrip:
         assert meta["p"] == 4
         header = (d / "data.csv").read_text().splitlines()[0]
         assert header == "x0,x1,x2,x3"
+
+    def test_ragged_data_file_rejected(self, chain, tmp_path):
+        d = cd.save_samples(cd.draw_samples(chain, 3, seed=1), tmp_path / "samples")
+        with open(d / "data.csv", "a", encoding="utf-8") as fh:
+            fh.write("1.0,2.0\n")
+        with pytest.raises(MalformedCsv, match="row 5 has 2 cells"):
+            cd.load_samples(d)
 
     def test_sample_covariance_unchanged(self, chain, tmp_path):
         samples = cd.draw_samples(chain, 200, seed=2)

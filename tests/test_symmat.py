@@ -8,7 +8,6 @@ from covdecomp import (
     NotPositiveDefinite,
     PairIndexSet,
     SymmetricMatrix,
-    eig_sym,
     hessian_submatrix,
     inf_operator_norm,
     logdet_pd,
@@ -87,20 +86,6 @@ class TestPairIndexSet:
         assert a == b
         assert hash(a) == hash(b)
         assert a != PairIndexSet([(1, 0)], dim=2)
-
-
-class TestEigSym:
-    def test_reconstructs_matrix(self, rng):
-        a = rng.standard_normal((5, 5))
-        m = SymmetricMatrix(a + a.T, symmetrize=True)
-        w, v = eig_sym(m)
-        np.testing.assert_allclose((v * w) @ v.T, np.asarray(m), atol=1e-12)
-        np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-12)
-
-    def test_ascending_order(self, rng):
-        a = rng.standard_normal((4, 4))
-        w, _ = eig_sym(SymmetricMatrix(a @ a.T))
-        assert np.all(np.diff(w) >= 0)
 
 
 class TestLogdetPd:
