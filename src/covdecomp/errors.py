@@ -26,7 +26,7 @@ class EmptyTruthSupport(CovdecompError):
 
 
 class InfeasibleConstraints(CovdecompError):
-    """The witness program's dual variable diverged."""
+    """No step length keeps a solver iterate positive definite."""
 
 
 class NonPositiveDiagonal(CovdecompError):

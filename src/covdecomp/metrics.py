@@ -45,8 +45,7 @@ def support_of(m, threshold=DEFAULT_SUPPORT_THRESHOLD):
         raise ValueError("threshold must be >= 0")
     a = np.asarray(m, dtype=float)
     mask = np.triu(np.abs(a) > threshold, k=1)
-    pairs = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
-    return PairIndexSet(pairs, a.shape[0])
+    return PairIndexSet(np.argwhere(mask), a.shape[0])
 
 
 def edit_distance(a, b, threshold):
@@ -95,6 +94,11 @@ def overall_precision_error(j_hat, sigma_r_hat, truth_model):
     Inverts ``j_hat^-1 - sigma_r_hat`` and compares against the inverse
     of the model's true overall covariance.
     """
+    return _overall_precision_error(
+        j_hat, sigma_r_hat, np.asarray(true_covariance(truth_model)))
+
+
+def _overall_precision_error(j_hat, sigma_r_hat, sigma_true):
     j = np.asarray(j_hat, dtype=float)
     r = np.asarray(sigma_r_hat, dtype=float)
     overall_cov = np.linalg.inv(j) - r
@@ -108,7 +112,7 @@ def overall_precision_error(j_hat, sigma_r_hat, truth_model):
             "is not positive definite"
         )
     est_precision = np.linalg.inv(overall_cov)
-    true_precision = np.linalg.inv(np.asarray(true_covariance(truth_model)))
+    true_precision = np.linalg.inv(sigma_true)
     return float(np.abs(est_precision - true_precision).max())
 
 
@@ -125,8 +129,8 @@ def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
     r_true = np.asarray(truth_model.sigma_residual, dtype=float)
     sigma_true = np.asarray(true_covariance(truth_model))
     try:
-        overall_err = overall_precision_error(result.j_hat, result.sigma_r_hat,
-                                              truth_model)
+        overall_err = _overall_precision_error(result.j_hat, result.sigma_r_hat,
+                                               sigma_true)
     except NotPositiveDefinite:
         logger.warning("indefinite overall estimate; recording +inf precision error")
         overall_err = float("inf")

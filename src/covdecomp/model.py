@@ -301,21 +301,12 @@ def partition_pairs(m):
     j = np.asarray(m.j_markov)
     r = np.asarray(m.sigma_residual)
     p = j.shape[0]
-    s_m, s_r, s, s_c = [], [], [], []
-    for i in range(p):
-        for jj in range(p):
-            in_m = i == jj or j[i, jj] != 0.0
-            in_r = i != jj and r[i, jj] != 0.0
-            if in_m:
-                s_m.append((i, jj))
-            if in_r:
-                s_r.append((i, jj))
-            if in_m and not in_r:
-                s.append((i, jj))
-            if not in_m:
-                s_c.append((i, jj))
-    return (PairIndexSet(s_m, p), PairIndexSet(s_r, p),
-            PairIndexSet(s, p), PairIndexSet(s_c, p))
+    eye = np.eye(p, dtype=bool)
+    in_m = eye | (j != 0.0)
+    in_r = ~eye & (r != 0.0)
+    # argwhere lists the pairs of a mask in row-major order
+    return tuple(PairIndexSet(np.argwhere(mask), p)
+                 for mask in (in_m, in_r, in_m & ~in_r, ~in_m))
 
 
 def incoherence_report(m, m_param, tau=2.0, n=1000, c6=1.0, c7=1.0):

@@ -1,15 +1,18 @@
-"""ADMM solver for the l1+linf penalized log-det program, KKT-based
-residual extraction, duality-gap certification, the soft-threshold
-limiting estimator, and the support-constrained witness program.
+"""Proximal-gradient solver for the l1+linf penalized log-det program,
+KKT-based residual extraction, duality-gap certification, the
+soft-threshold limiting estimator, and the support-constrained witness
+program.
 
 The primal program solved here is
 
     min_{J > 0}  <Sigma_hat, J> - log det J + gamma ||J||_{1,off}
     subject to   ||J||_{inf,off} <= lambda_off.
 
-Consensus splitting J = Z gives closed-form proximal steps: the J-update
-is an eigendecomposition, the Z-update is entrywise soft-thresholding
-followed by clamping to the box.
+Both programs share one loop (G-ISTA, Guillot et al. 2012): a gradient
+step with a Barzilai-Borwein length, then an entrywise prox, halving the
+length until the candidate has a Cholesky factor and passes a
+nonmonotone sufficient-decrease test. It stops on the certified KKT
+residual, and for the box program also on the duality gap.
 """
 
 import logging
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleConstraints, NotPositiveDefinite, PreconditionViolated
+from .errors import (DimensionMismatch, InfeasibleConstraints,
+                     NotPositiveDefinite, PreconditionViolated)
 from .symmat import SymmetricMatrix, logdet_pd
 
 logger = logging.getLogger(__name__)
@@ -30,14 +34,19 @@ solve_log = []
 # |J_ij| >= lambda_off - CLIP_TIE * lambda_off counts as clipped
 CLIP_TIE = 1e-4
 
+# a candidate must beat the largest of this many recent objective values
+_HISTORY = 10
+# step halvings tried before no step length counts as feasible
+_BACKTRACKS = 60
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Regularization levels, iteration cap, and tolerances.
 
     ``lambda_off`` is the off-diagonal linf cap (may be +inf, which
-    removes the box). ``eps_abs`` and ``eps_rel`` set both the ADMM
-    stopping rule and the KKT bound a converged result must meet.
+    removes the box). ``eps_abs`` and ``eps_rel`` set the KKT bound a
+    converged result meets and the duality gap the box program stops at.
     """
 
     gamma: float
@@ -47,13 +56,14 @@ class SolverConfig:
     eps_rel: float = 1e-6
 
     def __post_init__(self):
-        if self.gamma < 0:
+        # each test is written so that NaN fails it
+        if not self.gamma >= 0:
             raise ValueError("gamma must be >= 0")
         if not self.lambda_off > 0:
             raise ValueError("lambda_off must be positive (possibly +inf)")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
+        if not (self.eps_abs > 0 and self.eps_rel > 0):
             raise ValueError("eps_abs and eps_rel must be positive")
 
 
@@ -62,8 +72,8 @@ class SolveResult:
     """Solver output: estimates, certificates, and diagnostics.
 
     ``j_hat`` is the PD precision estimate; ``sigma_r_hat`` has an
-    exactly zero diagonal and support inside the clip set. ``u_scaled``
-    and ``rho_final`` let a subsequent solve warm-start from this one.
+    exactly zero diagonal and support inside the clip set. Passing a
+    result as ``warm_start`` restarts the solver from its ``j_hat``.
     """
 
     j_hat: SymmetricMatrix
@@ -76,70 +86,87 @@ class SolveResult:
     converged: bool
     overall_pd: bool
     min_eig_overall: float
-    rho_final: float = 1.0
-    u_scaled: np.ndarray = None
     sign_conflicts: tuple = ()
 
 
-def _prox_logdet(rhs, rho):
-    # argmin <Sigma,J> - logdet J + rho/2 |J - (Z-U)|^2 via eigenvalue map
-    d, q = np.linalg.eigh(rhs)
-    theta = (d + np.sqrt(d * d + 4.0 * rho)) / (2.0 * rho)
-    j = (q * theta) @ q.T
-    return 0.5 * (j + j.T)
+def _checked_sigma(sigma_hat):
+    sigma = np.asarray(sigma_hat, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise DimensionMismatch("sigma_hat must be square, got shape %s" % (sigma.shape,))
+    if not np.isfinite(sigma).all():
+        raise PreconditionViolated("sigma_hat has non-finite entries")
+    if np.any(np.diag(sigma) <= 0):
+        raise NotPositiveDefinite("sigma_hat needs a strictly positive diagonal")
+    # <Sigma, J> over symmetric J sees only the symmetric part of Sigma
+    return 0.5 * (sigma + sigma.T)
 
 
-def _admm_loop(sigma, cfg, z_prox, warm_start=None, infeasibility_guard=False):
-    # a cold start begins at the inverse diagonal with rho = 1; a warm
-    # start resumes from a previous result's iterate, dual and rho
-    if warm_start is None:
-        z = np.diag(1.0 / np.diag(sigma))
-        u = np.zeros_like(sigma)
-        rho = 1.0
-    else:
-        z = np.array(warm_start.j_hat, dtype=float)
-        u = np.array(warm_start.u_scaled, dtype=float)
-        rho = warm_start.rho_final
-    converged = False
-    it = 0
+def _sym_inv(a):
+    inv = np.linalg.inv(a)
+    return 0.5 * (inv + inv.T)
+
+
+def _soft_threshold(m, level):
+    # sign(m) (|m| - level)_+, in two array passes
+    return m - np.clip(m, -level, level)
+
+
+def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
+                   gap_tol=np.inf):
+    # prox(m, t) maps a gradient step of length t onto the feasible set,
+    # which must hold the PD start j.
+    # Stops once the KKT residual is within eps_abs + eps_rel max(|Sigma|,
+    # |J|), a tenth of the documented bound, and the gap within gap_tol.
+    # Returns (J, J^-1, iterations, converged, _certificate(J)).
+
+    def objective(a, chol):
+        # a is PD, so its diagonal is positive and |a|_1,off = |a|_1 - tr a
+        return (float(np.sum(sigma * a)) - 2.0 * float(np.log(np.diag(chol)).sum())
+                + cfg.gamma * float(np.abs(a).sum() - np.trace(a)))
+
+    try:
+        chol = np.linalg.cholesky(j)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("starting point is not positive definite") from None
+    history = [objective(j, chol)]
+    j_inv = _sym_inv(j)
+    t = 1.0
     for it in range(1, cfg.max_iter + 1):
-        j = _prox_logdet(rho * (z - u) - sigma, rho)
-        z_old = z
-        z = z_prox(j + u, rho)
-        u = u + (j - z)
-        if infeasibility_guard:
-            u_max = np.abs(u).max()
-            if not np.isfinite(u_max) or u_max > 1e8:
-                raise InfeasibleConstraints(
-                    "support-constrained program diverged (|U|_inf = %.3e)" % u_max
-                )
-        r_pri = np.abs(j - z).max()
-        r_dual = rho * np.abs(z - z_old).max()
-        eps_pri = cfg.eps_abs + cfg.eps_rel * max(np.abs(j).max(), np.abs(z).max())
-        eps_dual = cfg.eps_abs + cfg.eps_rel * rho * np.abs(u).max()
-        if r_pri <= eps_pri and r_dual <= eps_dual:
-            converged = True
-            break
-        if it % 10 == 0:
-            if r_pri > 10.0 * r_dual and rho < 1e3:
-                rho *= 2.0
-                u /= 2.0
-            elif r_dual > 10.0 * r_pri and rho > 1e-3:
-                rho /= 2.0
-                u *= 2.0
-    if infeasibility_guard and not converged:
-        # when the equality pattern has no PD completion the scaled dual
-        # grows linearly while the primal residual stalls at a constant;
-        # a bounded dual merely means the run was cut short
-        scale = max(np.abs(j).max(), np.abs(z).max(), 1.0)
-        if np.abs(u).max() > 100.0 * scale:
+        grad = sigma - j_inv
+        for _ in range(_BACKTRACKS):
+            cand = prox(j - t * grad, t)
+            try:
+                chol = np.linalg.cholesky(cand)
+            except np.linalg.LinAlgError:
+                t *= 0.5
+                continue
+            f = objective(cand, chol)
+            step = cand - j
+            ss = float(np.sum(step * step))
+            if f <= max(history) - 1e-4 * ss / t:
+                break
+            t *= 0.5
+        else:
             raise InfeasibleConstraints(
-                "support-constrained program diverged "
-                "(|U|_inf = %.3e after %d iterations)" % (np.abs(u).max(), it)
-            )
-    if not converged:
-        logger.warning("ADMM hit max_iter=%d without converging", cfg.max_iter)
-    return j, z, u, rho, it, converged
+                "no step length gives a positive definite iterate (iteration %d)" % it)
+        cand_inv = _sym_inv(cand)
+        # Barzilai-Borwein length <s,s>/<s,y> with y the gradient change;
+        # <s,y> > 0 by strict convexity of -log det unless the step vanished
+        sy = float(np.sum(step * (j_inv - cand_inv)))
+        if sy > 0:
+            t = ss / sy
+        j, j_inv = cand, cand_inv
+        history = (history + [f])[-_HISTORY:]
+        stop = cfg.eps_abs + cfg.eps_rel * max(np.abs(sigma).max(), np.abs(j).max())
+        # the diagonal is part of every KKT residual and costs O(p)
+        if np.abs(np.diag(sigma) - np.diag(j_inv)).max() > stop:
+            continue
+        cert = _certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask)
+        if cert[0] <= stop and abs(_gap(j, sigma, cert[2], cfg)) <= gap_tol:
+            return j, j_inv, it, True, cert
+    logger.warning("solver hit max_iter=%d without converging", cfg.max_iter)
+    cert = _certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask)
+    return j, j_inv, cfg.max_iter, False, cert
 
 
 def _pair_mask(pairs, p):
@@ -147,19 +174,6 @@ def _pair_mask(pairs, p):
     for a, b in pairs:
         mask[a, b] = mask[b, a] = True
     return mask
-
-
-def _subgradient_certificate(j_hat, j_inv, sigma, gamma):
-    # sign(J_ij) off the zero set; on exact zeros the stationarity system
-    # implies the interior value (J^-1 - Sigma)_ij / gamma, clipped to the
-    # unit interval. Without the interior term the KKT residual would
-    # artificially read ~gamma on every zeroed entry.
-    zg = np.where(np.abs(j_hat) > 1e-8, np.sign(j_hat), 0.0)
-    if gamma > 0:
-        interior = np.clip((j_inv - sigma) / gamma, -1.0, 1.0)
-        zg = np.where(np.abs(j_hat) > 1e-8, zg, interior)
-    np.fill_diagonal(zg, 0.0)
-    return 0.5 * (zg + zg.T)
 
 
 def _clip_mask(j_hat, cfg):
@@ -177,13 +191,29 @@ def _extract(j_hat, j_inv, sigma, z_gamma, cfg, clip_mask):
     # multipliers are nonnegative, so a residual whose sign fights the
     # precision entry is boundary noise; zero it and report the pair
     conflict = (r != 0.0) & (r * np.sign(j_hat) < -1e-8)
-    conflicts = tuple(
-        (int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(conflict)))
-    )
     r[conflict] = 0.0
-    if conflicts:
-        logger.warning("zeroed %d sign-conflicting residual entries", len(conflicts))
-    return r, conflicts
+    return r, tuple(map(tuple, np.argwhere(np.triu(conflict)).tolist()))
+
+
+def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None):
+    # (kkt, z_gamma, residual, sign conflicts) of one iterate; the KKT
+    # residual is read on kkt_mask only when one is given.
+    # z_gamma is sign(J_ij) off the zero set; on exact zeros the
+    # stationarity system implies the interior value (J^-1 - Sigma)_ij /
+    # gamma, clipped to the unit interval. Without the interior term the
+    # KKT residual would artificially read ~gamma on every zeroed entry.
+    zg = np.where(np.abs(j_hat) > 1e-8, np.sign(j_hat), 0.0)
+    if cfg.gamma > 0:
+        interior = np.clip((j_inv - sigma) / cfg.gamma, -1.0, 1.0)
+        zg = np.where(np.abs(j_hat) > 1e-8, zg, interior)
+    np.fill_diagonal(zg, 0.0)
+    zg = 0.5 * (zg + zg.T)
+    mask = _clip_mask(j_hat, cfg) if clip_mask is None else clip_mask
+    r, conflicts = _extract(j_hat, j_inv, sigma, zg, cfg, mask)
+    stationarity = sigma - j_inv + r + cfg.gamma * zg
+    if kkt_mask is not None:
+        stationarity = stationarity[kkt_mask]
+    return float(np.abs(stationarity).max()), zg, r, conflicts
 
 
 def extract_residual(j_hat, sigma_hat, z_gamma, cfg, clip_pairs=None):
@@ -198,13 +228,13 @@ def extract_residual(j_hat, sigma_hat, z_gamma, cfg, clip_pairs=None):
     j = np.asarray(j_hat, dtype=float)
     sigma = np.asarray(sigma_hat, dtype=float)
     zg = np.asarray(z_gamma, dtype=float)
-    j_inv = np.linalg.inv(j)
-    j_inv = 0.5 * (j_inv + j_inv.T)
     if clip_pairs is None:
         mask = _clip_mask(j, cfg)
     else:
         mask = _pair_mask(clip_pairs, j.shape[0])
-    r, _ = _extract(j, j_inv, sigma, zg, cfg, mask)
+    r, conflicts = _extract(j, _sym_inv(j), sigma, zg, cfg, mask)
+    if conflicts:
+        logger.warning("zeroed %d sign-conflicting residual entries", len(conflicts))
     return SymmetricMatrix(r)
 
 
@@ -230,18 +260,13 @@ def soft_threshold_covariance(sigma_hat, gamma):
     return SymmetricMatrix(est), SymmetricMatrix(r)
 
 
-def _objective_gap(j_hat, sigma, sigma_m, sigma_r, cfg):
-    p = sigma.shape[0]
-    off = ~np.eye(p, dtype=bool)
-    primal = (
-        float(np.sum(sigma * j_hat))
-        - logdet_pd(j_hat)
-        + cfg.gamma * float(np.abs(j_hat[off]).sum())
-    )
-    r_l1 = float(np.abs(sigma_r[off]).sum())
+def _gap(j_hat, sigma, sigma_r, cfg):
+    # duality_gap where Sigma_M = J^-1, so the log-determinants cancel;
+    # J is PD, so |J|_1,off = |J|_1 - tr J
+    r_l1 = float(np.abs(sigma_r).sum() - np.abs(np.diag(sigma_r)).sum())
     lam_term = cfg.lambda_off * r_l1 if r_l1 > 0 else 0.0
-    dual = logdet_pd(sigma_m) - lam_term
-    return primal - dual - p
+    return (float(np.sum(sigma * j_hat)) - sigma.shape[0] + lam_term
+            + cfg.gamma * float(np.abs(j_hat).sum() - np.trace(j_hat)))
 
 
 def duality_gap(result, sigma_hat, cfg):
@@ -251,10 +276,10 @@ def duality_gap(result, sigma_hat, cfg):
     <Sigma_hat, J> = p - lambda ||Sigma_R||_{1,off} - gamma ||J||_{1,off}
     into the dual; at the optimum the gap is zero.
     """
-    return _objective_gap(
-        np.asarray(result.j_hat), np.asarray(sigma_hat, dtype=float),
-        np.asarray(result.sigma_m_hat), np.asarray(result.sigma_r_hat), cfg,
-    )
+    j_hat = np.asarray(result.j_hat)
+    gap = _gap(j_hat, np.asarray(sigma_hat, dtype=float),
+               np.asarray(result.sigma_r_hat), cfg)
+    return gap - logdet_pd(j_hat) - logdet_pd(result.sigma_m_hat)
 
 
 def post_check_overall_pd(result):
@@ -270,36 +295,11 @@ def post_check_overall_pd(result):
     return result.overall_pd, result.min_eig_overall
 
 
-def _finalize(j_cand, z_cand, u, rho, iterations, converged, sigma, cfg,
-              clip_mask=None, kkt_mask=None, record_gap=True):
-    # the Z iterate carries the exact zeros and exact clips produced by
-    # the prox; report it whenever it is PD, else fall back to J
-    try:
-        np.linalg.cholesky(z_cand)
-        j_hat = z_cand
-    except np.linalg.LinAlgError:
-        j_hat = j_cand
-    j_inv = np.linalg.inv(j_hat)
-    j_inv = 0.5 * (j_inv + j_inv.T)
-    zg = _subgradient_certificate(j_hat, j_inv, sigma, cfg.gamma)
-    mask = _clip_mask(j_hat, cfg) if clip_mask is None else clip_mask
-    r, conflicts = _extract(j_hat, j_inv, sigma, zg, cfg, mask)
-    stationarity = sigma - j_inv + r + cfg.gamma * zg
-    if kkt_mask is not None:
-        stationarity = stationarity[kkt_mask]
-    kkt = float(np.abs(stationarity).max())
-    # the loop stops on ADMM residuals; a result counts as converged only
-    # if its KKT residual also meets the bound the tolerances imply
-    bound = 10.0 * (cfg.eps_abs + cfg.eps_rel
-                    * max(np.abs(sigma).max(), np.abs(j_hat).max()))
-    if converged and kkt > bound:
-        logger.warning(
-            "ADMM residuals settled after %d iterations but the KKT residual "
-            "%.3e exceeds its bound %.3e; reported as not converged",
-            iterations, kkt, bound,
-        )
-        converged = False
-    gap = _objective_gap(j_hat, sigma, j_inv, r, cfg)
+def _finalize(solved, sigma, cfg, record_gap=True):
+    j_hat, j_inv, iterations, converged, (kkt, zg, r, conflicts) = solved
+    if conflicts:
+        logger.warning("zeroed %d sign-conflicting residual entries", len(conflicts))
+    gap = _gap(j_hat, sigma, r, cfg)
     result = SolveResult(
         j_hat=SymmetricMatrix(j_hat),
         sigma_m_hat=SymmetricMatrix(j_inv),
@@ -311,19 +311,11 @@ def _finalize(j_cand, z_cand, u, rho, iterations, converged, sigma, cfg,
         converged=converged,
         overall_pd=False,
         min_eig_overall=0.0,
-        rho_final=rho,
-        u_scaled=u,
         sign_conflicts=conflicts,
     )
     post_check_overall_pd(result)
-    solve_log.append(
-        {
-            "kkt": kkt,
-            "gap": gap if record_gap else None,
-            "converged": converged,
-            "iterations": iterations,
-        }
-    )
+    solve_log.append({"kkt": kkt, "gap": gap if record_gap else None,
+                      "converged": converged, "iterations": iterations})
     return result
 
 
@@ -333,32 +325,46 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
     Parameters
     ----------
     sigma_hat : SymmetricMatrix or ndarray
-        Symmetric input with strictly positive diagonal.
+        Square, finite input with strictly positive diagonal; only its
+        symmetric part enters the program.
     cfg : SolverConfig
     warm_start : SolveResult, optional
-        Restart from a previous solution; a re-solve from an optimum
-        converges within a few iterations.
+        Restart from a previous solution's ``j_hat`` when it lies inside
+        the box; a re-solve from an optimum converges in one iteration.
 
     Returns
     -------
     SolveResult
-        ``converged`` is False when max_iter is exhausted or when the
-        KKT residual exceeds 10 (eps_abs + eps_rel max(|Sigma|, |J|));
-        the best iterate is still returned and a warning logged.
-    """
-    sigma = np.asarray(sigma_hat, dtype=float)
-    if np.any(np.diag(sigma) <= 0):
-        raise NotPositiveDefinite("sigma_hat needs a strictly positive diagonal")
+        ``converged`` is True when the KKT residual is within 10 (eps_abs
+        + eps_rel max(|Sigma|, |J|)) and the duality gap within 10 eps_abs;
+        else max_iter ran out, and the last iterate is returned with a warning.
 
-    def z_prox(m, rho):
-        a = np.sign(m) * np.maximum(np.abs(m) - cfg.gamma / rho, 0.0)
-        if np.isfinite(cfg.lambda_off):
-            a = np.clip(a, -cfg.lambda_off, cfg.lambda_off)
+    Raises
+    ------
+    DimensionMismatch
+        If sigma_hat is not square or the warm start's size differs.
+    PreconditionViolated
+        If sigma_hat has a non-finite entry.
+    """
+    sigma = _checked_sigma(sigma_hat)
+
+    def prox(m, t):
+        a = np.clip(_soft_threshold(m, cfg.gamma * t), -cfg.lambda_off, cfg.lambda_off)
         np.fill_diagonal(a, np.diag(m))
         return a
 
-    j, z, u, rho, it, converged = _admm_loop(sigma, cfg, z_prox, warm_start)
-    return _finalize(j, z, u, rho, it, converged, sigma, cfg)
+    j = np.diag(1.0 / np.diag(sigma))
+    if warm_start is not None:
+        warm = np.array(warm_start.j_hat, dtype=float)
+        if warm.shape != sigma.shape:
+            raise DimensionMismatch(
+                "warm start is %s but sigma_hat is %s" % (warm.shape, sigma.shape))
+        # a warm start outside this box (from a wider one) restarts cold
+        if np.array_equal(prox(warm, 0.0), warm):
+            j = warm
+
+    solved = _prox_gradient(sigma, cfg, prox, j, gap_tol=10.0 * cfg.eps_abs)
+    return _finalize(solved, sigma, cfg)
 
 
 def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
@@ -370,21 +376,21 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
     residual is extracted on ``s_r`` from the equality-constraint
     multipliers, and the KKT residual is evaluated on the free set and
     the diagonal only; ``converged`` follows the same KKT rule as
-    ``admm_solve``.
+    ``admm_solve``. The solve starts from the fixed pattern with a
+    diagonally dominant diagonal.
 
     Raises
     ------
     InfeasibleConstraints
-        Backstop for a diverging dual variable. With the diagonal free
-        every fixed pattern has a PD completion, so this signals an
-        iteration that broke down rather than an infeasible program.
+        If no step length keeps an iterate positive definite; with the
+        diagonal free this is a breakdown, not an infeasible program.
+    DimensionMismatch
+        If sigma_hat is not square.
     PreconditionViolated
-        If lambda_off is infinite, s_r is not inside s_m, or the
-        diagonal is not inside s_m.
+        If sigma_hat has a non-finite entry, lambda_off is infinite,
+        s_r is not inside s_m, or the diagonal is not inside s_m.
     """
-    sigma = np.asarray(sigma_hat, dtype=float)
-    if np.any(np.diag(sigma) <= 0):
-        raise NotPositiveDefinite("sigma_hat needs a strictly positive diagonal")
+    sigma = _checked_sigma(sigma_hat)
     if not np.isfinite(cfg.lambda_off):
         raise PreconditionViolated("witness program needs a finite lambda_off")
     p = sigma.shape[0]
@@ -401,21 +407,14 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
     eye = np.eye(p, dtype=bool)
     free_off = mask_m & ~mask_r & ~eye
 
-    def z_prox(m, rho):
-        a = np.where(
-            free_off, np.sign(m) * np.maximum(np.abs(m) - cfg.gamma / rho, 0.0), 0.0
-        )
-        a = np.where(mask_r, fixed_r, a)
+    def prox(m, t):
+        # fixed_r is zero off s_r, which also zeroes the pairs outside s_m
+        a = np.where(free_off, _soft_threshold(m, cfg.gamma * t), fixed_r)
         np.fill_diagonal(a, np.diag(m))
         return a
 
-    j, z, u, rho, it, converged = _admm_loop(
-        sigma, cfg, z_prox, infeasibility_guard=True
-    )
-    kkt_mask = free_off.copy()
-    kkt_mask[eye] = True
-    return _finalize(
-        j, z, u, rho, it, converged, sigma, cfg,
-        clip_mask=mask_r, kkt_mask=kkt_mask, record_gap=False,
-    )
-
+    start = fixed_r + np.diag(
+        np.maximum(1.0 / np.diag(sigma), np.abs(fixed_r).sum(axis=1) + 1.0))
+    solved = _prox_gradient(sigma, cfg, prox, start, clip_mask=mask_r,
+                            kkt_mask=free_off | eye)
+    return _finalize(solved, sigma, cfg, record_gap=False)

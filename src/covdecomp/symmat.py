@@ -74,23 +74,34 @@ class PairIndexSet:
 
     Parameters
     ----------
-    pairs : iterable of (int, int)
+    pairs : iterable of (int, int), or int array of shape (n, 2)
         Index pairs; duplicates are rejected.
     dim : int
         Grid dimension p; every index must lie in [0, p).
     """
 
-    __slots__ = ("pairs", "dim")
+    __slots__ = ("pairs", "dim", "_lookup")
 
     def __init__(self, pairs, dim):
-        pairs = tuple((int(i), int(j)) for i, j in pairs)
-        if len(set(pairs)) != len(pairs):
+        dim = int(dim)
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        arr = np.array(pairs, dtype=np.int64)
+        if arr.size == 0:
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("pairs must be (row, col) index pairs")
+        outside = ((arr < 0) | (arr >= dim)).any(axis=1)
+        if outside.any():
+            i, j = arr[outside][0]
+            raise ValueError("pair (%d, %d) out of range for dim %d" % (i, j, dim))
+        if np.unique(arr[:, 0] * dim + arr[:, 1]).size != len(arr):
             raise ValueError("duplicate index pairs")
-        for i, j in pairs:
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError("pair (%d, %d) out of range for dim %d" % (i, j, dim))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "pairs", tuple(zip(*arr.T.tolist())))
+        object.__setattr__(self, "dim", dim)
+        # built on the first membership test: for the 158k pairs of a
+        # p = 400 complement set the hash table alone takes ~8 MB
+        object.__setattr__(self, "_lookup", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PairIndexSet is immutable")
@@ -102,7 +113,9 @@ class PairIndexSet:
         return iter(self.pairs)
 
     def __contains__(self, pair):
-        return tuple(pair) in set(self.pairs)
+        if self._lookup is None:
+            object.__setattr__(self, "_lookup", frozenset(self.pairs))
+        return tuple(pair) in self._lookup
 
     def __eq__(self, other):
         return isinstance(other, PairIndexSet) and self.pairs == other.pairs and self.dim == other.dim

@@ -139,6 +139,27 @@ def gista(sigma, gamma, tol=1e-11, max_iter=20000):
     return j
 
 
+def brute_partition(j_markov, sigma_residual):
+    """(S_M, S_R, S, S_M^c) as row-major lists of ordered pairs, entry by entry."""
+    j = np.asarray(j_markov, dtype=float)
+    r = np.asarray(sigma_residual, dtype=float)
+    p = j.shape[0]
+    s_m, s_r, s, s_c = [], [], [], []
+    for i in range(p):
+        for k in range(p):
+            in_m = i == k or j[i, k] != 0.0
+            in_r = i != k and r[i, k] != 0.0
+            if in_m:
+                s_m.append((i, k))
+            if in_r:
+                s_r.append((i, k))
+            if in_m and not in_r:
+                s.append((i, k))
+            if not in_m:
+                s_c.append((i, k))
+    return s_m, s_r, s, s_c
+
+
 def soft_threshold_entry(x, gamma):
     """S_gamma(x) = sign(-x) (|x| - gamma)_+ for one scalar."""
     mag = abs(x) - gamma

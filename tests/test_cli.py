@@ -305,6 +305,18 @@ class TestMainEntry:
         assert diag["converged"] is True
         assert (out / "fit" / "graphs.json").exists()
 
+    def test_default_grid_sweep_certifies_every_row(self, tmp_path):
+        # the default (adaptive) diagonal boost gives ill-conditioned
+        # cells; each one must still stop at a certified point
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_sizes": [10]}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        assert len(rows) == 3
+        assert all(r["converged"] == "True" for r in rows)
+
     def test_ingest_round_trip(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("a,b\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")

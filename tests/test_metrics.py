@@ -238,6 +238,20 @@ class TestCompareToTruth:
         assert rec.edit_distance_markov == 0
         assert np.isfinite(rec.spectral_error_sigma)
 
+    def test_overall_error_matches_public_function(self):
+        # compare_to_truth forms the true covariance once and reuses it;
+        # the figure must equal the standalone function's bit for bit
+        model = cd.grid_model(4, 3)
+        samples = cd.draw_samples(model, 400, 5)
+        sigma = np.asarray(cd.sample_covariance(samples.data))
+        cfg = SolverConfig(
+            gamma=cd.gamma_schedule(2.0, 16, 400), lambda_off=model.lambda_star
+        )
+        res = cd.admm_solve(sigma, cfg)
+        rec = cd.compare_to_truth(res, model)
+        direct = cd.overall_precision_error(res.j_hat, res.sigma_r_hat, model)
+        assert rec.linf_error_precision_overall == direct > 0.0
+
     def test_threshold_passthrough(self, exact_result):
         res, model = exact_result
         # a coarse threshold erases the true supports entirely

@@ -15,7 +15,7 @@ from covdecomp import (
 )
 from covdecomp.model import grid_edges
 
-from oracles import brute_incoherence, chain_j_analytic, chain_sigma
+from oracles import brute_incoherence, brute_partition, chain_j_analytic, chain_sigma
 
 
 class TestChainModel:
@@ -188,6 +188,15 @@ class TestPartitionPairs:
         assert len(s_m) == 9 + 2 * edges
         assert len(s_r) % 2 == 0 and len(s_r) > 0
         assert len(s) == len(s_m) - len(s_r)
+
+    @pytest.mark.parametrize("model", ["chain", "grid"])
+    def test_matches_entrywise_oracle(self, model, chain):
+        m = chain if model == "chain" else grid_model(6, 11)
+        got = partition_pairs(m)
+        want = brute_partition(m.j_markov, m.sigma_residual)
+        for pairs, expected in zip(got, want):
+            assert list(pairs) == expected
+            assert all(pair in pairs for pair in expected)
 
 
 class TestIncoherenceReport:

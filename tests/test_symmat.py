@@ -79,6 +79,16 @@ class TestPairIndexSet:
             PairIndexSet([(0, 1), (0, 1)], dim=3)
         with pytest.raises(ValueError):
             PairIndexSet([(0, 3)], dim=3)
+        with pytest.raises(ValueError):
+            PairIndexSet(np.array([[0, 1], [-1, 2]]), dim=3)
+        with pytest.raises(ValueError):
+            PairIndexSet([(0, 1, 2), (1, 2, 0)], dim=3)
+
+    def test_array_input_matches_tuples(self):
+        s = PairIndexSet(np.array([[0, 1], [2, 3]]), dim=4)
+        assert s == PairIndexSet([(0, 1), (2, 3)], dim=4)
+        assert (2, 3) in s and (3, 2) not in s
+        assert len(PairIndexSet(np.zeros((0, 2), dtype=int), dim=2)) == 0
 
     def test_equality_and_hash(self):
         a = PairIndexSet([(0, 1)], dim=2)
