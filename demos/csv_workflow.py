@@ -57,5 +57,5 @@ for edge in graphs["markov"][:5]:
           % (edge["source"], edge["target"], edge["weight"]))
 print("residual edges: %d" % len(graphs["residual"]))
 
-true_edges = len(cd.support_of(model.j_markov))
+true_edges = np.count_nonzero(cd.support_of(model.j_markov))
 print("\nground truth had %d markov edges" % true_edges)

@@ -31,7 +31,8 @@ res_inf = cd.admm_solve(sigma_hat, cfg_inf)
 print("\nlambda = inf:")
 print("  residual matrix is identically zero: %s"
       % bool(np.all(np.asarray(res_inf.sigma_r_hat) == 0.0)))
-print("  markov support size: %d edges" % len(cd.support_of(res_inf.j_hat)))
+print("  markov support size: %d edges"
+      % np.count_nonzero(cd.support_of(res_inf.j_hat)))
 
 # regime 2: box collapsed to (near) zero
 cfg_zero = cd.SolverConfig(gamma=gamma, lambda_off=1e-6,

@@ -16,8 +16,8 @@ import covdecomp as cd
 model = cd.chain_model((0.05, 0.04, 0.03), -0.01)
 sigma = np.asarray(cd.true_covariance(model))
 s_m, s_r, s_free, s_comp = cd.partition_pairs(model)
-print("ordered-pair partition sizes: |S_M| = %d, |S_R| = %d, "
-      "|S| = %d, |S_M^c| = %d" % (len(s_m), len(s_r), len(s_free), len(s_comp)))
+print("ordered-pair partition sizes: |S_M| = %d, |S_R| = %d, |S| = %d, |S_M^c| = %d"
+      % tuple(np.count_nonzero(mask) for mask in (s_m, s_r, s_free, s_comp)))
 
 cfg = cd.SolverConfig(gamma=0.0, lambda_off=model.lambda_star,
                       eps_abs=1e-10, eps_rel=1e-9)
@@ -36,7 +36,8 @@ print("  max |R difference|  = %.2e"
 strong = cd.chain_model((0.6, 0.5, 0.4), -0.05)
 sigma_s = np.asarray(cd.true_covariance(strong))
 sm, sr, _, _ = cd.partition_pairs(strong)
-kept = cd.PairIndexSet([pair for pair in sm if pair not in ((1, 2), (2, 1))], 4)
+kept = sm.copy()
+kept[1, 2] = kept[2, 1] = False
 cfg_s = cd.SolverConfig(gamma=0.0, lambda_off=strong.lambda_star,
                         eps_abs=1e-10, eps_rel=1e-9)
 wit_bad = cd.witness_solve(sigma_s, kept, sr, np.sign(np.asarray(strong.j_markov)),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CovdecompError, DimensionMismatch
 from .inference import InfoModel, lbp_run, walk_summability
-from .metrics import DEFAULT_SUPPORT_THRESHOLD, MetricsRecord, compare_to_truth
+from .metrics import DEFAULT_SUPPORT_THRESHOLD, MetricsRecord, compare_to_truth, support_of
 from .model import DiagBoostPolicy, chain_model, grid_model, true_covariance
 from .sampling import (
     SampleSet,
@@ -364,7 +364,7 @@ def export_graphs(result, names, threshold):
     def edges(matrix):
         a = np.asarray(matrix)
         out = []
-        for i, j in zip(*np.nonzero(np.triu(np.abs(a) > threshold, k=1))):
+        for i, j in zip(*np.nonzero(support_of(a, threshold))):
             out.append({"source": names[i], "target": names[j],
                         "weight": float(a[i, j])})
         return out

@@ -45,15 +45,16 @@ class MalformedCsv(CovdecompError):
 class NonNumericCell(MalformedCsv):
     """A CSV data cell failed numeric conversion.
 
-    Coordinates in the message are 1-based file coordinates (the header
-    counts as row 1); ``row`` and ``col`` attributes hold the 0-based
-    data-matrix indices.
+    Coordinates in the message are 1-based file coordinates counting the
+    ``header_rows`` above the data; ``row`` and ``col`` attributes hold
+    the 0-based data-matrix indices.
     """
 
-    def __init__(self, row, col, value):
+    def __init__(self, path, row, col, value, header_rows):
         self.row = row
         self.col = col
         self.value = value
         super().__init__(
-            "non-numeric cell %r at file row %d, column %d" % (value, row + 2, col + 1)
+            "%s: non-numeric cell %r at file row %d, column %d"
+            % (path, value, row + header_rows + 1, col + 1)
         )

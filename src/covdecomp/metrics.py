@@ -2,8 +2,9 @@
 
 Supports are binarized at a magnitude threshold (default 1e-6; the
 solver's reported iterate carries exact zeros, so anything above the
-threshold is a deliberate nonzero). Edit distance counts unordered
-off-diagonal pairs in the symmetric difference of two supports.
+threshold is a deliberate nonzero) into strictly upper-triangular
+boolean masks. Edit distance counts unordered off-diagonal pairs in the
+symmetric difference of two supports.
 """
 
 import logging
@@ -11,9 +12,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyTruthSupport, NotPositiveDefinite
+from .errors import EmptyTruthSupport, NotPositiveDefinite
 from .model import true_covariance
-from .symmat import PairIndexSet
+from .symmat import shaped_like
 
 logger = logging.getLogger(__name__)
 
@@ -40,26 +41,21 @@ class MetricsRecord:
 
 
 def support_of(m, threshold=DEFAULT_SUPPORT_THRESHOLD):
-    """Unordered off-diagonal pairs (i<j) with magnitude above threshold."""
+    """Mask of the unordered off-diagonal pairs (i<j) with magnitude above threshold.
+
+    Returns a p x p boolean array, true only strictly above the diagonal.
+    """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    a = np.asarray(m, dtype=float)
-    mask = np.triu(np.abs(a) > threshold, k=1)
-    return PairIndexSet(np.argwhere(mask), a.shape[0])
+    return np.triu(np.abs(np.asarray(m, dtype=float)) > threshold, k=1)
 
 
 def edit_distance(a, b, threshold):
     """Number of unordered pairs in exactly one of the two supports."""
     a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if a_arr.shape != b_arr.shape:
-        raise DimensionMismatch(
-            "edit_distance needs equal shapes, got %s and %s"
-            % (a_arr.shape, b_arr.shape)
-        )
-    sa = set(support_of(a_arr, threshold))
-    sb = set(support_of(b_arr, threshold))
-    return len(sa ^ sb)
+    b_arr = shaped_like(b, a_arr, "edit_distance operand")
+    differ = support_of(a_arr, threshold) ^ support_of(b_arr, threshold)
+    return int(np.count_nonzero(differ))
 
 
 def normalized_edit_distance(est, truth, threshold):
@@ -67,7 +63,7 @@ def normalized_edit_distance(est, truth, threshold):
 
     May exceed 1 when the estimate carries many spurious edges.
     """
-    denom = len(support_of(truth, threshold))
+    denom = int(np.count_nonzero(support_of(truth, threshold)))
     if denom == 0:
         raise EmptyTruthSupport("truth matrix has no off-diagonal support")
     return edit_distance(est, truth, threshold) / denom
@@ -76,16 +72,11 @@ def normalized_edit_distance(est, truth, threshold):
 def sign_consistency(est, truth, threshold):
     """True iff supports match exactly and signs agree on that support."""
     est_arr = np.asarray(est, dtype=float)
-    truth_arr = np.asarray(truth, dtype=float)
-    if est_arr.shape != truth_arr.shape:
-        raise DimensionMismatch(
-            "sign_consistency needs equal shapes, got %s and %s"
-            % (est_arr.shape, truth_arr.shape)
-        )
+    truth_arr = shaped_like(truth, est_arr, "sign_consistency truth")
     support = support_of(truth_arr, threshold)
-    if set(support_of(est_arr, threshold)) != set(support):
+    if not np.array_equal(support_of(est_arr, threshold), support):
         return False
-    return all(est_arr[i, j] * truth_arr[i, j] > 0 for i, j in support)
+    return bool(np.all(est_arr[support] * truth_arr[support] > 0))
 
 
 def overall_precision_error(j_hat, sigma_r_hat, truth_model):

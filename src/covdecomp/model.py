@@ -11,12 +11,7 @@ from .errors import (
     PreconditionViolated,
     SingularSubmatrix,
 )
-from .symmat import (
-    PairIndexSet,
-    SymmetricMatrix,
-    hessian_submatrix,
-    inf_operator_norm,
-)
+from .symmat import SymmetricMatrix, hessian_submatrix, inf_operator_norm
 
 # Ground-truth models are constructed exactly, so ties are detected at
 # machine-level tolerance; estimates use the looser solver-side tie band.
@@ -288,25 +283,22 @@ def true_covariance(m):
 
 
 def partition_pairs(m):
-    """Ordered-pair partition (S_R, S, S_M^c) induced by a model's supports.
+    """Pair partition (S_M, S_R, S, S_M^c) induced by a model's supports.
 
     S_M is the precision support including the diagonal; S_R is the
-    residual support; S = S_M minus S_R. Pairs are ordered (both (i,j)
-    and (j,i) appear) and enumerated row-major for determinism.
+    residual support; S = S_M minus S_R. Each set is a symmetric p x p
+    boolean mask, so both (i,j) and (j,i) belong to it.
 
     Returns
     -------
-    (s_m, s_r, s, s_m_c) : tuple of PairIndexSet
+    (s_m, s_r, s, s_m_c) : tuple of bool ndarray of shape (p, p)
     """
     j = np.asarray(m.j_markov)
     r = np.asarray(m.sigma_residual)
-    p = j.shape[0]
-    eye = np.eye(p, dtype=bool)
+    eye = np.eye(j.shape[0], dtype=bool)
     in_m = eye | (j != 0.0)
     in_r = ~eye & (r != 0.0)
-    # argwhere lists the pairs of a mask in row-major order
-    return tuple(PairIndexSet(np.argwhere(mask), p)
-                 for mask in (in_m, in_r, in_m & ~in_r, ~in_m))
+    return in_m, in_r, in_m & ~in_r, ~in_m
 
 
 def incoherence_report(m, m_param, tau=2.0, n=1000, c6=1.0, c7=1.0):

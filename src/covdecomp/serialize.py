@@ -3,8 +3,10 @@ and propagation traces.
 
 A model directory holds j_markov.csv, sigma_residual.csv, and meta.json
 (lambda_star plus any generator metadata). A result directory holds
-j_hat.csv, sigma_r.csv, and diagnostics.json. Matrices are CSV at full
-repr precision, so save/load round-trips are exact.
+j_hat.csv, sigma_r.csv, and diagnostics.json. Matrices are headerless
+CSV at full repr precision, so save/load round-trips are exact. Every
+CSV reader here raises ``MalformedCsv`` naming the file for an empty,
+ragged or non-numeric file.
 """
 
 import csv
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import MalformedCsv, NonNumericCell, PreconditionViolated
 from .model import DecompositionModel, validate_model
 from .sampling import SampleSet
-from .symmat import read_matrix_csv, write_matrix_csv
+from .symmat import SymmetricMatrix
 
 SCHEMA_VERSION = 1
 
@@ -30,6 +32,53 @@ def write_json(path, payload):
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_numeric_csv(path, header_rows):
+    # (header rows, data array) of a CSV file whose rows after the first
+    # header_rows are all floats; blank lines are skipped
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise MalformedCsv("%s is empty" % path)
+    head, body = rows[:header_rows], rows[header_rows:]
+    if not body:
+        raise MalformedCsv("%s has a header but no data rows" % path)
+    width = len(rows[0])
+    data = np.empty((len(body), width))
+    for ri, row in enumerate(body):
+        if len(row) != width:
+            raise MalformedCsv(
+                "%s: row %d has %d cells, expected %d"
+                % (path, ri + header_rows + 1, len(row), width)
+            )
+        for ci, cell in enumerate(row):
+            try:
+                data[ri, ci] = float(cell)
+            except ValueError:
+                raise NonNumericCell(path, ri, ci, cell, header_rows) from None
+    return head, data
+
+
+def read_matrix_csv(path):
+    """Load a p x p matrix from headerless CSV, symmetrize, and validate finiteness."""
+    data = _read_numeric_csv(path, 0)[1]
+    if not np.isfinite(data).all():
+        raise MalformedCsv("%s has a non-finite cell" % path)
+    return SymmetricMatrix(data, symmetrize=True)
+
+
+def write_matrix_csv(m, path):
+    """Write a matrix as full (not triangular) CSV with repr-precision floats."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for row in np.asarray(m, dtype=float):
+            writer.writerow([repr(float(x)) for x in row])
+
+
+def _pair_list(mask):
+    # JSON form of a pair mask: [i, j] lists in row-major order
+    return [[int(i), int(j)] for i, j in zip(*np.nonzero(mask))]
 
 
 def save_model(m, dirpath, extra_meta=None):
@@ -79,10 +128,6 @@ def save_result(result, dirpath, extra_diagnostics=None):
     d.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(result.j_hat, d / "j_hat.csv")
     write_matrix_csv(result.sigma_r_hat, d / "sigma_r.csv")
-    r = np.asarray(result.sigma_r_hat)
-    clip_pairs = [
-        [int(i), int(j)] for i, j in zip(*np.nonzero(np.triu(r != 0.0, k=1)))
-    ]
     diagnostics = {
         "schema_version": SCHEMA_VERSION,
         "duality_gap": result.duality_gap,
@@ -91,8 +136,8 @@ def save_result(result, dirpath, extra_diagnostics=None):
         "converged": result.converged,
         "overall_pd": result.overall_pd,
         "min_eig_overall": result.min_eig_overall,
-        "clip_pairs": clip_pairs,
-        "sign_conflicts": [list(pair) for pair in result.sign_conflicts],
+        "clip_pairs": _pair_list(np.triu(np.asarray(result.sigma_r_hat) != 0.0, k=1)),
+        "sign_conflicts": _pair_list(result.sign_conflicts),
     }
     if extra_diagnostics:
         diagnostics.update(extra_diagnostics)
@@ -117,28 +162,8 @@ def read_csv_table(path):
     empty, header-only or ragged file and ``NonNumericCell`` for a cell
     that is not a float.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise MalformedCsv("%s is empty" % path)
-    header = [cell.strip() for cell in rows[0]]
-    body = rows[1:]
-    if not body:
-        raise MalformedCsv("%s has a header but no data rows" % path)
-    width = len(header)
-    data = np.empty((len(body), width))
-    for ri, row in enumerate(body):
-        if len(row) != width:
-            raise MalformedCsv(
-                "%s: row %d has %d cells, expected %d"
-                % (path, ri + 2, len(row), width)
-            )
-        for ci, cell in enumerate(row):
-            try:
-                data[ri, ci] = float(cell)
-            except ValueError:
-                raise NonNumericCell(ri, ci, cell) from None
-    return header, data
+    head, data = _read_numeric_csv(path, 1)
+    return [cell.strip() for cell in head[0]], data
 
 
 def save_samples(samples, dirpath):

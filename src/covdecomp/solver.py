@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InfeasibleConstraints,
                      NotPositiveDefinite, PreconditionViolated)
-from .symmat import SymmetricMatrix, logdet_pd
+from .symmat import SymmetricMatrix, logdet_pd, shaped_like
 
 logger = logging.getLogger(__name__)
 
@@ -72,8 +72,10 @@ class SolveResult:
     """Solver output: estimates, certificates, and diagnostics.
 
     ``j_hat`` is the PD precision estimate; ``sigma_r_hat`` has an
-    exactly zero diagonal and support inside the clip set. Passing a
-    result as ``warm_start`` restarts the solver from its ``j_hat``.
+    exactly zero diagonal and support inside the clip set, and the mask
+    ``sign_conflicts`` (i < j) marks the residual entries zeroed for
+    fighting the sign of ``j_hat``. Passing a result as ``warm_start``
+    restarts the solver from its ``j_hat``.
     """
 
     j_hat: SymmetricMatrix
@@ -86,7 +88,7 @@ class SolveResult:
     converged: bool
     overall_pd: bool
     min_eig_overall: float
-    sign_conflicts: tuple = ()
+    sign_conflicts: np.ndarray
 
 
 def _checked_sigma(sigma_hat):
@@ -169,13 +171,6 @@ def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
     return j, j_inv, cfg.max_iter, False, cert
 
 
-def _pair_mask(pairs, p):
-    mask = np.zeros((p, p), dtype=bool)
-    for a, b in pairs:
-        mask[a, b] = mask[b, a] = True
-    return mask
-
-
 def _clip_mask(j_hat, cfg):
     # may include diagonal entries; _extract zeroes the diagonal
     if not np.isfinite(cfg.lambda_off):
@@ -192,7 +187,7 @@ def _extract(j_hat, j_inv, sigma, z_gamma, cfg, clip_mask):
     # precision entry is boundary noise; zero it and report the pair
     conflict = (r != 0.0) & (r * np.sign(j_hat) < -1e-8)
     r[conflict] = 0.0
-    return r, tuple(map(tuple, np.argwhere(np.triu(conflict)).tolist()))
+    return r, np.triu(conflict, k=1)
 
 
 def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None):
@@ -216,25 +211,39 @@ def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None):
     return float(np.abs(stationarity).max()), zg, r, conflicts
 
 
-def extract_residual(j_hat, sigma_hat, z_gamma, cfg, clip_pairs=None):
+def _sym_mask(a, sigma, name):
+    # a p x p boolean mask in which (i,j) implies (j,i)
+    mask = shaped_like(a, sigma, name, dtype=bool)
+    return mask | mask.T
+
+
+def _log_conflicts(conflicts):
+    if conflicts.any():
+        logger.warning("zeroed %d sign-conflicting residual entries",
+                       np.count_nonzero(conflicts))
+
+
+def extract_residual(j_hat, sigma_hat, z_gamma, cfg, clip_mask=None):
     """Recover the residual covariance from the stationarity identity.
 
     Entries are ``(J^-1 - Sigma_hat - gamma z_gamma)_ij`` on the clip
     set {|j_hat_ij| >= (1 - CLIP_TIE) lambda_off, i != j} and zero elsewhere;
     sign conflicts with j_hat beyond 1e-8 are zeroed (and logged).
-    ``clip_pairs`` overrides the detected clip set (the witness program
-    extracts on its fixed S_R).
+    ``clip_mask``, a p x p boolean mask in which (i,j) implies (j,i),
+    overrides the detected clip set (the witness program extracts on its
+    fixed S_R). Raises ``DimensionMismatch`` for a non-square sigma_hat or
+    an operand of another shape, and ``PreconditionViolated`` for a
+    non-finite sigma_hat.
     """
-    j = np.asarray(j_hat, dtype=float)
-    sigma = np.asarray(sigma_hat, dtype=float)
-    zg = np.asarray(z_gamma, dtype=float)
-    if clip_pairs is None:
+    sigma = _checked_sigma(sigma_hat)
+    j = shaped_like(j_hat, sigma, "j_hat")
+    zg = shaped_like(z_gamma, sigma, "z_gamma")
+    if clip_mask is None:
         mask = _clip_mask(j, cfg)
     else:
-        mask = _pair_mask(clip_pairs, j.shape[0])
+        mask = _sym_mask(clip_mask, sigma, "clip_mask")
     r, conflicts = _extract(j, _sym_inv(j), sigma, zg, cfg, mask)
-    if conflicts:
-        logger.warning("zeroed %d sign-conflicting residual entries", len(conflicts))
+    _log_conflicts(conflicts)
     return SymmetricMatrix(r)
 
 
@@ -274,12 +283,16 @@ def duality_gap(result, sigma_hat, cfg):
 
     The shift comes from substituting the stationarity identity
     <Sigma_hat, J> = p - lambda ||Sigma_R||_{1,off} - gamma ||J||_{1,off}
-    into the dual; at the optimum the gap is zero.
+    into the dual; at the optimum the gap is zero. Raises
+    ``DimensionMismatch`` for a non-square sigma_hat or a result of
+    another size, ``PreconditionViolated`` for a non-finite sigma_hat and
+    ``NotPositiveDefinite`` when j_hat or sigma_m_hat is not PD.
     """
-    j_hat = np.asarray(result.j_hat)
-    gap = _gap(j_hat, np.asarray(sigma_hat, dtype=float),
-               np.asarray(result.sigma_r_hat), cfg)
-    return gap - logdet_pd(j_hat) - logdet_pd(result.sigma_m_hat)
+    sigma = _checked_sigma(sigma_hat)
+    j_hat, sigma_m, sigma_r = (
+        shaped_like(getattr(result, name), sigma, name)
+        for name in ("j_hat", "sigma_m_hat", "sigma_r_hat"))
+    return _gap(j_hat, sigma, sigma_r, cfg) - logdet_pd(j_hat) - logdet_pd(sigma_m)
 
 
 def post_check_overall_pd(result):
@@ -297,8 +310,7 @@ def post_check_overall_pd(result):
 
 def _finalize(solved, sigma, cfg, record_gap=True):
     j_hat, j_inv, iterations, converged, (kkt, zg, r, conflicts) = solved
-    if conflicts:
-        logger.warning("zeroed %d sign-conflicting residual entries", len(conflicts))
+    _log_conflicts(conflicts)
     gap = _gap(j_hat, sigma, r, cfg)
     result = SolveResult(
         j_hat=SymmetricMatrix(j_hat),
@@ -355,10 +367,7 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
 
     j = np.diag(1.0 / np.diag(sigma))
     if warm_start is not None:
-        warm = np.array(warm_start.j_hat, dtype=float)
-        if warm.shape != sigma.shape:
-            raise DimensionMismatch(
-                "warm start is %s but sigma_hat is %s" % (warm.shape, sigma.shape))
+        warm = shaped_like(warm_start.j_hat, sigma, "warm start")
         # a warm start outside this box (from a wider one) restarts cold
         if np.array_equal(prox(warm, 0.0), warm):
             j = warm
@@ -370,13 +379,15 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
 def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
     """Solve the support-constrained companion program.
 
-    Off-diagonal entries outside ``s_m`` are fixed to zero, entries on
-    ``s_r`` are fixed to ``lambda_off * sign``, and the free entries
-    (s_m minus s_r, off-diagonal) carry the l1 penalty with no box. The
-    residual is extracted on ``s_r`` from the equality-constraint
-    multipliers, and the KKT residual is evaluated on the free set and
-    the diagonal only; ``converged`` follows the same KKT rule as
-    ``admm_solve``. The solve starts from the fixed pattern with a
+    ``s_m`` and ``s_r`` are p x p boolean masks (as ``partition_pairs``
+    returns them) in which (i,j) implies (j,i), and ``signs_on_sr`` is a
+    p x p array read on ``s_r``. Off-diagonal entries outside ``s_m`` are
+    fixed to zero, entries on ``s_r`` to ``lambda_off * sign``, and the
+    free entries (s_m minus s_r, off-diagonal) carry the l1 penalty with
+    no box. The residual is extracted on ``s_r`` from the
+    equality-constraint multipliers, and the KKT residual is evaluated on
+    the free set and the diagonal only; ``converged`` follows the same KKT
+    rule as ``admm_solve``. The solve starts from the fixed pattern with a
     diagonally dominant diagonal.
 
     Raises
@@ -385,7 +396,8 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
         If no step length keeps an iterate positive definite; with the
         diagonal free this is a breakdown, not an infeasible program.
     DimensionMismatch
-        If sigma_hat is not square.
+        If sigma_hat is not square, or s_m, s_r or signs_on_sr is not of
+        its shape.
     PreconditionViolated
         If sigma_hat has a non-finite entry, lambda_off is infinite,
         s_r is not inside s_m, or the diagonal is not inside s_m.
@@ -393,18 +405,17 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
     sigma = _checked_sigma(sigma_hat)
     if not np.isfinite(cfg.lambda_off):
         raise PreconditionViolated("witness program needs a finite lambda_off")
-    p = sigma.shape[0]
-    mask_m = _pair_mask(s_m, p)
-    mask_r = _pair_mask(s_r, p)
+    mask_m = _sym_mask(s_m, sigma, "s_m")
+    mask_r = _sym_mask(s_r, sigma, "s_r")
+    signs = np.sign(shaped_like(signs_on_sr, sigma, "signs_on_sr"))
     if not np.all(np.diag(mask_m)):
         raise PreconditionViolated("s_m must contain the diagonal")
     if np.any(mask_r & ~mask_m) or np.any(np.diag(mask_r)):
         raise PreconditionViolated("s_r must be off-diagonal and inside s_m")
-    signs = np.sign(np.asarray(signs_on_sr, dtype=float))
     if np.any(signs[mask_r] == 0):
         raise PreconditionViolated("signs_on_sr must be nonzero on every s_r pair")
     fixed_r = np.where(mask_r, cfg.lambda_off * signs, 0.0)
-    eye = np.eye(p, dtype=bool)
+    eye = np.eye(sigma.shape[0], dtype=bool)
     free_off = mask_m & ~mask_r & ~eye
 
     def prox(m, t):

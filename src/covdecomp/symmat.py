@@ -1,11 +1,10 @@
 """Dense symmetric matrix kernel.
 
 Everything downstream (models, solver, diagnostics) moves data around as
-``SymmetricMatrix`` instances or plain ndarrays; the helpers here are the
-only linear-algebra primitives the package needs.
+``SymmetricMatrix`` instances or plain ndarrays, and sets of index pairs
+as p x p boolean masks; the helpers here are the only linear-algebra
+primitives the package needs.
 """
-
-import csv
 
 import numpy as np
 
@@ -69,64 +68,6 @@ class SymmetricMatrix:
         return "SymmetricMatrix(dim=%d)" % self.dim
 
 
-class PairIndexSet:
-    """Ordered collection of (row, col) index pairs into a p x p grid.
-
-    Parameters
-    ----------
-    pairs : iterable of (int, int), or int array of shape (n, 2)
-        Index pairs; duplicates are rejected.
-    dim : int
-        Grid dimension p; every index must lie in [0, p).
-    """
-
-    __slots__ = ("pairs", "dim", "_lookup")
-
-    def __init__(self, pairs, dim):
-        dim = int(dim)
-        if not isinstance(pairs, np.ndarray):
-            pairs = list(pairs)
-        arr = np.array(pairs, dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("pairs must be (row, col) index pairs")
-        outside = ((arr < 0) | (arr >= dim)).any(axis=1)
-        if outside.any():
-            i, j = arr[outside][0]
-            raise ValueError("pair (%d, %d) out of range for dim %d" % (i, j, dim))
-        if np.unique(arr[:, 0] * dim + arr[:, 1]).size != len(arr):
-            raise ValueError("duplicate index pairs")
-        object.__setattr__(self, "pairs", tuple(zip(*arr.T.tolist())))
-        object.__setattr__(self, "dim", dim)
-        # built on the first membership test: for the 158k pairs of a
-        # p = 400 complement set the hash table alone takes ~8 MB
-        object.__setattr__(self, "_lookup", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairIndexSet is immutable")
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __contains__(self, pair):
-        if self._lookup is None:
-            object.__setattr__(self, "_lookup", frozenset(self.pairs))
-        return tuple(pair) in self._lookup
-
-    def __eq__(self, other):
-        return isinstance(other, PairIndexSet) and self.pairs == other.pairs and self.dim == other.dim
-
-    def __hash__(self):
-        return hash((self.pairs, self.dim))
-
-    def __repr__(self):
-        return "PairIndexSet(%d pairs, dim=%d)" % (len(self.pairs), self.dim)
-
-
 def logdet_pd(m):
     """Log-determinant of a positive definite matrix via Cholesky.
 
@@ -165,35 +106,29 @@ def hessian_submatrix(sigma_m, rows, cols):
 
     Parameters
     ----------
-    sigma_m : SymmetricMatrix or ndarray
-    rows, cols : PairIndexSet
-        Ordered pair sets selecting Hessian rows and columns.
+    sigma_m : SymmetricMatrix or ndarray of shape (p, p)
+    rows, cols : bool ndarray of shape (p, p)
+        Pair masks selecting Hessian rows and columns, enumerated in
+        row-major order.
 
     Returns
     -------
-    ndarray of shape (len(rows), len(cols))
+    ndarray of shape (count_nonzero(rows), count_nonzero(cols))
+
+    Raises
+    ------
+    DimensionMismatch
+        If a mask is not p x p.
     """
     s = np.asarray(sigma_m, dtype=float)
-    if len(rows) == 0 or len(cols) == 0:
-        return np.zeros((len(rows), len(cols)))
-    ri = np.array([p[0] for p in rows])
-    rj = np.array([p[1] for p in rows])
-    ck = np.array([p[0] for p in cols])
-    cl = np.array([p[1] for p in cols])
+    ri, rj = np.nonzero(shaped_like(rows, s, "rows", dtype=bool))
+    ck, cl = np.nonzero(shaped_like(cols, s, "cols", dtype=bool))
     return s[np.ix_(ri, ck)] * s[np.ix_(rj, cl)]
 
 
-def read_matrix_csv(path):
-    """Load a p x p matrix from CSV, symmetrize, and validate finiteness."""
-    with open(path, newline="") as fh:
-        data = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
-    return SymmetricMatrix(np.array(data), symmetrize=True)
-
-
-def write_matrix_csv(m, path):
-    """Write a matrix as full (not triangular) CSV with repr-precision floats."""
-    a = np.asarray(m, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in a:
-            writer.writerow([repr(float(x)) for x in row])
+def shaped_like(a, ref, name, dtype=float):
+    """``a`` as an array of ``ref``'s shape; raises DimensionMismatch otherwise."""
+    a = np.asarray(a, dtype=dtype)
+    if a.shape != ref.shape:
+        raise DimensionMismatch("%s is %s, expected %s" % (name, a.shape, ref.shape))
+    return a

@@ -171,32 +171,37 @@ class TestTrueCovariance:
         assert np.linalg.eigvalsh(sigma).min() > 0
 
 
+def pairs_of(mask):
+    return set(map(tuple, np.argwhere(mask).tolist()))
+
+
 class TestPartitionPairs:
     def test_chain_partition(self, chain):
         s_m, s_r, s, s_c = partition_pairs(chain)
-        assert set(s_r) == {(0, 1), (1, 0)}
-        assert all((i, i) in s_m for i in range(4))
-        assert set(s) == set(s_m) - set(s_r)
-        assert len(s_m) + len(s_c) == 16
+        assert pairs_of(s_r) == {(0, 1), (1, 0)}
+        assert np.diag(s_m).all()
+        assert np.array_equal(s, s_m & ~s_r)
+        assert np.count_nonzero(s_m) + np.count_nonzero(s_c) == 16
         expected_m = {(i, i) for i in range(4)}
         expected_m |= {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
-        assert set(s_m) == expected_m
+        assert pairs_of(s_m) == expected_m
 
     def test_grid_partition_counts(self, small_grid):
-        s_m, s_r, s, s_c = partition_pairs(small_grid)
+        s_m, s_r, s, s_c = (np.count_nonzero(m) for m in partition_pairs(small_grid))
         edges = len(grid_edges(3))
-        assert len(s_m) == 9 + 2 * edges
-        assert len(s_r) % 2 == 0 and len(s_r) > 0
-        assert len(s) == len(s_m) - len(s_r)
+        assert s_m == 9 + 2 * edges
+        assert s_r % 2 == 0 and s_r > 0
+        assert s == s_m - s_r
 
     @pytest.mark.parametrize("model", ["chain", "grid"])
     def test_matches_entrywise_oracle(self, model, chain):
         m = chain if model == "chain" else grid_model(6, 11)
         got = partition_pairs(m)
         want = brute_partition(m.j_markov, m.sigma_residual)
-        for pairs, expected in zip(got, want):
-            assert list(pairs) == expected
-            assert all(pair in pairs for pair in expected)
+        for mask, expected in zip(got, want):
+            assert mask.dtype == bool and mask.shape == (m.dim, m.dim)
+            # np.argwhere enumerates row-major, the oracle's order
+            assert np.argwhere(mask).tolist() == [list(pair) for pair in expected]
 
 
 class TestIncoherenceReport:

@@ -2,6 +2,7 @@
 sample sets, and propagation traces."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ import pytest
 
 import covdecomp as cd
 from covdecomp import InfoModel, MalformedCsv, PreconditionViolated, SolverConfig
+from covdecomp.serialize import read_matrix_csv, write_matrix_csv
 
 
 class TestModelRoundTrip:
@@ -96,6 +98,21 @@ class TestResultRoundTrip:
         _, _, diag = cd.load_result(d)
         assert diag["converged"] is False
 
+    def test_sign_conflicts_listed_as_pairs(self, solved_chain, tmp_path):
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[1, 3] = True
+        res = dataclasses.replace(solved_chain, sign_conflicts=mask)
+        _, _, diag = cd.load_result(cd.save_result(res, tmp_path / "result"))
+        assert diag["sign_conflicts"] == [[1, 3]]
+
+    def test_ragged_matrix_file_rejected(self, solved_chain, tmp_path):
+        d = cd.save_result(solved_chain, tmp_path / "result")
+        lines = (d / "sigma_r.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0]
+        (d / "sigma_r.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedCsv, match=r"sigma_r\.csv: row 2 has 3 cells"):
+            cd.load_result(d)
+
 
 class TestSamplesRoundTrip:
     def test_exact_round_trip(self, chain, tmp_path):
@@ -152,3 +169,27 @@ class TestTraceCsv:
         for row in rows:
             assert math.isfinite(float(row[1]))
             assert math.isfinite(float(row[2]))
+
+
+class TestMatrixCsv:
+    def test_matrix_csv_roundtrip_exact(self, tmp_path, rng):
+        a = rng.standard_normal((4, 4))
+        m = cd.SymmetricMatrix(a + a.T, symmetrize=True)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(m, path)
+        back = read_matrix_csv(path)
+        np.testing.assert_array_equal(np.asarray(back), np.asarray(m))
+
+    @pytest.mark.parametrize("cell, message", [
+        # a matrix file has no header, so data row 1 is file row 2
+        ("oops", r"j_markov\.csv: non-numeric cell 'oops' at file row 2, column 3"),
+        ("nan", r"j_markov\.csv has a non-finite cell"),
+    ])
+    def test_bad_cell_named_with_file(self, chain, tmp_path, cell, message):
+        d = cd.save_model(chain, tmp_path / "model")
+        rows = list(csv.reader((d / "j_markov.csv").open()))
+        rows[1][2] = cell
+        with (d / "j_markov.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(MalformedCsv, match=message):
+            cd.load_model(d)

@@ -13,7 +13,6 @@ from covdecomp import (
     DimensionMismatch,
     InfeasibleConstraints,
     NotPositiveDefinite,
-    PairIndexSet,
     PreconditionViolated,
     SolverConfig,
     SymmetricMatrix,
@@ -93,9 +92,9 @@ class TestClosedFormCases:
         cfg = SolverConfig(gamma=0.0, lambda_off=1.0)
         with pytest.raises(PreconditionViolated, match="non-finite"):
             cd.admm_solve(bad, cfg)
-        s_m = PairIndexSet([(i, i) for i in range(3)], 3)
+        s_m = np.eye(3, dtype=bool)
         with pytest.raises(PreconditionViolated, match="non-finite"):
-            cd.witness_solve(bad, s_m, PairIndexSet([], 3), np.zeros((3, 3)), cfg)
+            cd.witness_solve(bad, s_m, np.zeros((3, 3), dtype=bool), np.zeros((3, 3)), cfg)
 
     def test_asymmetric_input_solves_its_symmetric_part(self):
         sigma = sample_cov_instance(p=6, n=400, seed=3)
@@ -132,7 +131,8 @@ class TestExactRecovery:
             np.abs(np.asarray(res.sigma_r_hat) - np.asarray(chain.sigma_residual)).max()
             < 1e-6
         )
-        assert cd.support_of(res.sigma_r_hat) == cd.support_of(chain.sigma_residual)
+        assert np.array_equal(cd.support_of(res.sigma_r_hat),
+                              cd.support_of(chain.sigma_residual))
         # the residual-bearing entry sits exactly on the box boundary
         assert abs(abs(res.j_hat[0, 1]) - chain.lambda_star) < 1e-6
 
@@ -273,16 +273,36 @@ class TestExtractResidual:
         res = cd.admm_solve(sigma, cfg)
         assert np.all(np.asarray(res.sigma_r_hat) == 0.0)
 
-    def test_clip_pairs_override_restricts_support(self, chain):
+    def test_clip_mask_override_restricts_support(self, chain):
         sigma = cd.true_covariance(chain)
         cfg = tight_config(gamma=0.0, lambda_off=chain.lambda_star)
         res = cd.admm_solve(np.asarray(sigma), cfg)
+        clip = np.zeros((4, 4), dtype=bool)
+        clip[2, 3] = True
         r = cd.extract_residual(
-            res.j_hat, np.asarray(sigma), res.z_gamma, cfg, clip_pairs=[(2, 3)]
+            res.j_hat, np.asarray(sigma), res.z_gamma, cfg, clip_mask=clip
         )
         assert r[0, 1] == 0.0
         # (2,3) is not clipped in truth, so the identity value there is noise
-        assert cd.support_of(r, threshold=1e-6) == PairIndexSet([], chain.dim)
+        assert not cd.support_of(r, threshold=1e-6).any()
+
+    @pytest.mark.parametrize("operand", ["sigma_hat", "j_hat", "z_gamma", "clip_mask"])
+    def test_operand_of_wrong_size_rejected(self, operand, chain):
+        sigma = np.asarray(cd.true_covariance(chain))
+        cfg = tight_config(gamma=0.0, lambda_off=chain.lambda_star)
+        res = cd.admm_solve(sigma, cfg)
+        args = {"j_hat": res.j_hat, "sigma_hat": sigma, "z_gamma": res.z_gamma,
+                "clip_mask": np.ones((4, 4), dtype=bool)}
+        args[operand] = np.asarray(args[operand])[:3, :3]
+        with pytest.raises(DimensionMismatch):
+            cd.extract_residual(cfg=cfg, **args)
+
+    def test_non_finite_sigma_rejected(self):
+        sigma = np.eye(2)
+        sigma[0, 1] = math.nan
+        with pytest.raises(PreconditionViolated, match="non-finite"):
+            cd.extract_residual(np.eye(2), sigma, np.zeros((2, 2)),
+                                SolverConfig(gamma=0.0, lambda_off=1.0))
 
     def test_sign_conflict_zeroed_and_logged(self, caplog):
         j = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -362,9 +382,20 @@ class TestDualityGapErrors:
             converged=True,
             overall_pd=True,
             min_eig_overall=1.0,
+            sign_conflicts=np.zeros((2, 2), dtype=bool),
         )
         with pytest.raises(NotPositiveDefinite):
             cd.duality_gap(res, np.eye(2), SolverConfig(gamma=0.0, lambda_off=1.0))
+
+    def test_malformed_sigma_rejected(self):
+        cfg = tight_config(gamma=0.0, lambda_off=math.inf)
+        res = cd.admm_solve(np.eye(3), cfg)
+        with pytest.raises(DimensionMismatch):
+            cd.duality_gap(res, np.eye(4), cfg)
+        bad = np.eye(3)
+        bad[0, 0] = math.nan
+        with pytest.raises(PreconditionViolated, match="non-finite"):
+            cd.duality_gap(res, bad, cfg)
 
 
 class TestPostCheckOverallPd:
@@ -382,8 +413,8 @@ class TestPostCheckOverallPd:
 class TestWitnessSolve:
     def test_diagonal_program(self):
         sigma = np.diag([1.0, 2.0, 4.0])
-        s_m = PairIndexSet([(i, i) for i in range(3)], 3)
-        s_r = PairIndexSet([], 3)
+        s_m = np.eye(3, dtype=bool)
+        s_r = np.zeros((3, 3), dtype=bool)
         cfg = tight_config(gamma=0.0, lambda_off=1.0)
         res = cd.witness_solve(sigma, s_m, s_r, np.zeros((3, 3)), cfg)
         assert res.converged
@@ -408,10 +439,11 @@ class TestWitnessSolve:
         model = cd.chain_model((0.6, 0.5, 0.4), -0.05)
         sigma = np.asarray(cd.true_covariance(model))
         s_m, s_r, _, _ = cd.partition_pairs(model)
-        kept = [pair for pair in s_m if pair not in ((1, 2), (2, 1))]
+        kept = s_m.copy()
+        kept[1, 2] = kept[2, 1] = False
         signs = np.sign(np.asarray(model.j_markov))
         cfg = tight_config(gamma=0.0, lambda_off=model.lambda_star)
-        wit = cd.witness_solve(sigma, PairIndexSet(kept, 4), s_r, signs, cfg)
+        wit = cd.witness_solve(sigma, kept, s_r, signs, cfg)
         box = cd.admm_solve(sigma, cfg)
         assert np.abs(np.asarray(wit.j_hat) - np.asarray(box.j_hat)).max() > 1e-3
 
@@ -424,14 +456,28 @@ class TestWitnessSolve:
             cd.witness_solve(
                 sigma, s_m, s_r, signs, tight_config(gamma=0.0, lambda_off=math.inf)
             )
-        no_diag = PairIndexSet([p for p in s_m if p[0] != p[1]], 4)
+        no_diag = s_m & ~np.eye(4, dtype=bool)
         with pytest.raises(PreconditionViolated, match="diagonal"):
             cd.witness_solve(sigma, no_diag, s_r, signs, good)
-        outside = PairIndexSet([(0, 3), (3, 0)], 4)
+        outside = np.zeros((4, 4), dtype=bool)
+        outside[0, 3] = True
         with pytest.raises(PreconditionViolated, match="s_m"):
             cd.witness_solve(sigma, s_m, outside, signs, good)
         with pytest.raises(PreconditionViolated, match="sign"):
             cd.witness_solve(sigma, s_m, s_r, np.zeros((4, 4)), good)
+
+    @pytest.mark.parametrize("operand", ["s_m", "s_r", "signs_on_sr"])
+    def test_operand_of_wrong_shape_rejected(self, operand, chain, monkeypatch):
+        sigma = np.asarray(cd.true_covariance(chain))
+        s_m, s_r, _, _ = cd.partition_pairs(chain)
+        args = {"s_m": s_m, "s_r": s_r, "signs_on_sr": np.sign(np.asarray(chain.j_markov))}
+        cfg = tight_config(gamma=0.0, lambda_off=chain.lambda_star)
+        # rejected before the solve starts
+        monkeypatch.setattr(solver, "_prox_gradient", None)
+        # a 3 x 3 operand, then a (k, 2) array of pairs
+        for bad in (args[operand][:3, :3], np.argwhere(args[operand])):
+            with pytest.raises(DimensionMismatch, match=operand):
+                cd.witness_solve(sigma, cfg=cfg, **{**args, operand: bad})
 
     def test_impossible_pattern_raises(self):
         # the witness program leaves the diagonal free, so every pattern
@@ -447,11 +493,10 @@ class TestWitnessSolve:
 
     def test_telemetry_has_no_gap(self):
         sigma = np.diag([1.0, 2.0])
-        s_m = PairIndexSet([(0, 0), (1, 1)], 2)
         cd.witness_solve(
             sigma,
-            s_m,
-            PairIndexSet([], 2),
+            np.eye(2, dtype=bool),
+            np.zeros((2, 2), dtype=bool),
             np.zeros((2, 2)),
             tight_config(gamma=0.0, lambda_off=1.0),
         )

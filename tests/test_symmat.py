@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 from covdecomp import (
     DimensionMismatch,
     NotPositiveDefinite,
-    PairIndexSet,
     SymmetricMatrix,
     hessian_submatrix,
     inf_operator_norm,
     logdet_pd,
 )
-from covdecomp.symmat import read_matrix_csv, write_matrix_csv
-
 from oracles import kron_submatrix, naive_inf_operator_norm
 
 
@@ -67,37 +64,6 @@ class TestSymmetricMatrix:
         assert m[0, 0] == 1.0
 
 
-class TestPairIndexSet:
-    def test_membership_len_iter(self):
-        s = PairIndexSet([(0, 1), (2, 3)], dim=4)
-        assert len(s) == 2
-        assert (0, 1) in s and (2, 3) in s and (1, 2) not in s
-        assert list(s) == [(0, 1), (2, 3)]
-
-    def test_rejects_duplicates_and_out_of_range(self):
-        with pytest.raises(ValueError):
-            PairIndexSet([(0, 1), (0, 1)], dim=3)
-        with pytest.raises(ValueError):
-            PairIndexSet([(0, 3)], dim=3)
-        with pytest.raises(ValueError):
-            PairIndexSet(np.array([[0, 1], [-1, 2]]), dim=3)
-        with pytest.raises(ValueError):
-            PairIndexSet([(0, 1, 2), (1, 2, 0)], dim=3)
-
-    def test_array_input_matches_tuples(self):
-        s = PairIndexSet(np.array([[0, 1], [2, 3]]), dim=4)
-        assert s == PairIndexSet([(0, 1), (2, 3)], dim=4)
-        assert (2, 3) in s and (3, 2) not in s
-        assert len(PairIndexSet(np.zeros((0, 2), dtype=int), dim=2)) == 0
-
-    def test_equality_and_hash(self):
-        a = PairIndexSet([(0, 1)], dim=2)
-        b = PairIndexSet([(0, 1)], dim=2)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != PairIndexSet([(1, 0)], dim=2)
-
-
 class TestLogdetPd:
     def test_matches_eigenvalue_sum(self):
         m = np.diag([1.0, 2.0, 4.0])
@@ -134,27 +100,32 @@ class TestInfOperatorNorm:
         assert inf_operator_norm(a.T) == pytest.approx(one_norm)
 
 
+def pair_mask(pairs, p):
+    mask = np.zeros((p, p), dtype=bool)
+    for i, j in pairs:
+        mask[i, j] = True
+    return mask
+
+
 class TestHessianSubmatrix:
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_matches_materialized_kronecker(self, p, rng):
         a = rng.standard_normal((p, p))
         sigma = a @ a.T + p * np.eye(p)
+        # row-major pair lists, the order the masks enumerate
         rows = [(i, j) for i in range(p) for j in range(p) if (i + j) % 2 == 0]
         cols = [(i, j) for i in range(p) for j in range(p) if i <= j]
-        got = hessian_submatrix(sigma, rows, cols)
+        got = hessian_submatrix(sigma, pair_mask(rows, p), pair_mask(cols, p))
         np.testing.assert_allclose(got, kron_submatrix(sigma, rows, cols),
                                    atol=1e-12)
 
     def test_empty_selection_shape(self):
         sigma = np.eye(3)
-        assert hessian_submatrix(sigma, [], [(0, 0)]).shape == (0, 1)
-        assert hessian_submatrix(sigma, [(0, 1)], []).shape == (1, 0)
+        none = pair_mask([], 3)
+        one = pair_mask([(0, 1)], 3)
+        assert hessian_submatrix(sigma, none, one).shape == (0, 1)
+        assert hessian_submatrix(sigma, one, none).shape == (1, 0)
 
-
-def test_matrix_csv_roundtrip_exact(tmp_path, rng):
-    a = rng.standard_normal((4, 4))
-    m = SymmetricMatrix(a + a.T, symmetrize=True)
-    path = tmp_path / "m.csv"
-    write_matrix_csv(m, path)
-    back = read_matrix_csv(path)
-    np.testing.assert_array_equal(np.asarray(back), np.asarray(m))
+    def test_pair_array_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            hessian_submatrix(np.eye(3), np.array([[0, 1], [1, 0]]), pair_mask([], 3))
