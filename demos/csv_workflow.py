@@ -16,7 +16,9 @@ import numpy as np
 import covdecomp as cd
 from covdecomp.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="covdecomp_demo_"))
+# the directory and everything in it is removed at the end
+tmp = tempfile.TemporaryDirectory(prefix="covdecomp_demo_")
+workdir = Path(tmp.name)
 
 # fabricate a dataset from a known model so the fit has structure to find
 model = cd.grid_model(3, 21, diag_boost_policy=cd.DiagBoostPolicy(fixed=1.0))
@@ -59,3 +61,5 @@ print("residual edges: %d" % len(graphs["residual"]))
 
 true_edges = np.count_nonzero(cd.support_of(model.j_markov))
 print("\nground truth had %d markov edges" % true_edges)
+
+tmp.cleanup()

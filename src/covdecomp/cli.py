@@ -232,7 +232,7 @@ def _sweep_task(spec, q_index, q, trial):
             record = compare_to_truth(result, model, spec.support_threshold)
             row.update(record.as_dict())
             row.update(iterations=result.iterations, converged=result.converged)
-        except (CovdecompError, np.linalg.LinAlgError) as exc:
+        except CovdecompError as exc:
             logger.error("p=%d n=%d trial=%d failed: %s", p, n, trial, exc)
             warm = None
             row.update(_nan_metrics().as_dict())

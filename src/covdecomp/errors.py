@@ -13,6 +13,10 @@ class DimensionMismatch(CovdecompError):
     """Operands have incompatible dimensions."""
 
 
+class MalformedMatrix(CovdecompError, ValueError):
+    """A matrix is empty, has a non-finite entry, or is not exactly symmetric."""
+
+
 class PreconditionViolated(CovdecompError):
     """Caller-supplied inputs violate a documented precondition."""
 

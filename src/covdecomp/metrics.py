@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptyTruthSupport, NotPositiveDefinite
 from .model import true_covariance
-from .symmat import shaped_like
+from .symmat import inv_pd, shaped_like
 
 logger = logging.getLogger(__name__)
 
@@ -92,17 +92,14 @@ def overall_precision_error(j_hat, sigma_r_hat, truth_model):
 def _overall_precision_error(j_hat, sigma_r_hat, sigma_true):
     j = np.asarray(j_hat, dtype=float)
     r = np.asarray(sigma_r_hat, dtype=float)
-    overall_cov = np.linalg.inv(j) - r
-    overall_cov = 0.5 * (overall_cov + overall_cov.T)
     try:
-        np.linalg.cholesky(j)
-        np.linalg.cholesky(overall_cov)
-    except np.linalg.LinAlgError:
+        overall_cov = inv_pd(j) - r
+        est_precision = inv_pd(0.5 * (overall_cov + overall_cov.T))
+    except NotPositiveDefinite:
         raise NotPositiveDefinite(
             "overall precision is undefined: j_hat or j_hat^-1 - sigma_r_hat "
             "is not positive definite"
-        )
-    est_precision = np.linalg.inv(overall_cov)
+        ) from None
     true_precision = np.linalg.inv(sigma_true)
     return float(np.abs(est_precision - true_precision).max())
 

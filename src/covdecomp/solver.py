@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InfeasibleConstraints,
                      NotPositiveDefinite, PreconditionViolated)
-from .symmat import SymmetricMatrix, logdet_pd, shaped_like
+from .symmat import SymmetricMatrix, inv_pd, logdet_pd, shaped_like
 
 logger = logging.getLogger(__name__)
 
@@ -103,11 +103,6 @@ def _checked_sigma(sigma_hat):
     return 0.5 * (sigma + sigma.T)
 
 
-def _sym_inv(a):
-    inv = np.linalg.inv(a)
-    return 0.5 * (inv + inv.T)
-
-
 def _soft_threshold(m, level):
     # sign(m) (|m| - level)_+, in two array passes
     return m - np.clip(m, -level, level)
@@ -131,7 +126,7 @@ def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("starting point is not positive definite") from None
     history = [objective(j, chol)]
-    j_inv = _sym_inv(j)
+    j_inv = inv_pd(j, chol)
     t = 1.0
     for it in range(1, cfg.max_iter + 1):
         grad = sigma - j_inv
@@ -151,7 +146,7 @@ def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
         else:
             raise InfeasibleConstraints(
                 "no step length gives a positive definite iterate (iteration %d)" % it)
-        cand_inv = _sym_inv(cand)
+        cand_inv = inv_pd(cand, chol)
         # Barzilai-Borwein length <s,s>/<s,y> with y the gradient change;
         # <s,y> > 0 by strict convexity of -log det unless the step vanished
         sy = float(np.sum(step * (j_inv - cand_inv)))
@@ -232,8 +227,8 @@ def extract_residual(j_hat, sigma_hat, z_gamma, cfg, clip_mask=None):
     ``clip_mask``, a p x p boolean mask in which (i,j) implies (j,i),
     overrides the detected clip set (the witness program extracts on its
     fixed S_R). Raises ``DimensionMismatch`` for a non-square sigma_hat or
-    an operand of another shape, and ``PreconditionViolated`` for a
-    non-finite sigma_hat.
+    an operand of another shape, ``PreconditionViolated`` for a
+    non-finite sigma_hat and ``NotPositiveDefinite`` when j_hat is not PD.
     """
     sigma = _checked_sigma(sigma_hat)
     j = shaped_like(j_hat, sigma, "j_hat")
@@ -242,7 +237,7 @@ def extract_residual(j_hat, sigma_hat, z_gamma, cfg, clip_mask=None):
         mask = _clip_mask(j, cfg)
     else:
         mask = _sym_mask(clip_mask, sigma, "clip_mask")
-    r, conflicts = _extract(j, _sym_inv(j), sigma, zg, cfg, mask)
+    r, conflicts = _extract(j, inv_pd(j), sigma, zg, cfg, mask)
     _log_conflicts(conflicts)
     return SymmetricMatrix(r)
 
@@ -356,9 +351,18 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
     DimensionMismatch
         If sigma_hat is not square or the warm start's size differs.
     PreconditionViolated
-        If sigma_hat has a non-finite entry.
+        If sigma_hat has a non-finite entry, or if gamma is 0 and
+        lambda_off infinite while sigma_hat is not PD: that program is
+        unbounded below.
     """
     sigma = _checked_sigma(sigma_hat)
+    if cfg.gamma == 0 and not np.isfinite(cfg.lambda_off):
+        try:
+            np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            raise PreconditionViolated(
+                "gamma = 0 with no box is unbounded unless sigma_hat is "
+                "positive definite") from None
 
     def prox(m, t):
         a = np.clip(_soft_threshold(m, cfg.gamma * t), -cfg.lambda_off, cfg.lambda_off)

@@ -6,9 +6,12 @@ as p x p boolean masks; the helpers here are the only linear-algebra
 primitives the package needs.
 """
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, MalformedMatrix, NotPositiveDefinite
 
 
 class SymmetricMatrix:
@@ -39,13 +42,14 @@ class SymmetricMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch("expected a square matrix, got shape %s" % (a.shape,))
         if a.shape[0] < 1:
-            raise ValueError("dim must be >= 1")
+            raise MalformedMatrix("dim must be >= 1")
         if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
+            raise MalformedMatrix("matrix entries must be finite")
         if symmetrize:
             a = 0.5 * (a + a.T)
         elif not np.array_equal(a, a.T):
-            raise ValueError("matrix is not exactly symmetric; pass symmetrize=True to average")
+            raise MalformedMatrix(
+                "matrix is not exactly symmetric; pass symmetrize=True to average")
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
@@ -66,6 +70,62 @@ class SymmetricMatrix:
 
     def __repr__(self):
         return "SymmetricMatrix(dim=%d)" % self.dim
+
+
+def _load_dpotri():
+    # LAPACKE dpotri of the ILP64 OpenBLAS that numpy's wheels bundle;
+    # None when this numpy ships no such library
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            fn = ctypes.CDLL(str(path)).scipy_LAPACKE_dpotri_work64_
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_int64]
+        fn.restype = ctypes.c_int64
+        return fn
+    return None
+
+
+_dpotri = _load_dpotri()
+_COL_MAJOR = 102  # LAPACK_COL_MAJOR
+
+
+def inv_pd(a, chol=None):
+    """Exactly symmetric inverse of a positive definite matrix.
+
+    ``chol`` is the lower Cholesky factor of ``a``, zero above the
+    diagonal as ``np.linalg.cholesky`` returns it, when the caller holds
+    one; it may be overwritten. The inverse comes from that factor
+    through LAPACK ``dpotri`` when numpy's bundled OpenBLAS exports it,
+    and otherwise is ``(inv(a) + inv(a).T) / 2``.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If ``a`` has no Cholesky factor, or ``chol`` is singular.
+    DimensionMismatch
+        If ``chol`` is not square.
+    """
+    if chol is None:
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("matrix is not positive definite") from None
+    if _dpotri is None:
+        inv = np.linalg.inv(a)
+        return 0.5 * (inv + inv.T)
+    c = np.require(chol, dtype=np.float64, requirements=["C", "A", "W"])
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DimensionMismatch("Cholesky factor must be square, got shape %s" % (c.shape,))
+    # the C-order lower factor read column-major is the upper factor L^T;
+    # the inverse lands in that triangle and the zeros above stay
+    p = c.shape[0]
+    if _dpotri(_COL_MAJOR, b"U", p, c.ctypes.data, max(p, 1)) != 0:
+        raise NotPositiveDefinite("Cholesky factor is singular")
+    c += np.tril(c, -1).T
+    return c
 
 
 def logdet_pd(m):

@@ -20,3 +20,4 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+    assert not list(tmp_path.glob("covdecomp_demo_*"))

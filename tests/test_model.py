@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from covdecomp import (
+    CovdecompError,
     DecompositionModel,
     DiagBoostPolicy,
     DimensionMismatch,
@@ -153,6 +154,12 @@ class TestValidateModel:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):
             validate_model(self._model(np.eye(2), np.zeros((3, 3)), 1.0))
+
+    def test_non_finite_matrix_raises_package_error(self):
+        j = np.eye(2)
+        j[0, 1] = j[1, 0] = np.nan
+        with pytest.raises(CovdecompError, match="finite"):
+            self._model(j, np.zeros((2, 2)), 1.0)
 
 
 class TestTrueCovariance:

@@ -17,7 +17,7 @@ from covdecomp import (
     SolverConfig,
     SymmetricMatrix,
 )
-from covdecomp import solver
+from covdecomp import solver, symmat
 from oracles import TIGHT, gista, sample_cov_instance
 
 
@@ -106,6 +106,15 @@ class TestClosedFormCases:
         assert res.converged
         plain = cd.admm_solve(sigma, cfg)
         assert np.abs(np.asarray(res.j_hat) - np.asarray(plain.j_hat)).max() < 1e-7
+
+    def test_unbounded_program_rejected_up_front(self, monkeypatch):
+        # n < p leaves sigma_hat singular; with no penalty and no box the
+        # log-det objective is unbounded below
+        x = np.random.default_rng(0).standard_normal((10, 30))
+        sigma = x.T @ x / 10
+        monkeypatch.setattr(solver, "_prox_gradient", None)
+        with pytest.raises(PreconditionViolated, match="unbounded"):
+            cd.admm_solve(sigma, SolverConfig(gamma=0.0, lambda_off=math.inf))
 
     def test_warm_start_of_wrong_size_rejected(self):
         cfg = tight_config(gamma=0.0, lambda_off=math.inf)
@@ -303,6 +312,11 @@ class TestExtractResidual:
         with pytest.raises(PreconditionViolated, match="non-finite"):
             cd.extract_residual(np.eye(2), sigma, np.zeros((2, 2)),
                                 SolverConfig(gamma=0.0, lambda_off=1.0))
+
+    def test_indefinite_j_hat_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            cd.extract_residual(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2),
+                                np.zeros((2, 2)), SolverConfig(gamma=0.0, lambda_off=1.0))
 
     def test_sign_conflict_zeroed_and_logged(self, caplog):
         j = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -503,3 +517,31 @@ class TestWitnessSolve:
         entry = cd.solve_log[-1]
         assert entry["gap"] is None
         assert entry["kkt"] <= 1e-6
+
+
+class TestInversePaths:
+    """Both ways of forming J^-1 reach the same certified optimum."""
+
+    def _solve_both(self, solve, monkeypatch):
+        if symmat._dpotri is None:
+            pytest.skip("numpy bundles no scipy_LAPACKE_dpotri_work64_")
+        lapack = solve()
+        monkeypatch.setattr(symmat, "_dpotri", None)
+        fallback = solve()
+        for res in (lapack, fallback):
+            assert res.converged
+            assert res.kkt_residual < 1e-6
+        assert np.abs(np.asarray(lapack.j_hat) - np.asarray(fallback.j_hat)).max() < 1e-9
+
+    def test_box_program(self, small_grid, monkeypatch):
+        sigma = np.asarray(cd.true_covariance(small_grid))
+        cfg = tight_config(gamma=0.0, lambda_off=small_grid.lambda_star)
+        self._solve_both(lambda: cd.admm_solve(sigma, cfg), monkeypatch)
+
+    def test_witness_program(self, small_grid, monkeypatch):
+        sigma = np.asarray(cd.true_covariance(small_grid))
+        s_m, s_r, _, _ = cd.partition_pairs(small_grid)
+        signs = np.sign(np.asarray(small_grid.j_markov))
+        cfg = tight_config(gamma=0.0, lambda_off=small_grid.lambda_star)
+        self._solve_both(lambda: cd.witness_solve(sigma, s_m, s_r, signs, cfg),
+                         monkeypatch)

@@ -1,16 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covdecomp import (
+    CovdecompError,
     DimensionMismatch,
+    MalformedMatrix,
     NotPositiveDefinite,
     SymmetricMatrix,
     hessian_submatrix,
     inf_operator_norm,
     logdet_pd,
 )
+from covdecomp import symmat
+from covdecomp.symmat import inv_pd
 from oracles import kron_submatrix, naive_inf_operator_norm
 
 
@@ -50,6 +56,13 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix([[1.0, np.nan], [np.nan, 1.0]])
 
+    def test_rejections_are_package_errors(self):
+        for bad in ([[1.0, np.inf], [np.inf, 1.0]], [[1.0, 2.0], [0.0, 1.0]],
+                    np.zeros((0, 0))):
+            with pytest.raises(MalformedMatrix) as info:
+                SymmetricMatrix(bad)
+            assert isinstance(info.value, CovdecompError)
+
     def test_immutable(self):
         m = SymmetricMatrix(np.eye(2))
         with pytest.raises(AttributeError):
@@ -81,6 +94,56 @@ class TestLogdetPd:
         sign, expected = np.linalg.slogdet(a)
         assert sign == 1.0
         assert logdet_pd(a) == pytest.approx(expected, abs=1e-8)
+
+
+def _random_spd(p, seed):
+    x = np.random.default_rng(seed).standard_normal((p, 2 * p))
+    return x @ x.T / (2 * p) + 0.5 * np.eye(p)
+
+
+@pytest.fixture(params=["lapack", "fallback"])
+def inverse_path(request, monkeypatch):
+    if request.param == "lapack" and symmat._dpotri is None:
+        pytest.skip("numpy bundles no scipy_LAPACKE_dpotri_work64_")
+    if request.param == "fallback":
+        monkeypatch.setattr(symmat, "_dpotri", None)
+    return request.param
+
+
+class TestInvPd:
+    @pytest.mark.parametrize("p", [1, 2, 100, 400])
+    def test_matches_linalg_inv(self, p, inverse_path):
+        a = _random_spd(p, seed=p)
+        got = inv_pd(a, np.linalg.cholesky(a))
+        expected = np.linalg.inv(a)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(got, got.T)
+        np.testing.assert_array_equal(inv_pd(a), got)
+
+    def test_fallback_is_symmetrized_inv_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(symmat, "_dpotri", None)
+        a = _random_spd(50, seed=5)
+        inv = np.linalg.inv(a)
+        np.testing.assert_array_equal(inv_pd(a, np.linalg.cholesky(a)),
+                                      0.5 * (inv + inv.T))
+
+    def test_rejects_indefinite(self, inverse_path):
+        # nonsingular, so an LU-based inverse alone would accept it
+        with pytest.raises(NotPositiveDefinite):
+            inv_pd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_singular_factor_rejected(self):
+        if symmat._dpotri is None:
+            pytest.skip("numpy bundles no scipy_LAPACKE_dpotri_work64_")
+        with pytest.raises(NotPositiveDefinite):
+            inv_pd(np.eye(2), np.diag([1.0, 0.0]))
+
+    def test_lapack_path_resolves_on_bundled_openblas(self):
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        if not list(libs.glob("libscipy_openblas64_*.so")):
+            pytest.skip("no libscipy_openblas64_*.so beside numpy, so no "
+                        "scipy_LAPACKE_dpotri_work64_")
+        assert symmat._dpotri is not None
 
 
 class TestInfOperatorNorm:
