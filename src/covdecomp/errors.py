@@ -9,15 +9,16 @@ class NotPositiveDefinite(CovdecompError):
     """A matrix required to be positive definite is not."""
 
 
-class DimensionMismatch(CovdecompError):
+class DimensionMismatch(CovdecompError, ValueError):
     """Operands have incompatible dimensions."""
 
 
 class MalformedMatrix(CovdecompError, ValueError):
-    """A matrix is empty, has a non-finite entry, or is not exactly symmetric."""
+    """A matrix or vector is empty, has a non-finite entry, or a matrix is
+    not exactly symmetric."""
 
 
-class PreconditionViolated(CovdecompError):
+class PreconditionViolated(CovdecompError, ValueError):
     """Caller-supplied inputs violate a documented precondition."""
 
 
@@ -35,11 +36,6 @@ class InfeasibleConstraints(CovdecompError):
 
 class NonPositiveDiagonal(CovdecompError):
     """A precision matrix has a nonpositive diagonal entry."""
-
-
-class MessagePrecisionNonpositive(CovdecompError):
-    """A belief propagation message drove a conditioning precision to
-    zero or below; the surrounding run records itself as diverged."""
 
 
 class MalformedCsv(CovdecompError):

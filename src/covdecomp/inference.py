@@ -2,18 +2,25 @@
 and exact-moment references.
 
 Messages are parametrized as precision/potential corrections
-(dJ[i, j], dh[i, j]) from node i to node j, updated synchronously from
-zero initialization. The cavity precision for the i -> j message is the
-node-i belief precision minus j's own incoming message; a nonpositive
-cavity precision means the recursion left the Gaussian family and the
-run records itself as diverged.
+(dJ_e, dh_e) on the directed edges e = (s -> t) of J's off-diagonal
+support, updated synchronously from zero initialization, so one sweep
+costs O(|E|). The cavity precision for the s -> t message is the
+node-s belief precision minus the t -> s message; a nonpositive cavity
+precision means the recursion left the Gaussian family and the run
+records itself as diverged.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MessagePrecisionNonpositive, NonPositiveDiagonal, NotPositiveDefinite
+from .errors import (
+    DimensionMismatch,
+    MalformedMatrix,
+    NonPositiveDiagonal,
+    NotPositiveDefinite,
+    PreconditionViolated,
+)
 from .symmat import SymmetricMatrix
 
 MESSAGE_NORM_LIMIT = 1e12
@@ -28,18 +35,20 @@ class InfoModel:
     h: np.ndarray
 
     def __post_init__(self):
-        j = np.asarray(self.j, dtype=float)
-        h = np.asarray(self.h, dtype=float).reshape(-1)
-        if h.shape[0] != j.shape[0]:
-            raise ValueError(
-                "h has length %d but j is %dx%d" % (h.shape[0], *j.shape)
+        j = SymmetricMatrix(self.j)
+        h = np.array(self.h, dtype=float).reshape(-1)
+        if h.shape[0] != j.dim:
+            raise DimensionMismatch(
+                "h has length %d but j is %dx%d" % (h.shape[0], j.dim, j.dim)
             )
+        if not np.isfinite(h).all():
+            raise MalformedMatrix("h must be finite")
         try:
-            np.linalg.cholesky(j)
+            np.linalg.cholesky(j.entries)
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite("information matrix must be positive definite")
-        object.__setattr__(self, "j", SymmetricMatrix(j))
-        object.__setattr__(self, "h", h.copy())
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "h", h)
 
     @property
     def dim(self):
@@ -74,8 +83,21 @@ def walk_summability(j):
     Values below 1 certify that loopy propagation of the means converges
     to the exact means. The quantity is invariant under positive
     diagonal rescaling of j.
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``j`` is not a square matrix.
+    MalformedMatrix
+        If ``j`` has a non-finite entry.
+    NonPositiveDiagonal
+        If a diagonal entry of ``j`` is not positive.
     """
     a = np.asarray(j, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch("expected a square matrix, got shape %s" % (a.shape,))
+    if not np.isfinite(a).all():
+        raise MalformedMatrix("information matrix entries must be finite")
     d = np.diag(a)
     if np.any(d <= 0):
         raise NonPositiveDiagonal("information matrix diagonal must be positive")
@@ -83,26 +105,6 @@ def walk_summability(j):
     r_bar = np.abs(a) / scale
     np.fill_diagonal(r_bar, 0.0)
     return float(np.abs(np.linalg.eigvalsh(r_bar)).max())
-
-
-def _require_positive_cavities(cavity_j, mask):
-    if np.any(cavity_j[mask] <= 0):
-        raise MessagePrecisionNonpositive(
-            "nonpositive cavity precision on an active edge"
-        )
-
-
-def _belief_errors(j_diag, h, d_j, d_h, exact_mean, exact_var):
-    belief_j = j_diag + d_j.sum(axis=0)
-    if np.any(belief_j <= 0):
-        return np.inf, np.inf
-    belief_h = h + d_h.sum(axis=0)
-    means = belief_h / belief_j
-    variances = 1.0 / belief_j
-    return (
-        float(np.abs(means - exact_mean).mean()),
-        float(np.abs(variances - exact_var).mean()),
-    )
 
 
 def lbp_run(m, max_iter, tol, damping=0.0):
@@ -115,43 +117,67 @@ def lbp_run(m, max_iter, tol, damping=0.0):
     precision or a message norm beyond 1e12 halts the run as diverged.
     ``damping`` in [0, 1) blends each new message with the previous one
     (0 disables blending).
+
+    Messages live on the directed edges of J's off-diagonal support, so
+    one iteration costs O(|E|).
+
+    Raises
+    ------
+    PreconditionViolated
+        If ``max_iter < 1``, ``tol`` is negative or NaN, or ``damping``
+        lies outside [0, 1).
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    if not max_iter >= 1:
+        raise PreconditionViolated("max_iter must be >= 1")
+    if not tol >= 0:
+        raise PreconditionViolated("tol must be >= 0, got %r" % (tol,))
     if not 0 <= damping < 1:
-        raise ValueError("damping must lie in [0, 1)")
+        raise PreconditionViolated("damping must lie in [0, 1)")
     j = np.asarray(m.j, dtype=float)
     h = np.asarray(m.h, dtype=float)
     p = j.shape[0]
     exact_mean, exact_var = exact_moments(m)
     j_diag = np.diag(j).copy()
-    mask = (j != 0.0) & ~np.eye(p, dtype=bool)
-    d_j = np.zeros((p, p))
-    d_h = np.zeros((p, p))
+    # edge e carries the message src[e] -> tgt[e]; ordered by target, then
+    # source, so bincount adds each node's messages in source order
+    tgt, src = np.nonzero((j != 0.0) & ~np.eye(p, dtype=bool))
+    rev = np.lexsort((tgt, src))  # index of the edge tgt[e] -> src[e]
+    neg_j = -j[tgt, src]
+    neg_j_sq = neg_j * j[tgt, src]
+
+    def beliefs(d_j, d_h):
+        return (j_diag + np.bincount(tgt, weights=d_j, minlength=p),
+                h + np.bincount(tgt, weights=d_h, minlength=p))
+
+    d_j = np.zeros(tgt.size)
+    d_h = np.zeros(tgt.size)
+    belief_j, belief_h = beliefs(d_j, d_h)
     mean_errors = []
     var_errors = []
     converged = False
     for _ in range(max_iter):
-        belief_j = j_diag + d_j.sum(axis=0)
-        belief_h = h + d_h.sum(axis=0)
-        # cavity[i, j]: belief at i with j's incoming message removed
-        cavity_j = belief_j[:, None] - d_j.T
-        cavity_h = belief_h[:, None] - d_h.T
-        try:
-            _require_positive_cavities(cavity_j, mask)
-        except MessagePrecisionNonpositive:
+        # belief at the source with the target's incoming message removed
+        cavity_j = belief_j[src] - d_j[rev]
+        if np.any(cavity_j <= 0):
             break
-        new_j = np.where(mask, -j * j / np.where(mask, cavity_j, 1.0), 0.0)
-        new_h = np.where(mask, -j * cavity_h / np.where(mask, cavity_j, 1.0), 0.0)
+        cavity_h = belief_h[src] - d_h[rev]
+        new_j = neg_j_sq / cavity_j
+        new_h = neg_j * cavity_h / cavity_j
         if damping > 0:
             new_j = (1.0 - damping) * new_j + damping * d_j
             new_h = (1.0 - damping) * new_h + damping * d_h
-        delta = max(np.abs(new_j - d_j).max(), np.abs(new_h - d_h).max())
+        delta = max(np.abs(new_j - d_j).max(initial=0.0),
+                    np.abs(new_h - d_h).max(initial=0.0))
         d_j, d_h = new_j, new_h
-        me, ve = _belief_errors(j_diag, h, d_j, d_h, exact_mean, exact_var)
-        mean_errors.append(me)
-        var_errors.append(ve)
-        if max(np.abs(d_j).max(), np.abs(d_h).max()) > MESSAGE_NORM_LIMIT:
+        belief_j, belief_h = beliefs(d_j, d_h)
+        if np.any(belief_j <= 0):
+            mean_errors.append(np.inf)
+            var_errors.append(np.inf)
+        else:
+            mean_errors.append(float(np.abs(belief_h / belief_j - exact_mean).mean()))
+            var_errors.append(float(np.abs(1.0 / belief_j - exact_var).mean()))
+        if max(np.abs(d_j).max(initial=0.0),
+               np.abs(d_h).max(initial=0.0)) > MESSAGE_NORM_LIMIT:
             break
         if delta < tol:
             converged = True

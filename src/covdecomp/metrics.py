@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EmptyTruthSupport, NotPositiveDefinite
-from .model import true_covariance
 from .symmat import inv_pd, shaped_like
 
 logger = logging.getLogger(__name__)
@@ -85,11 +84,11 @@ def overall_precision_error(j_hat, sigma_r_hat, truth_model):
     Inverts ``j_hat^-1 - sigma_r_hat`` and compares against the inverse
     of the model's true overall covariance.
     """
-    return _overall_precision_error(
-        j_hat, sigma_r_hat, np.asarray(true_covariance(truth_model)))
+    _, _, true_precision = truth_model._overall
+    return _overall_precision_error(j_hat, sigma_r_hat, true_precision)
 
 
-def _overall_precision_error(j_hat, sigma_r_hat, sigma_true):
+def _overall_precision_error(j_hat, sigma_r_hat, true_precision):
     j = np.asarray(j_hat, dtype=float)
     r = np.asarray(sigma_r_hat, dtype=float)
     try:
@@ -100,7 +99,6 @@ def _overall_precision_error(j_hat, sigma_r_hat, sigma_true):
             "overall precision is undefined: j_hat or j_hat^-1 - sigma_r_hat "
             "is not positive definite"
         ) from None
-    true_precision = np.linalg.inv(sigma_true)
     return float(np.abs(est_precision - true_precision).max())
 
 
@@ -115,10 +113,10 @@ def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
     r_hat = np.asarray(result.sigma_r_hat, dtype=float)
     j_true = np.asarray(truth_model.j_markov, dtype=float)
     r_true = np.asarray(truth_model.sigma_residual, dtype=float)
-    sigma_true = np.asarray(true_covariance(truth_model))
+    sigma_true, _, true_precision = truth_model._overall
     try:
         overall_err = _overall_precision_error(result.j_hat, result.sigma_r_hat,
-                                               sigma_true)
+                                               true_precision)
     except NotPositiveDefinite:
         logger.warning("indefinite overall estimate; recording +inf precision error")
         overall_err = float("inf")

@@ -2,6 +2,7 @@
 the synthetic generators (chain, grid) used throughout the experiments."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,17 @@ class DecompositionModel:
     @property
     def dim(self):
         return self.j_markov.dim
+
+    @cached_property
+    def _overall(self):
+        """Read-only (Sigma, its lower Cholesky factor, Sigma^-1) of the
+        overall covariance, formed once per model for draw_samples and
+        compare_to_truth, which a sweep calls at every sample size."""
+        sigma, chol = _overall_covariance(self)
+        arrays = (sigma, chol, np.linalg.inv(sigma))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -249,8 +261,11 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
                 "fixed diagonal boost %.3g misses the PD margin %.3g" % (c, policy.margin)
             )
     else:
+        # lambda_min(a + c I) = lambda_min(a) + c, so one eigendecomposition
+        # serves every doubling
+        lambda_min = np.linalg.eigvalsh(a).min()
         c = policy.start
-        while np.linalg.eigvalsh(a + c * np.eye(p)).min() < policy.margin:
+        while lambda_min + c < policy.margin:
             c *= policy.factor
     j_m = a + c * np.eye(p)
     r = np.zeros((p, p))
@@ -272,14 +287,20 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
     return _build_validated(j_m, r, hi, "grid_model")
 
 
-def true_covariance(m):
-    """Overall covariance ``J_M^-1 - Sigma_R`` of a model."""
+def _overall_covariance(m):
     j = np.asarray(m.j_markov)
     sigma = np.linalg.inv(j) - np.asarray(m.sigma_residual)
     sigma = 0.5 * (sigma + sigma.T)
-    if not _chol_ok(sigma):
-        raise NotPositiveDefinite("model's overall covariance is not PD")
-    return SymmetricMatrix(sigma)
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("model's overall covariance is not PD") from None
+    return sigma, chol
+
+
+def true_covariance(m):
+    """Overall covariance ``J_M^-1 - Sigma_R`` of a model."""
+    return SymmetricMatrix(_overall_covariance(m)[0])
 
 
 def partition_pairs(m):

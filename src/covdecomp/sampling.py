@@ -5,8 +5,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
-from .model import true_covariance
 from .symmat import SymmetricMatrix
 
 
@@ -56,15 +54,11 @@ def draw_samples(m, n, seed):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    sigma = np.asarray(true_covariance(m))
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("overall covariance failed factorization") from exc
+    _, chol, _ = m._overall
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, sigma.shape[0]))
+    z = rng.standard_normal((n, chol.shape[0]))
     data = m.mean + z @ chol.T
-    meta = {"kind": "synthetic", "p": sigma.shape[0], "lambda_star": m.lambda_star}
+    meta = {"kind": "synthetic", "p": chol.shape[0], "lambda_star": m.lambda_star}
     return SampleSet(data=data, seed=seed, model_meta=meta)
 
 

@@ -7,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covdecomp as cd
-from covdecomp import InfoModel, NonPositiveDiagonal, NotPositiveDefinite
-from oracles import dense_moments, random_tree_info
+from covdecomp import (
+    DimensionMismatch,
+    InfoModel,
+    MalformedMatrix,
+    NonPositiveDiagonal,
+    NotPositiveDefinite,
+    PreconditionViolated,
+)
+from covdecomp.inference import MESSAGE_NORM_LIMIT
+from oracles import dense_lbp_run, dense_moments, random_tree_info
 
 
 def frustrated_model(p=4, coupling=0.6):
@@ -35,6 +43,18 @@ class TestInfoModel:
         m = InfoModel(np.eye(2), h)
         h[0] = 99.0
         assert m.h[0] == 0.0
+
+    def test_non_square_j_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            InfoModel(np.ones((2, 3)), np.zeros(2))
+
+    def test_wrong_length_h_is_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="length"):
+            InfoModel(np.eye(3), np.zeros(4))
+
+    def test_nan_h_rejected(self):
+        with pytest.raises(MalformedMatrix, match="finite"):
+            InfoModel(np.eye(2), np.array([0.0, np.nan]))
 
 
 class TestExactMoments:
@@ -75,6 +95,16 @@ class TestWalkSummability:
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(NonPositiveDiagonal):
             cd.walk_summability(np.diag([1.0, 0.0]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            cd.walk_summability(np.ones((2, 3)))
+
+    def test_nan_entry_rejected(self):
+        j = np.eye(3)
+        j[0, 1] = j[1, 0] = np.nan
+        with pytest.raises(MalformedMatrix):
+            cd.walk_summability(j)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -164,3 +194,85 @@ class TestLbpValidation:
                 tol=1e-8,
                 damping=damping,
             )
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(PreconditionViolated, match="tol"):
+            cd.lbp_run(InfoModel(np.eye(2), np.zeros(2)), max_iter=10, tol=np.nan)
+
+
+def assert_same_as_dense(m, **kwargs):
+    """lbp_run reproduces the dense oracle's trace bit for bit."""
+    kwargs.setdefault("max_iter", 1000)
+    kwargs.setdefault("tol", 1e-10)
+    got = cd.lbp_run(m, **kwargs)
+    want = dense_lbp_run(m, **kwargs)
+    assert np.array_equal(got.mean_errors, want.mean_errors)
+    assert np.array_equal(got.var_errors, want.var_errors)
+    assert got.converged == want.converged
+    assert got.iterations_run == want.iterations_run
+    return got
+
+
+@pytest.fixture(scope="module")
+def grid6():
+    """An adaptive-boost q = 6 grid model: its Markov and overall precisions."""
+    model = cd.grid_model(6, 11)
+    j_overall = np.linalg.inv(np.asarray(cd.true_covariance(model)))
+    h = np.random.default_rng(3).standard_normal(model.dim)
+    return (InfoModel(np.asarray(model.j_markov), h),
+            InfoModel(0.5 * (j_overall + j_overall.T), h))
+
+
+class TestEdgeListMatchesDenseOracle:
+    def test_grid_markov(self, grid6):
+        trace = assert_same_as_dense(grid6[0])
+        assert trace.converged and trace.iterations_run > 10
+
+    def test_grid_overall(self, grid6):
+        assert_same_as_dense(grid6[1])
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_grid_damped(self, grid6, which):
+        assert_same_as_dense(grid6[which], damping=0.5)
+
+    def test_cavity_break(self):
+        trace = assert_same_as_dense(frustrated_model())
+        assert not trace.converged and trace.iterations_run < 1000
+
+    def test_message_norm_break(self):
+        # variances settle but the means grow geometrically until the
+        # potential messages pass the norm limit
+        j = np.array([[1.2, -0.1, -0.8, -0.2],
+                      [-0.1, 1.2, 0.3, 0.75],
+                      [-0.8, 0.3, 1.2, 0.3],
+                      [-0.2, 0.75, 0.3, 1.2]])
+        trace = assert_same_as_dense(InfoModel(j, np.ones(4)))
+        assert not trace.converged and trace.iterations_run < 1000
+        assert trace.mean_errors[-1] > MESSAGE_NORM_LIMIT ** 0.5
+
+    def test_diagonal_model(self):
+        trace = assert_same_as_dense(InfoModel(np.diag([2.0, 3.0, 0.5]),
+                                               np.array([1.0, -1.0, 2.0])))
+        assert trace.converged and trace.iterations_run == 1
+
+    def test_single_node(self):
+        trace = assert_same_as_dense(InfoModel(np.array([[2.0]]), np.array([4.0])))
+        assert trace.converged and trace.iterations_run == 1
+        assert trace.mean_errors[0] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        slack=st.floats(min_value=0.05, max_value=2.0),
+        tol=st.sampled_from([0.0, 1e-12, 1e-6]),
+        damping=st.sampled_from([0.0, 0.3]),
+    )
+    def test_random_sparse_spd(self, p, seed, density, slack, tol, damping):
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.uniform(-1.0, 1.0, (p, p)) * (rng.random((p, p)) < density), 1)
+        a = a + a.T
+        j = a + (slack - np.linalg.eigvalsh(a).min()) * np.eye(p)
+        assert_same_as_dense(InfoModel(j, rng.standard_normal(p)),
+                             max_iter=60, tol=tol, damping=damping)

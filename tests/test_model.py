@@ -16,7 +16,13 @@ from covdecomp import (
 )
 from covdecomp.model import grid_edges
 
-from oracles import brute_incoherence, brute_partition, chain_j_analytic, chain_sigma
+from oracles import (
+    brute_incoherence,
+    brute_partition,
+    chain_j_analytic,
+    chain_sigma,
+    doubling_boost,
+)
 
 
 class TestChainModel:
@@ -107,6 +113,22 @@ class TestGridModel:
     def test_rejects_tiny_grid(self):
         with pytest.raises(PreconditionViolated):
             grid_model(1, 3)
+
+    @pytest.mark.parametrize("q", [3, 5, 10, 15])
+    def test_adaptive_boost_matches_doubling_oracle(self, q):
+        for seed in range(20):
+            m = grid_model(q, seed)
+            j = np.asarray(m.j_markov)
+            # the planted couplings are J_M off the diagonal; the boost is
+            # the diagonal
+            a = j.copy()
+            np.fill_diagonal(a, 0.0)
+            c = doubling_boost(a)
+            assert np.all(np.diag(j) == c)
+            rebuilt = grid_model(q, seed, diag_boost_policy=DiagBoostPolicy(fixed=c))
+            assert np.asarray(rebuilt.j_markov).tobytes() == j.tobytes()
+            assert (np.asarray(rebuilt.sigma_residual).tobytes()
+                    == np.asarray(m.sigma_residual).tobytes())
 
 
 class TestValidateModel:

@@ -35,6 +35,15 @@ class TestDrawSamples:
         s3 = draw_samples(chain, 50, seed=4)
         assert np.any(s1.data != s3.data)
 
+    def test_rows_use_the_true_covariance_factor(self, small_grid):
+        # the factor is formed once per model; every draw must match one
+        # formed afresh from true_covariance
+        chol = np.linalg.cholesky(np.asarray(true_covariance(small_grid)))
+        for n, seed in ((30, 1), (70, 2)):
+            z = np.random.default_rng(seed).standard_normal((n, small_grid.dim))
+            np.testing.assert_array_equal(draw_samples(small_grid, n, seed).data,
+                                          small_grid.mean + z @ chol.T)
+
     def test_mean_shift(self, chain, small_grid):
         del small_grid
         shifted = type(chain)(
