@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyTruthSupport, NotPositiveDefinite
+from .errors import EmptyTruthSupport, NotPositiveDefinite, PreconditionViolated
 from .symmat import inv_pd, shaped_like
 
 logger = logging.getLogger(__name__)
@@ -45,7 +45,7 @@ def support_of(m, threshold=DEFAULT_SUPPORT_THRESHOLD):
     Returns a p x p boolean array, true only strictly above the diagonal.
     """
     if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+        raise PreconditionViolated("threshold must be >= 0")
     return np.triu(np.abs(np.asarray(m, dtype=float)) > threshold, k=1)
 
 
@@ -76,16 +76,6 @@ def sign_consistency(est, truth, threshold):
     if not np.array_equal(support_of(est_arr, threshold), support):
         return False
     return bool(np.all(est_arr[support] * truth_arr[support] > 0))
-
-
-def overall_precision_error(j_hat, sigma_r_hat, truth_model):
-    """Max-norm error of the implied overall precision matrix.
-
-    Inverts ``j_hat^-1 - sigma_r_hat`` and compares against the inverse
-    of the model's true overall covariance.
-    """
-    _, _, true_precision = truth_model._overall
-    return _overall_precision_error(j_hat, sigma_r_hat, true_precision)
 
 
 def _overall_precision_error(j_hat, sigma_r_hat, true_precision):

@@ -51,7 +51,8 @@ class DecompositionModel:
     def _overall(self):
         """Read-only (Sigma, its lower Cholesky factor, Sigma^-1) of the
         overall covariance, formed once per model for draw_samples and
-        compare_to_truth, which a sweep calls at every sample size."""
+        compare_to_truth, which a sweep calls at every sample size, and
+        for the lbp study's overall precision."""
         sigma, chol = _overall_covariance(self)
         arrays = (sigma, chol, np.linalg.inv(sigma))
         for a in arrays:

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import PreconditionViolated
 from .symmat import SymmetricMatrix
 
 
@@ -53,7 +54,7 @@ def draw_samples(m, n, seed):
     SampleSet
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionViolated("n must be >= 1")
     _, chol, _ = m._overall
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, chol.shape[0]))
@@ -93,9 +94,9 @@ def sample_covariance_centered(s):
 def gamma_schedule(c_gamma, p, n):
     """Penalty level c_gamma * sqrt(ln(p) / n) (natural log)."""
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise PreconditionViolated("p must be >= 2")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionViolated("n must be >= 1")
     if c_gamma <= 0:
-        raise ValueError("c_gamma must be positive")
+        raise PreconditionViolated("c_gamma must be positive")
     return float(c_gamma * np.sqrt(np.log(p) / n))

@@ -145,15 +145,6 @@ def save_result(result, dirpath, extra_diagnostics=None):
     return d
 
 
-def load_result(dirpath):
-    """Read back (j_hat, sigma_r, diagnostics dict)."""
-    d = Path(dirpath)
-    j_hat = read_matrix_csv(d / "j_hat.csv")
-    sigma_r = read_matrix_csv(d / "sigma_r.csv")
-    diagnostics = _read_json(d / "diagnostics.json")
-    return j_hat, sigma_r, diagnostics
-
-
 def read_csv_table(path):
     """Parse a rectangular numeric CSV with a header row.
 

@@ -26,10 +26,6 @@ from .symmat import SymmetricMatrix, inv_pd, logdet_pd, shaped_like
 
 logger = logging.getLogger(__name__)
 
-# scalar telemetry of every solve, consumed by the acceptance suite's
-# certification check; entries are small dicts, never matrices
-solve_log = []
-
 # clip-detection band relative to the box: an off-diagonal entry with
 # |J_ij| >= lambda_off - CLIP_TIE * lambda_off counts as clipped
 CLIP_TIE = 1e-4
@@ -58,13 +54,13 @@ class SolverConfig:
     def __post_init__(self):
         # each test is written so that NaN fails it
         if not self.gamma >= 0:
-            raise ValueError("gamma must be >= 0")
+            raise PreconditionViolated("gamma must be >= 0")
         if not self.lambda_off > 0:
-            raise ValueError("lambda_off must be positive (possibly +inf)")
+            raise PreconditionViolated("lambda_off must be positive (possibly +inf)")
         if not self.max_iter >= 1:
-            raise ValueError("max_iter must be >= 1")
+            raise PreconditionViolated("max_iter must be >= 1")
         if not (self.eps_abs > 0 and self.eps_rel > 0):
-            raise ValueError("eps_abs and eps_rel must be positive")
+            raise PreconditionViolated("eps_abs and eps_rel must be positive")
 
 
 @dataclass
@@ -212,36 +208,6 @@ def _sym_mask(a, sigma, name):
     return mask | mask.T
 
 
-def _log_conflicts(conflicts):
-    if conflicts.any():
-        logger.warning("zeroed %d sign-conflicting residual entries",
-                       np.count_nonzero(conflicts))
-
-
-def extract_residual(j_hat, sigma_hat, z_gamma, cfg, clip_mask=None):
-    """Recover the residual covariance from the stationarity identity.
-
-    Entries are ``(J^-1 - Sigma_hat - gamma z_gamma)_ij`` on the clip
-    set {|j_hat_ij| >= (1 - CLIP_TIE) lambda_off, i != j} and zero elsewhere;
-    sign conflicts with j_hat beyond 1e-8 are zeroed (and logged).
-    ``clip_mask``, a p x p boolean mask in which (i,j) implies (j,i),
-    overrides the detected clip set (the witness program extracts on its
-    fixed S_R). Raises ``DimensionMismatch`` for a non-square sigma_hat or
-    an operand of another shape, ``PreconditionViolated`` for a
-    non-finite sigma_hat and ``NotPositiveDefinite`` when j_hat is not PD.
-    """
-    sigma = _checked_sigma(sigma_hat)
-    j = shaped_like(j_hat, sigma, "j_hat")
-    zg = shaped_like(z_gamma, sigma, "z_gamma")
-    if clip_mask is None:
-        mask = _clip_mask(j, cfg)
-    else:
-        mask = _sym_mask(clip_mask, sigma, "clip_mask")
-    r, conflicts = _extract(j, inv_pd(j), sigma, zg, cfg, mask)
-    _log_conflicts(conflicts)
-    return SymmetricMatrix(r)
-
-
 def soft_threshold_covariance(sigma_hat, gamma):
     """Negative soft-threshold estimator, the lambda -> 0 limit.
 
@@ -254,7 +220,7 @@ def soft_threshold_covariance(sigma_hat, gamma):
         zero diagonal; satisfies sigma_estimate_off == -sigma_r_off.
     """
     if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+        raise PreconditionViolated("gamma must be >= 0")
     s = np.asarray(sigma_hat, dtype=float)
     shrunk = np.sign(s) * np.maximum(np.abs(s) - gamma, 0.0)
     r = -shrunk
@@ -290,40 +256,27 @@ def duality_gap(result, sigma_hat, cfg):
     return _gap(j_hat, sigma, sigma_r, cfg) - logdet_pd(j_hat) - logdet_pd(sigma_m)
 
 
-def post_check_overall_pd(result):
-    """Spectral check of the overall covariance estimate.
-
-    Computes lambda_min(sigma_m_hat - sigma_r_hat), stores both fields
-    on the result, and returns ``(pd, min_eig)``.
-    """
-    overall = np.asarray(result.sigma_m_hat) - np.asarray(result.sigma_r_hat)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (overall + overall.T)).min())
-    result.min_eig_overall = min_eig
-    result.overall_pd = bool(min_eig > 0)
-    return result.overall_pd, result.min_eig_overall
-
-
-def _finalize(solved, sigma, cfg, record_gap=True):
+def _finalize(solved, sigma, cfg):
     j_hat, j_inv, iterations, converged, (kkt, zg, r, conflicts) = solved
-    _log_conflicts(conflicts)
-    gap = _gap(j_hat, sigma, r, cfg)
-    result = SolveResult(
+    if conflicts.any():
+        logger.warning("zeroed %d sign-conflicting residual entries",
+                       np.count_nonzero(conflicts))
+    # spectral check of the overall covariance estimate Sigma_M - Sigma_R
+    overall = j_inv - r
+    min_eig = float(np.linalg.eigvalsh(0.5 * (overall + overall.T)).min())
+    return SolveResult(
         j_hat=SymmetricMatrix(j_hat),
         sigma_m_hat=SymmetricMatrix(j_inv),
         sigma_r_hat=SymmetricMatrix(r),
         z_gamma=SymmetricMatrix(zg),
         kkt_residual=kkt,
-        duality_gap=gap,
+        duality_gap=_gap(j_hat, sigma, r, cfg),
         iterations=iterations,
         converged=converged,
-        overall_pd=False,
-        min_eig_overall=0.0,
+        overall_pd=min_eig > 0,
+        min_eig_overall=min_eig,
         sign_conflicts=conflicts,
     )
-    post_check_overall_pd(result)
-    solve_log.append({"kkt": kkt, "gap": gap if record_gap else None,
-                      "converged": converged, "iterations": iterations})
-    return result
 
 
 def admm_solve(sigma_hat, cfg, warm_start=None):
@@ -432,4 +385,4 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
         np.maximum(1.0 / np.diag(sigma), np.abs(fixed_r).sum(axis=1) + 1.0))
     solved = _prox_gradient(sigma, cfg, prox, start, clip_mask=mask_r,
                             kkt_mask=free_off | eye)
-    return _finalize(solved, sigma, cfg, record_gap=False)
+    return _finalize(solved, sigma, cfg)

@@ -1,7 +1,47 @@
+"""Shared fixtures, and the certification audit of every solve.
+
+Every call to ``admm_solve`` or ``witness_solve`` made while a test runs,
+including those of the module fixtures it sets up, is recorded; the
+test's teardown checks the results against the certification bounds in
+``oracles.certification_breaches`` and clears the record. The audit
+therefore holds for any selection or order of tests.
+"""
+
 import numpy as np
 import pytest
 
-from covdecomp import chain_model, grid_model
+import covdecomp as cd
+from covdecomp import chain_model, cli, grid_model, solver
+from oracles import certification_breaches
+
+# the namespaces callers reach the solvers through
+SOLVER_NAMESPACES = (cd, solver, cli)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def solve_record():
+    """``(solver_name, result)`` of each solve since the last teardown."""
+    record = []
+    patch = pytest.MonkeyPatch()
+    for name in ("admm_solve", "witness_solve"):
+        def recorded(*args, _solve=getattr(solver, name), _name=name, **kwargs):
+            result = _solve(*args, **kwargs)
+            record.append((_name, result))
+            return result
+
+        for namespace in SOLVER_NAMESPACES:
+            if hasattr(namespace, name):
+                patch.setattr(namespace, name, recorded)
+    yield record
+    patch.undo()
+
+
+@pytest.fixture(autouse=True)
+def _audit_solves(solve_record):
+    yield
+    breaches = certification_breaches(solve_record)
+    solve_record.clear()
+    assert not breaches, "; ".join(breaches)
 
 
 @pytest.fixture

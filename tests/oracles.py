@@ -13,6 +13,58 @@ import numpy as np
 # converged solve certifies gap and KKT at 1e-6
 TIGHT = {"eps_abs": 1e-10, "eps_rel": 1e-9}
 
+# certification bounds every converged solve in the suite must meet
+CERTIFIED_KKT = 1e-6
+CERTIFIED_GAP = 1e-6
+
+
+def certification_breaches(solves):
+    """Messages naming each solve that breaks the certification bounds.
+
+    ``solves`` holds ``(solver_name, result)`` pairs. Every result must
+    have run at least one iteration; a converged one must have a KKT
+    residual within ``CERTIFIED_KKT``, and a converged box-program
+    (``admm_solve``) one a duality gap within ``CERTIFIED_GAP``. The
+    witness program's gap is not certified, so it is not checked.
+    """
+    breaches = []
+    for k, (name, res) in enumerate(solves):
+        tag = "solve %d (%s)" % (k, name)
+        if res.iterations < 1:
+            breaches.append("%s ran %d iterations" % (tag, res.iterations))
+        if not res.converged:
+            continue
+        if not res.kkt_residual <= CERTIFIED_KKT:
+            breaches.append("%s converged with KKT %.3g" % (tag, res.kkt_residual))
+        if name == "admm_solve" and not abs(res.duality_gap) <= CERTIFIED_GAP:
+            breaches.append("%s converged with gap %.3g" % (tag, res.duality_gap))
+    return breaches
+
+
+def kkt_residual(sigma, j_hat, sigma_r, gamma):
+    """Stationarity violation of (J, Sigma_R) for the box program, entry by entry.
+
+    The diagonal must satisfy Sigma_ii = (J^-1)_ii. Off the diagonal,
+    g = (J^-1 - Sigma - Sigma_R)_ij must equal gamma sign(J_ij) where
+    |J_ij| > 1e-8 and lie in [-gamma, gamma] elsewhere.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    j = np.asarray(j_hat, dtype=float)
+    r = np.asarray(sigma_r, dtype=float)
+    g = np.linalg.inv(j) - sigma - r
+    p = j.shape[0]
+    worst = 0.0
+    for i in range(p):
+        worst = max(worst, abs(g[i, i]))
+        for k in range(p):
+            if k == i:
+                continue
+            if abs(j[i, k]) > 1e-8:
+                worst = max(worst, abs(g[i, k] - gamma * np.sign(j[i, k])))
+            else:
+                worst = max(worst, abs(g[i, k]) - gamma)
+    return worst
+
 
 def naive_inf_operator_norm(a):
     a = np.atleast_2d(np.asarray(a, dtype=float))

@@ -14,6 +14,7 @@ from covdecomp import (
     NotPositiveDefinite,
     SolverConfig,
     SymmetricMatrix,
+    metrics,
 )
 from oracles import brute_edit_distance, brute_support
 
@@ -162,10 +163,14 @@ class TestSignConsistency:
             cd.sign_consistency(np.eye(2), np.eye(3), 1e-6)
 
 
+def _true_precision(model):
+    return np.linalg.inv(np.asarray(cd.true_covariance(model)))
+
+
 class TestOverallPrecisionError:
     def test_zero_for_exact_model(self, chain):
-        err = cd.overall_precision_error(
-            chain.j_markov, chain.sigma_residual, chain
+        err = metrics._overall_precision_error(
+            chain.j_markov, chain.sigma_residual, _true_precision(chain)
         )
         assert err < 1e-10
 
@@ -173,15 +178,16 @@ class TestOverallPrecisionError:
         j = np.asarray(chain.j_markov) * 1.02
         r = np.asarray(chain.sigma_residual)
         est = np.linalg.inv(np.linalg.inv(j) - r)
-        true = np.linalg.inv(np.asarray(cd.true_covariance(chain)))
+        true = _true_precision(chain)
         direct = np.abs(est - true).max()
-        assert cd.overall_precision_error(j, r, chain) == pytest.approx(direct)
+        err = metrics._overall_precision_error(j, r, true)
+        assert err == pytest.approx(direct)
 
     def test_indefinite_overall_rejected(self, chain):
         r = np.zeros((4, 4))
         r[0, 1] = r[1, 0] = 50.0
         with pytest.raises(NotPositiveDefinite):
-            cd.overall_precision_error(chain.j_markov, r, chain)
+            metrics._overall_precision_error(chain.j_markov, r, _true_precision(chain))
 
 
 @pytest.fixture(scope="module")
@@ -241,9 +247,7 @@ class TestCompareToTruth:
         assert rec.edit_distance_markov == 0
         assert np.isfinite(rec.spectral_error_sigma)
 
-    def test_overall_error_matches_public_function(self):
-        # compare_to_truth forms the true covariance once and reuses it;
-        # the figure must equal the standalone function's bit for bit
+    def test_overall_error_matches_direct_computation(self):
         model = cd.grid_model(4, 3)
         samples = cd.draw_samples(model, 400, 5)
         sigma = np.asarray(cd.sample_covariance(samples.data))
@@ -252,8 +256,11 @@ class TestCompareToTruth:
         )
         res = cd.admm_solve(sigma, cfg)
         rec = cd.compare_to_truth(res, model)
-        direct = cd.overall_precision_error(res.j_hat, res.sigma_r_hat, model)
-        assert rec.linf_error_precision_overall == direct > 0.0
+        j = np.asarray(res.j_hat)
+        est = np.linalg.inv(np.linalg.inv(j) - np.asarray(res.sigma_r_hat))
+        direct = np.abs(est - _true_precision(model)).max()
+        assert direct > 0.0
+        assert rec.linf_error_precision_overall == pytest.approx(direct, rel=1e-8)
 
     def test_threshold_passthrough(self, exact_result):
         res, model = exact_result

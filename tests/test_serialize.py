@@ -69,7 +69,8 @@ def solved_chain():
 class TestResultRoundTrip:
     def test_matrices_round_trip(self, solved_chain, tmp_path):
         d = cd.save_result(solved_chain, tmp_path / "result")
-        j_hat, sigma_r, _ = cd.load_result(d)
+        j_hat = read_matrix_csv(d / "j_hat.csv")
+        sigma_r = read_matrix_csv(d / "sigma_r.csv")
         assert np.array_equal(np.asarray(j_hat), np.asarray(solved_chain.j_hat))
         assert np.array_equal(np.asarray(sigma_r), np.asarray(solved_chain.sigma_r_hat))
 
@@ -77,7 +78,7 @@ class TestResultRoundTrip:
         d = cd.save_result(
             solved_chain, tmp_path / "result", extra_diagnostics={"note": "unit"}
         )
-        _, _, diag = cd.load_result(d)
+        diag = json.loads((d / "diagnostics.json").read_text())
         assert diag["converged"] is True
         assert diag["duality_gap"] == solved_chain.duality_gap
         assert diag["kkt_residual"] == solved_chain.kkt_residual
@@ -95,14 +96,15 @@ class TestResultRoundTrip:
             sigma, SolverConfig(gamma=0.0, lambda_off=0.2, max_iter=2)
         )
         d = cd.save_result(res, tmp_path / "result")
-        _, _, diag = cd.load_result(d)
+        diag = json.loads((d / "diagnostics.json").read_text())
         assert diag["converged"] is False
 
     def test_sign_conflicts_listed_as_pairs(self, solved_chain, tmp_path):
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 3] = True
         res = dataclasses.replace(solved_chain, sign_conflicts=mask)
-        _, _, diag = cd.load_result(cd.save_result(res, tmp_path / "result"))
+        d = cd.save_result(res, tmp_path / "result")
+        diag = json.loads((d / "diagnostics.json").read_text())
         assert diag["sign_conflicts"] == [[1, 3]]
 
     def test_ragged_matrix_file_rejected(self, solved_chain, tmp_path):
@@ -111,7 +113,7 @@ class TestResultRoundTrip:
         lines[1] = lines[1].rsplit(",", 1)[0]
         (d / "sigma_r.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedCsv, match=r"sigma_r\.csv: row 2 has 3 cells"):
-            cd.load_result(d)
+            read_matrix_csv(d / "sigma_r.csv")
 
 
 class TestSamplesRoundTrip:

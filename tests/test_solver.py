@@ -18,7 +18,7 @@ from covdecomp import (
     SymmetricMatrix,
 )
 from covdecomp import solver, symmat
-from oracles import TIGHT, gista, sample_cov_instance
+from oracles import TIGHT, gista, kkt_residual, sample_cov_instance
 
 
 def tight_config(**kw):
@@ -52,7 +52,7 @@ class TestSolverConfig:
         ],
     )
     def test_rejects_bad_values(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated):
             SolverConfig(**kw)
 
     def test_infinite_lambda_allowed(self):
@@ -218,15 +218,6 @@ class TestSolveInvariants:
         assert again.converged
         assert np.abs(np.asarray(again.j_hat) - np.asarray(cold.j_hat)).max() < 1e-7
 
-    def test_solve_appends_telemetry(self):
-        before = len(cd.solve_log)
-        cd.admm_solve(np.eye(3), tight_config(gamma=0.0, lambda_off=1.0))
-        assert len(cd.solve_log) == before + 1
-        entry = cd.solve_log[-1]
-        assert entry["converged"] is True
-        assert entry["kkt"] <= 1e-6
-        assert abs(entry["gap"]) <= 1e-6
-
 
 class TestConvergedVerdict:
     def test_default_boost_cell_converges_within_kkt_bound(self):
@@ -273,8 +264,7 @@ class TestExtractResidual:
         cfg = tight_config(gamma=0.0, lambda_off=50.0)
         res = cd.admm_solve(sigma, cfg)
         assert np.all(np.asarray(res.sigma_r_hat) == 0.0)
-        r = cd.extract_residual(res.j_hat, sigma, res.z_gamma, cfg)
-        assert np.all(np.asarray(r) == 0.0)
+        assert not res.sign_conflicts.any()
 
     def test_infinite_lambda_yields_zero(self):
         sigma = sample_cov_instance(p=5, n=500, seed=9)
@@ -283,50 +273,29 @@ class TestExtractResidual:
         assert np.all(np.asarray(res.sigma_r_hat) == 0.0)
 
     def test_clip_mask_override_restricts_support(self, chain):
-        sigma = cd.true_covariance(chain)
+        sigma = np.asarray(cd.true_covariance(chain))
         cfg = tight_config(gamma=0.0, lambda_off=chain.lambda_star)
-        res = cd.admm_solve(np.asarray(sigma), cfg)
+        res = cd.admm_solve(sigma, cfg)
         clip = np.zeros((4, 4), dtype=bool)
-        clip[2, 3] = True
-        r = cd.extract_residual(
-            res.j_hat, np.asarray(sigma), res.z_gamma, cfg, clip_mask=clip
-        )
+        clip[2, 3] = clip[3, 2] = True
+        _, _, r, _ = solver._certificate(np.asarray(res.j_hat), np.asarray(res.sigma_m_hat),
+                                         sigma, cfg, clip_mask=clip)
         assert r[0, 1] == 0.0
         # (2,3) is not clipped in truth, so the identity value there is noise
         assert not cd.support_of(r, threshold=1e-6).any()
 
-    @pytest.mark.parametrize("operand", ["sigma_hat", "j_hat", "z_gamma", "clip_mask"])
-    def test_operand_of_wrong_size_rejected(self, operand, chain):
-        sigma = np.asarray(cd.true_covariance(chain))
-        cfg = tight_config(gamma=0.0, lambda_off=chain.lambda_star)
-        res = cd.admm_solve(sigma, cfg)
-        args = {"j_hat": res.j_hat, "sigma_hat": sigma, "z_gamma": res.z_gamma,
-                "clip_mask": np.ones((4, 4), dtype=bool)}
-        args[operand] = np.asarray(args[operand])[:3, :3]
-        with pytest.raises(DimensionMismatch):
-            cd.extract_residual(cfg=cfg, **args)
-
-    def test_non_finite_sigma_rejected(self):
-        sigma = np.eye(2)
-        sigma[0, 1] = math.nan
-        with pytest.raises(PreconditionViolated, match="non-finite"):
-            cd.extract_residual(np.eye(2), sigma, np.zeros((2, 2)),
-                                SolverConfig(gamma=0.0, lambda_off=1.0))
-
-    def test_indefinite_j_hat_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            cd.extract_residual(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2),
-                                np.zeros((2, 2)), SolverConfig(gamma=0.0, lambda_off=1.0))
-
     def test_sign_conflict_zeroed_and_logged(self, caplog):
         j = np.array([[1.0, 0.3], [0.3, 1.0]])
-        sigma = np.linalg.inv(j)
+        j_inv = symmat.inv_pd(j)
+        sigma = j_inv.copy()
         sigma[0, 1] += 0.1
         sigma[1, 0] += 0.1
         cfg = SolverConfig(gamma=0.0, lambda_off=0.3)
+        cert = solver._certificate(j, j_inv, sigma, cfg)
         with caplog.at_level("WARNING", logger="covdecomp.solver"):
-            r = cd.extract_residual(j, sigma, np.zeros((2, 2)), cfg)
-        assert np.all(np.asarray(r) == 0.0)
+            res = solver._finalize((j, j_inv, 1, False, cert), sigma, cfg)
+        assert np.all(np.asarray(res.sigma_r_hat) == 0.0)
+        assert res.sign_conflicts.tolist() == [[False, True], [False, False]]
         assert any("sign-conflicting" in m for m in caplog.messages)
 
 
@@ -373,6 +342,45 @@ class TestSoftThresholdCovariance:
         assert np.all(np.abs(np.asarray(r)[off]) <= np.maximum(np.abs(sigma[off]) - gamma, 0.0) + 1e-15)
 
 
+def _random_spd(p, seed):
+    # a random eigenbasis with eigenvalues log-uniform over four decades
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    a = (q * 10.0 ** rng.uniform(-2.0, 2.0, p)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+class TestHonestVerdict:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        gamma=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        lambda_off=st.one_of(st.floats(1e-3, 2.0), st.just(math.inf)),
+        max_iter=st.sampled_from([1, 2, 10, 100, 1000]),
+    )
+    def test_certifies_or_raises(self, p, seed, gamma, lambda_off, max_iter):
+        # a solve either raises a typed error, stops certified, or says it
+        # ran out of iterations; a converged verdict is checked afresh
+        sigma = _random_spd(p, seed)
+        cfg = tight_config(gamma=gamma, lambda_off=lambda_off, max_iter=max_iter)
+        try:
+            res = cd.admm_solve(sigma, cfg)
+        except cd.CovdecompError:
+            return
+        if not res.converged:
+            assert res.iterations == max_iter
+            return
+        j = np.asarray(res.j_hat)
+        r = np.asarray(res.sigma_r_hat)
+        scale = max(np.abs(sigma).max(), np.abs(j).max())
+        assert kkt_residual(sigma, j, r, gamma) <= 10.0 * (cfg.eps_abs + cfg.eps_rel * scale)
+        assert abs(cd.duality_gap(res, sigma, cfg)) <= 10.0 * cfg.eps_abs
+        # the residual lives on the clipped entries, with their signs
+        assert np.all(np.abs(j[r != 0.0]) >= (1.0 - solver.CLIP_TIE) * lambda_off)
+        assert np.all(r * j >= 0.0)
+
+
 class TestAgainstProximalGradient:
     def test_matches_independent_solver_without_box(self):
         sigma = sample_cov_instance(p=8, n=500, seed=21)
@@ -416,12 +424,14 @@ class TestPostCheckOverallPd:
     def test_detects_indefinite_overall_model(self):
         cfg = tight_config(gamma=0.0, lambda_off=math.inf)
         res = cd.admm_solve(np.eye(2), cfg)
-        assert cd.post_check_overall_pd(res) == (True, pytest.approx(1.0, abs=1e-8))
-        res.sigma_r_hat = SymmetricMatrix(np.array([[0.0, 1.5], [1.5, 0.0]]))
-        pd, min_eig = cd.post_check_overall_pd(res)
-        assert pd is False
-        assert min_eig < 0.0
+        assert res.overall_pd is True
+        assert res.min_eig_overall == pytest.approx(1.0, abs=1e-8)
+        # a residual that outweighs Sigma_M leaves Sigma_M - Sigma_R indefinite
+        r = np.array([[0.0, 1.5], [1.5, 0.0]])
+        cert = (0.0, np.zeros((2, 2)), r, np.zeros((2, 2), dtype=bool))
+        res = solver._finalize((np.eye(2), np.eye(2), 1, True, cert), np.eye(2), cfg)
         assert res.overall_pd is False
+        assert res.min_eig_overall == pytest.approx(-0.5)
 
 
 class TestWitnessSolve:
@@ -505,20 +515,6 @@ class TestWitnessSolve:
         with pytest.raises(InfeasibleConstraints):
             solver._prox_gradient(np.eye(2), cfg, prox, 0.5 * np.eye(2))
 
-    def test_telemetry_has_no_gap(self):
-        sigma = np.diag([1.0, 2.0])
-        cd.witness_solve(
-            sigma,
-            np.eye(2, dtype=bool),
-            np.zeros((2, 2), dtype=bool),
-            np.zeros((2, 2)),
-            tight_config(gamma=0.0, lambda_off=1.0),
-        )
-        entry = cd.solve_log[-1]
-        assert entry["gap"] is None
-        assert entry["kkt"] <= 1e-6
-
-
 class TestInversePaths:
     """Both ways of forming J^-1 reach the same certified optimum."""
 
@@ -545,3 +541,21 @@ class TestInversePaths:
         cfg = tight_config(gamma=0.0, lambda_off=small_grid.lambda_star)
         self._solve_both(lambda: cd.witness_solve(sigma, s_m, s_r, signs, cfg),
                          monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cd.soft_threshold_covariance(np.eye(2), -0.1),
+        lambda: cd.draw_samples(cd.chain_model((0.05, 0.04, 0.03), -0.01), 0, 1),
+        lambda: cd.gamma_schedule(2.0, 1, 100),
+        lambda: cd.gamma_schedule(2.0, 4, 0),
+        lambda: cd.gamma_schedule(0.0, 4, 100),
+        lambda: cd.support_of(np.eye(2), threshold=-1.0),
+    ],
+    ids=["soft_threshold_gamma", "draw_samples_n", "gamma_schedule_p",
+         "gamma_schedule_n", "gamma_schedule_c", "support_threshold"],
+)
+def test_bad_argument_raises_precondition_violated(call):
+    with pytest.raises(PreconditionViolated):
+        call()
