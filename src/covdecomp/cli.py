@@ -445,7 +445,6 @@ def _cmd_lbp(spec):
         model = _build_model(spec, q, derive_seed(spec.seed, k))
         j_markov = np.asarray(model.j_markov)
         j_overall = model._overall[2]
-        j_overall = 0.5 * (j_overall + j_overall.T)
         p = j_markov.shape[0]
         h = np.random.default_rng(derive_seed(spec.seed, k, 1)).standard_normal(p)
         entry = {"model": k, "p": p}

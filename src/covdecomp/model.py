@@ -12,7 +12,7 @@ from .errors import (
     PreconditionViolated,
     SingularSubmatrix,
 )
-from .symmat import SymmetricMatrix, hessian_submatrix, inf_operator_norm
+from .symmat import SymmetricMatrix, hessian_submatrix, inf_operator_norm, inv_pd
 
 # Ground-truth models are constructed exactly, so ties are detected at
 # machine-level tolerance; estimates use the looser solver-side tie band.
@@ -54,7 +54,8 @@ class DecompositionModel:
         compare_to_truth, which a sweep calls at every sample size, and
         for the lbp study's overall precision."""
         sigma, chol = _overall_covariance(self)
-        arrays = (sigma, chol, np.linalg.inv(sigma))
+        # inv_pd overwrites the factor it is given; draw_samples reads chol
+        arrays = (sigma, chol, inv_pd(sigma, chol.copy()))
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -116,6 +117,11 @@ def validate_model(m):
         One entry per violated condition, naming the offending index
         pair; empty when the model is valid.
     """
+    return _violations(m)
+
+
+def _violations(m, sigma_m=None):
+    # validate_model's check; sigma_m is J_M^-1 when the caller holds it
     j = np.asarray(m.j_markov)
     r = np.asarray(m.sigma_residual)
     if j.shape != r.shape:
@@ -125,11 +131,13 @@ def validate_model(m):
     p = j.shape[0]
     lam = m.lambda_star
     violations = []
-    if not _chol_ok(j):
+    try:
+        if sigma_m is None:
+            sigma_m = inv_pd(j)
+    except NotPositiveDefinite:
         violations.append("positive-definiteness: j_markov is not PD")
     else:
-        overall = np.linalg.inv(j) - r
-        if not _chol_ok(0.5 * (overall + overall.T)):
+        if not _chol_ok(sigma_m - r):
             violations.append("positive-definiteness: overall covariance is not PD")
     off = ~np.eye(p, dtype=bool)
     too_big = np.abs(j) > lam + GROUND_TRUTH_EPS_TIE
@@ -160,13 +168,13 @@ def validate_model(m):
     return violations
 
 
-def _build_validated(j, r, lam, context):
+def _build_validated(j, r, lam, context, sigma_m=None):
     model = DecompositionModel(
         j_markov=SymmetricMatrix(j),
         sigma_residual=SymmetricMatrix(r),
         lambda_star=float(lam),
     )
-    violations = validate_model(model)
+    violations = _violations(model, sigma_m)
     if violations:
         raise PreconditionViolated("%s: %s" % (context, "; ".join(violations)))
     return model
@@ -201,8 +209,7 @@ def chain_model(rho, residual_value):
     for i in range(4):
         for j in range(i + 1, 4):
             sigma_m[i, j] = sigma_m[j, i] = np.prod(rho[i:j])
-    j_m = np.linalg.inv(sigma_m)
-    j_m = 0.5 * (j_m + j_m.T)
+    j_m = inv_pd(sigma_m)
     # the chain precision is tridiagonal in exact arithmetic; inversion
     # noise must not create phantom edges in the support partition
     j_m[np.abs(j_m) < 1e-12 * np.abs(j_m).max()] = 0.0
@@ -248,7 +255,7 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
     for i, j in edges:
         # keep non-clipped magnitudes strictly below the bound so the
         # clip set stays unambiguous at ground-truth tie tolerance
-        v = rng.uniform(lo, hi - 1e-6) * rng.choice([-1.0, 1.0])
+        v = rng.uniform(lo, hi - 1e-6) * (-1.0, 1.0)[rng.integers(0, 2)]
         a[i, j] = a[j, i] = v
     n_clip = int(np.ceil(clip_fraction * len(edges)))
     clip_idx = rng.choice(len(edges), size=n_clip, replace=False)
@@ -257,7 +264,7 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
         a[i, j] = a[j, i] = hi * np.sign(a[i, j])
     if policy.fixed is not None:
         c = float(policy.fixed)
-        if np.linalg.eigvalsh(a + c * np.eye(p)).min() < policy.margin:
+        if not _chol_ok(a + (c - policy.margin) * np.eye(p)):
             raise PreconditionViolated(
                 "fixed diagonal boost %.3g misses the PD margin %.3g" % (c, policy.margin)
             )
@@ -273,10 +280,17 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
     for k in clip_idx:
         i, j = edges[k]
         r[i, j] = r[j, i] = np.sign(j_m[i, j]) * rng.uniform(lo, hi)
+    # LU, not inv_pd: glibc's malloc raises its mmap and trim thresholds
+    # to the largest block freed so far, and LU's 2 p^2 workspace keeps
+    # the solves that follow in the same process off fresh pages (with
+    # inv_pd here, p = 400 box and witness solves took 9x the minor page
+    # faults and 20% more time). The checks below read only the lower
+    # triangle.
     sigma_m = np.linalg.inv(j_m)
-    overall = sigma_m - r
+    # lambda_min(overall) >= margin iff overall - margin I has a factor
+    margin_eye = policy.margin * np.eye(p)
     shrinks = 0
-    while np.linalg.eigvalsh(0.5 * (overall + overall.T)).min() < policy.margin:
+    while not _chol_ok(sigma_m - r - margin_eye):
         if shrinks >= _MAX_SHRINKS:
             raise PreconditionViolated(
                 "overall covariance margin %.3g unreachable after %d residual shrinks"
@@ -284,14 +298,11 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
             )
         r *= _SHRINK_FACTOR
         shrinks += 1
-        overall = sigma_m - r
-    return _build_validated(j_m, r, hi, "grid_model")
+    return _build_validated(j_m, r, hi, "grid_model", sigma_m)
 
 
 def _overall_covariance(m):
-    j = np.asarray(m.j_markov)
-    sigma = np.linalg.inv(j) - np.asarray(m.sigma_residual)
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = inv_pd(np.asarray(m.j_markov)) - np.asarray(m.sigma_residual)
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -348,13 +359,12 @@ def incoherence_report(m, m_param, tau=2.0, n=1000, c6=1.0, c7=1.0):
         raise PreconditionViolated("model invalid: %s" % "; ".join(violations))
     j = np.asarray(m.j_markov)
     p = j.shape[0]
-    sigma_m = np.linalg.inv(j)
-    sigma_m = 0.5 * (sigma_m + sigma_m.T)
+    sigma_m = inv_pd(j)
     _, s_r, s, s_c = partition_pairs(m)
     g_ss = hessian_submatrix(sigma_m, s, s)
     try:
-        g_ss_inv = np.linalg.inv(g_ss)
-    except np.linalg.LinAlgError as exc:
+        g_ss_inv = inv_pd(g_ss)
+    except NotPositiveDefinite as exc:
         raise SingularSubmatrix("Gamma_SS is singular") from exc
     if not np.isfinite(g_ss_inv).all():
         raise SingularSubmatrix("Gamma_SS inverse overflowed")

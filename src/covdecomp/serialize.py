@@ -45,19 +45,24 @@ def _read_numeric_csv(path, header_rows):
     if not body:
         raise MalformedCsv("%s has a header but no data rows" % path)
     width = len(rows[0])
-    data = np.empty((len(body), width))
     for ri, row in enumerate(body):
         if len(row) != width:
             raise MalformedCsv(
                 "%s: row %d has %d cells, expected %d"
                 % (path, ri + header_rows + 1, len(row), width)
             )
+    try:
+        # numpy parses each cell with float()'s grammar
+        return head, np.array(body, dtype=float)
+    except ValueError:
+        pass
+    for ri, row in enumerate(body):
         for ci, cell in enumerate(row):
             try:
-                data[ri, ci] = float(cell)
+                float(cell)
             except ValueError:
                 raise NonNumericCell(path, ri, ci, cell, header_rows) from None
-    return head, data
+    raise MalformedCsv("%s does not parse as floats" % path)
 
 
 def read_matrix_csv(path):

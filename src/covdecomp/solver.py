@@ -188,9 +188,11 @@ def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None):
     # stationarity system implies the interior value (J^-1 - Sigma)_ij /
     # gamma, clipped to the unit interval. Without the interior term the
     # KKT residual would artificially read ~gamma on every zeroed entry.
+    # Clipping before the division keeps a subnormal gamma from
+    # overflowing; for a normal gamma the result is bitwise the same.
     zg = np.where(np.abs(j_hat) > 1e-8, np.sign(j_hat), 0.0)
     if cfg.gamma > 0:
-        interior = np.clip((j_inv - sigma) / cfg.gamma, -1.0, 1.0)
+        interior = np.clip(j_inv - sigma, -cfg.gamma, cfg.gamma) / cfg.gamma
         zg = np.where(np.abs(j_hat) > 1e-8, zg, interior)
     np.fill_diagonal(zg, 0.0)
     zg = 0.5 * (zg + zg.T)

@@ -341,3 +341,53 @@ def doubling_boost(a, start=0.01, factor=2.0, margin=0.01):
     while np.linalg.eigvalsh(a + c * eye).min() < margin:
         c *= factor
     return c
+
+
+def reference_grid_model(q, seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
+                         fixed=None, start=0.01, factor=2.0, margin=0.01):
+    """``(j_markov, sigma_residual, shrinks)`` of ``grid_model``'s protocol.
+
+    Signs come from ``rng.choice``, ``J_M^-1`` from an LU inverse, and
+    every PD margin from a full ``eigvalsh``. Returns None where the
+    generator must refuse: a ``fixed`` boost below the margin, or an
+    overall margin still missed after 50 residual shrinks.
+    """
+    lo, hi = magnitude_range
+    rng = np.random.default_rng(seed)
+    p = q * q
+    eye = np.eye(p)
+    edges = [(i, i + 1) for i in range(p) if (i + 1) % q]
+    edges += [(i, i + q) for i in range(p - q)]
+    edges.sort()
+    a = np.zeros((p, p))
+    for i, j in edges:
+        a[i, j] = a[j, i] = rng.uniform(lo, hi - 1e-6) * rng.choice([-1.0, 1.0])
+    clip_idx = rng.choice(len(edges), size=int(np.ceil(clip_fraction * len(edges))),
+                          replace=False)
+    for k in clip_idx:
+        i, j = edges[k]
+        a[i, j] = a[j, i] = hi * np.sign(a[i, j])
+    if fixed is not None:
+        c = float(fixed)
+        if np.linalg.eigvalsh(a + c * eye).min() < margin:
+            return None
+    else:
+        lambda_min = np.linalg.eigvalsh(a).min()
+        c = start
+        while lambda_min + c < margin:
+            c *= factor
+    j_m = a + c * eye
+    r = np.zeros((p, p))
+    for k in clip_idx:
+        i, j = edges[k]
+        r[i, j] = r[j, i] = np.sign(j_m[i, j]) * rng.uniform(lo, hi)
+    sigma_m = np.linalg.inv(j_m)
+    shrinks = 0
+    while True:
+        overall = sigma_m - r
+        if np.linalg.eigvalsh(0.5 * (overall + overall.T)).min() >= margin:
+            return j_m, r, shrinks
+        if shrinks == 50:
+            return None
+        r *= 0.9
+        shrinks += 1

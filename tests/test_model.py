@@ -22,6 +22,7 @@ from oracles import (
     chain_j_analytic,
     chain_sigma,
     doubling_boost,
+    reference_grid_model,
 )
 
 
@@ -131,6 +132,39 @@ class TestGridModel:
                     == np.asarray(m.sigma_residual).tobytes())
 
 
+SHRINK_HEAVY = {"clip_fraction": 0.6, "magnitude_range": (0.2, 0.3)}
+
+
+class TestGridModelAgainstReference:
+    """grid_model's factor-based margins and sign draws reproduce the
+    LU-inverse, eigvalsh and rng.choice protocol byte for byte."""
+
+    @staticmethod
+    def _assert_same(q, seed, kwargs, fixed):
+        policy = DiagBoostPolicy(fixed=fixed)
+        expected = reference_grid_model(q, seed, fixed=fixed, **kwargs)
+        if expected is None:
+            with pytest.raises(PreconditionViolated):
+                grid_model(q, seed, diag_boost_policy=policy, **kwargs)
+            return 0
+        m = grid_model(q, seed, diag_boost_policy=policy, **kwargs)
+        assert np.asarray(m.j_markov).tobytes() == expected[0].tobytes()
+        assert np.asarray(m.sigma_residual).tobytes() == expected[1].tobytes()
+        return expected[2]
+
+    @pytest.mark.parametrize("q", [3, 5, 10, 15, 20])
+    def test_default_protocol(self, q):
+        for seed in range(10):
+            for fixed in (None, 1.0):
+                self._assert_same(q, seed, {}, fixed)
+
+    @pytest.mark.parametrize("q", [3, 5, 10, 15, 20])
+    def test_residual_shrinks(self, q):
+        shrinks = [self._assert_same(q, seed, SHRINK_HEAVY, fixed)
+                   for seed in range(10) for fixed in (None, 1.0)]
+        assert max(shrinks) > 0
+
+
 class TestValidateModel:
     def _model(self, j, r, lam):
         return DecompositionModel(
@@ -144,8 +178,14 @@ class TestValidateModel:
 
     def test_flags_nonpd_precision(self):
         j = np.array([[1.0, 2.0], [2.0, 1.0]])
-        out = validate_model(self._model(j, np.zeros((2, 2)), 3.0))
-        assert any("not PD" in v for v in out)
+        assert validate_model(self._model(j, np.zeros((2, 2)), 3.0)) == [
+            "positive-definiteness: j_markov is not PD"]
+        # J^-1 = I / 2 and a residual of 0.6 leaves the overall indefinite
+        r = np.array([[0.0, 0.6], [0.6, 0.0]])
+        assert validate_model(self._model(2.0 * np.eye(2), r, 3.0)) == [
+            "positive-definiteness: overall covariance is not PD",
+            "clip-support equivalence: residual at [0,1] without a clipped "
+            "precision entry"]
 
     def test_flags_bound_violation(self):
         j = np.array([[2.0, 0.5], [0.5, 2.0]])

@@ -2,6 +2,7 @@
 residual extraction, the soft-threshold limit, and the witness program."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -379,6 +380,16 @@ class TestHonestVerdict:
         # the residual lives on the clipped entries, with their signs
         assert np.all(np.abs(j[r != 0.0]) >= (1.0 - solver.CLIP_TIE) * lambda_off)
         assert np.all(r * j >= 0.0)
+
+
+class TestSubnormalGamma:
+    def test_certificate_does_not_overflow(self):
+        # the interior subgradient is clipped before it is divided by gamma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = cd.admm_solve([[1.0, 0.3], [0.3, 1.0]],
+                                SolverConfig(gamma=5e-324, lambda_off=2))
+        assert np.isfinite(res.kkt_residual)
 
 
 class TestAgainstProximalGradient:
