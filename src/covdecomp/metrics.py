@@ -82,8 +82,9 @@ def _overall_precision_error(j_hat, sigma_r_hat, true_precision):
     j = np.asarray(j_hat, dtype=float)
     r = np.asarray(sigma_r_hat, dtype=float)
     try:
+        # inv_pd returns an exactly symmetric inverse, and r is symmetric
         overall_cov = inv_pd(j) - r
-        est_precision = inv_pd(0.5 * (overall_cov + overall_cov.T))
+        est_precision = inv_pd(overall_cov)
     except NotPositiveDefinite:
         raise NotPositiveDefinite(
             "overall precision is undefined: j_hat or j_hat^-1 - sigma_r_hat "
@@ -110,11 +111,11 @@ def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
     except NotPositiveDefinite:
         logger.warning("indefinite overall estimate; recording +inf precision error")
         overall_err = float("inf")
+    # a difference of exactly symmetric matrices, so exactly symmetric
     overall_cov_err = (
         np.asarray(result.sigma_m_hat, dtype=float) - r_hat - sigma_true
     )
-    spectral = float(np.abs(np.linalg.eigvalsh(
-        0.5 * (overall_cov_err + overall_cov_err.T))).max())
+    spectral = float(np.abs(np.linalg.eigvalsh(overall_cov_err)).max())
     return MetricsRecord(
         edit_distance_markov=edit_distance(j_hat, j_true, threshold),
         edit_distance_residual=edit_distance(r_hat, r_true, threshold),

@@ -280,13 +280,7 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
     for k in clip_idx:
         i, j = edges[k]
         r[i, j] = r[j, i] = np.sign(j_m[i, j]) * rng.uniform(lo, hi)
-    # LU, not inv_pd: glibc's malloc raises its mmap and trim thresholds
-    # to the largest block freed so far, and LU's 2 p^2 workspace keeps
-    # the solves that follow in the same process off fresh pages (with
-    # inv_pd here, p = 400 box and witness solves took 9x the minor page
-    # faults and 20% more time). The checks below read only the lower
-    # triangle.
-    sigma_m = np.linalg.inv(j_m)
+    sigma_m = inv_pd(j_m)
     # lambda_min(overall) >= margin iff overall - margin I has a factor
     margin_eye = policy.margin * np.eye(p)
     shrinks = 0

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InfeasibleConstraints,
                      NotPositiveDefinite, PreconditionViolated)
-from .symmat import SymmetricMatrix, inv_pd, logdet_pd, shaped_like
+from .symmat import PdWorkspace, SymmetricMatrix, logdet_pd, shaped_like
 
 logger = logging.getLogger(__name__)
 
@@ -99,109 +99,166 @@ def _checked_sigma(sigma_hat):
     return 0.5 * (sigma + sigma.T)
 
 
-def _soft_threshold(m, level):
-    # sign(m) (|m| - level)_+, in two array passes
-    return m - np.clip(m, -level, level)
+def _soft_threshold(m, level, out):
+    # sign(m) (|m| - level)_+ into out, in two array passes. At level 0 it
+    # changes only -0.0 (to 0.0), which no iterate carries off the
+    # diagonal, so the proxes skip it when gamma is 0.
+    np.clip(m, -level, level, out=out)
+    return np.subtract(m, out, out=out)
+
+
+class _Workspace:
+    """The p x p buffers of one solve; no iteration allocates another.
+
+    ``j`` and ``j_inv`` hold the iterate and its inverse, ``cand`` and
+    ``cand_inv`` the trial point's; an accepted trial swaps the pairs.
+    ``grad`` holds the gradient and ``step`` the gradient step and then
+    the accepted step. ``tmp`` takes the products that are summed, and
+    ``zg``, ``r``, ``flags`` the certificate.
+    """
+
+    def __init__(self, p):
+        self.pd = PdWorkspace(p)
+        (self.j, self.j_inv, self.cand, self.cand_inv, self.grad, self.step,
+         self.tmp, self.zg, self.r) = (np.empty((p, p)) for _ in range(9))
+        self.flags = np.empty((p, p), dtype=bool)
+
+    def accept(self):
+        self.j, self.cand = self.cand, self.j
+        self.j_inv, self.cand_inv = self.cand_inv, self.j_inv
 
 
 def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
                    gap_tol=np.inf):
-    # prox(m, t) maps a gradient step of length t onto the feasible set,
-    # which must hold the PD start j.
+    # prox(m, t, out) writes into out the map of a gradient step m of
+    # length t onto the feasible set, which must hold the PD start j;
+    # every iterate is exactly symmetric, since sigma, the start and the
+    # prox are.
     # Stops once the KKT residual is within eps_abs + eps_rel max(|Sigma|,
     # |J|), a tenth of the documented bound, and the gap within gap_tol.
     # Returns (J, J^-1, iterations, converged, _certificate(J)).
+    # Every sum that steers the iterates is a pairwise np.sum over an
+    # elementwise product: backtracking reacts to summation noise, so a
+    # BLAS dot product in its place changes iteration counts.
+    ws = _Workspace(sigma.shape[0])
+    sigma_max = np.abs(sigma).max()
+    sigma_diag = np.diag(sigma)
 
-    def objective(a, chol):
+    def objective(a, chol_diag):
         # a is PD, so its diagonal is positive and |a|_1,off = |a|_1 - tr a
-        return (float(np.sum(sigma * a)) - 2.0 * float(np.log(np.diag(chol)).sum())
-                + cfg.gamma * float(np.abs(a).sum() - np.trace(a)))
+        f = (float(np.sum(np.multiply(sigma, a, out=ws.tmp)))
+             - 2.0 * float(np.log(chol_diag).sum()))
+        if cfg.gamma > 0:
+            f += cfg.gamma * float(np.abs(a, out=ws.tmp).sum() - np.trace(a))
+        return f
 
-    try:
-        chol = np.linalg.cholesky(j)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("starting point is not positive definite") from None
-    history = [objective(j, chol)]
-    j_inv = inv_pd(j, chol)
+    def certificate(j, j_inv):
+        return _certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask,
+                            (ws.zg, ws.r, ws.tmp, ws.grad, ws.flags))
+
+    np.copyto(ws.j, j)
+    chol_diag = ws.pd.factor(ws.j)
+    if chol_diag is None:
+        raise NotPositiveDefinite("starting point is not positive definite")
+    history = [objective(ws.j, chol_diag)]
+    ws.j_inv = ws.pd.inverse(ws.j_inv)
     t = 1.0
     for it in range(1, cfg.max_iter + 1):
-        grad = sigma - j_inv
+        np.subtract(sigma, ws.j_inv, out=ws.grad)
         for _ in range(_BACKTRACKS):
-            cand = prox(j - t * grad, t)
-            try:
-                chol = np.linalg.cholesky(cand)
-            except np.linalg.LinAlgError:
+            np.multiply(ws.grad, t, out=ws.step)
+            np.subtract(ws.j, ws.step, out=ws.step)
+            prox(ws.step, t, ws.cand)
+            chol_diag = ws.pd.factor(ws.cand)
+            if chol_diag is None:
                 t *= 0.5
                 continue
-            f = objective(cand, chol)
-            step = cand - j
-            ss = float(np.sum(step * step))
+            f = objective(ws.cand, chol_diag)
+            np.subtract(ws.cand, ws.j, out=ws.step)
+            ss = float(np.sum(np.multiply(ws.step, ws.step, out=ws.tmp)))
             if f <= max(history) - 1e-4 * ss / t:
                 break
             t *= 0.5
         else:
             raise InfeasibleConstraints(
                 "no step length gives a positive definite iterate (iteration %d)" % it)
-        cand_inv = inv_pd(cand, chol)
+        ws.cand_inv = ws.pd.inverse(ws.cand_inv)
         # Barzilai-Borwein length <s,s>/<s,y> with y the gradient change;
         # <s,y> > 0 by strict convexity of -log det unless the step vanished
-        sy = float(np.sum(step * (j_inv - cand_inv)))
+        np.subtract(ws.j_inv, ws.cand_inv, out=ws.tmp)
+        sy = float(np.sum(np.multiply(ws.step, ws.tmp, out=ws.tmp)))
         if sy > 0:
             t = ss / sy
-        j, j_inv = cand, cand_inv
+        ws.accept()
         history = (history + [f])[-_HISTORY:]
-        stop = cfg.eps_abs + cfg.eps_rel * max(np.abs(sigma).max(), np.abs(j).max())
+        stop = cfg.eps_abs + cfg.eps_rel * max(sigma_max, ws.j.max(), -ws.j.min())
         # the diagonal is part of every KKT residual and costs O(p)
-        if np.abs(np.diag(sigma) - np.diag(j_inv)).max() > stop:
+        if np.abs(sigma_diag - ws.j_inv.diagonal()).max() > stop:
             continue
-        cert = _certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask)
-        if cert[0] <= stop and abs(_gap(j, sigma, cert[2], cfg)) <= gap_tol:
-            return j, j_inv, it, True, cert
+        cert = certificate(ws.j, ws.j_inv)
+        if (cert[0] <= stop
+                and abs(_gap(ws.j, sigma, cert[2], cfg, ws.tmp)) <= gap_tol):
+            return ws.j, ws.j_inv, it, True, cert
     logger.warning("solver hit max_iter=%d without converging", cfg.max_iter)
-    cert = _certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask)
-    return j, j_inv, cfg.max_iter, False, cert
+    return ws.j, ws.j_inv, cfg.max_iter, False, certificate(ws.j, ws.j_inv)
 
 
-def _clip_mask(j_hat, cfg):
-    # may include diagonal entries; _extract zeroes the diagonal
-    if not np.isfinite(cfg.lambda_off):
-        return np.zeros(j_hat.shape, dtype=bool)
-    return np.abs(j_hat) >= cfg.lambda_off - CLIP_TIE * cfg.lambda_off
-
-
-def _extract(j_hat, j_inv, sigma, z_gamma, cfg, clip_mask):
-    vals = j_inv - sigma - cfg.gamma * z_gamma
-    r = np.where(clip_mask, vals, 0.0)
-    np.fill_diagonal(r, 0.0)
-    r = 0.5 * (r + r.T)
-    # multipliers are nonnegative, so a residual whose sign fights the
-    # precision entry is boundary noise; zero it and report the pair
-    conflict = (r != 0.0) & (r * np.sign(j_hat) < -1e-8)
-    r[conflict] = 0.0
-    return r, np.triu(conflict, k=1)
-
-
-def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None):
+def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None,
+                 scratch=None):
     # (kkt, z_gamma, residual, sign conflicts) of one iterate; the KKT
-    # residual is read on kkt_mask only when one is given.
+    # residual is read on kkt_mask only when one is given. The conflict
+    # mask is symmetric. scratch holds four p x p float buffers and one
+    # boolean one, the first two returned as z_gamma and the residual;
+    # fresh ones are taken without it.
     # z_gamma is sign(J_ij) off the zero set; on exact zeros the
     # stationarity system implies the interior value (J^-1 - Sigma)_ij /
     # gamma, clipped to the unit interval. Without the interior term the
     # KKT residual would artificially read ~gamma on every zeroed entry.
     # Clipping before the division keeps a subnormal gamma from
     # overflowing; for a normal gamma the result is bitwise the same.
-    zg = np.where(np.abs(j_hat) > 1e-8, np.sign(j_hat), 0.0)
+    # J, J^-1 and Sigma are exactly symmetric, and so is every matrix
+    # formed here.
+    if scratch is None:
+        scratch = [np.empty_like(sigma) for _ in range(4)]
+        scratch.append(np.empty(sigma.shape, dtype=bool))
+    zg, r, tmp, tmp2, flags = scratch
     if cfg.gamma > 0:
-        interior = np.clip(j_inv - sigma, -cfg.gamma, cfg.gamma) / cfg.gamma
-        zg = np.where(np.abs(j_hat) > 1e-8, zg, interior)
+        np.subtract(j_inv, sigma, out=zg)
+        np.clip(zg, -cfg.gamma, cfg.gamma, out=zg)
+        np.divide(zg, cfg.gamma, out=zg)
+    else:
+        zg.fill(0.0)
+    np.greater(np.abs(j_hat, out=tmp), 1e-8, out=flags)
+    np.copyto(zg, np.sign(j_hat, out=tmp), where=flags)
     np.fill_diagonal(zg, 0.0)
-    zg = 0.5 * (zg + zg.T)
-    mask = _clip_mask(j_hat, cfg) if clip_mask is None else clip_mask
-    r, conflicts = _extract(j_hat, j_inv, sigma, zg, cfg, mask)
-    stationarity = sigma - j_inv + r + cfg.gamma * zg
-    if kkt_mask is not None:
-        stationarity = stationarity[kkt_mask]
-    return float(np.abs(stationarity).max()), zg, r, conflicts
+    # the residual: J^-1 - Sigma - gamma z_gamma on the clip set
+    if clip_mask is None:
+        clip_mask = _clip_mask(j_hat, cfg, tmp, flags)
+    np.subtract(j_inv, sigma, out=tmp)
+    np.subtract(tmp, np.multiply(zg, cfg.gamma, out=tmp2), out=tmp)
+    r.fill(0.0)
+    np.copyto(r, tmp, where=clip_mask)
+    np.fill_diagonal(r, 0.0)
+    # multipliers are nonnegative, so a residual whose sign fights the
+    # precision entry is boundary noise; zero it and report the pair
+    conflicts = np.less(np.multiply(r, np.sign(j_hat, out=tmp), out=tmp), -1e-8,
+                        out=flags)
+    np.copyto(r, 0.0, where=conflicts)
+    stationarity = np.add(np.subtract(sigma, j_inv, out=tmp), r, out=tmp)
+    if cfg.gamma > 0:
+        stationarity += np.multiply(zg, cfg.gamma, out=tmp2)
+    np.abs(stationarity, out=stationarity)
+    kkt = stationarity.max(initial=0.0, where=True if kkt_mask is None else kkt_mask)
+    return float(kkt), zg, r, conflicts
+
+
+def _clip_mask(j_hat, cfg, tmp, out):
+    # may include diagonal entries; _certificate zeroes the diagonal
+    if not np.isfinite(cfg.lambda_off):
+        out.fill(False)
+        return out
+    return np.greater_equal(np.abs(j_hat, out=tmp),
+                            cfg.lambda_off - CLIP_TIE * cfg.lambda_off, out=out)
 
 
 def _sym_mask(a, sigma, name):
@@ -232,13 +289,15 @@ def soft_threshold_covariance(sigma_hat, gamma):
     return SymmetricMatrix(est), SymmetricMatrix(r)
 
 
-def _gap(j_hat, sigma, sigma_r, cfg):
+def _gap(j_hat, sigma, sigma_r, cfg, tmp=None):
     # duality_gap where Sigma_M = J^-1, so the log-determinants cancel;
-    # J is PD, so |J|_1,off = |J|_1 - tr J
-    r_l1 = float(np.abs(sigma_r).sum() - np.abs(np.diag(sigma_r)).sum())
+    # J is PD, so |J|_1,off = |J|_1 - tr J. tmp is a p x p scratch buffer.
+    r_l1 = float(np.abs(sigma_r, out=tmp).sum() - np.abs(np.diag(sigma_r)).sum())
     lam_term = cfg.lambda_off * r_l1 if r_l1 > 0 else 0.0
-    return (float(np.sum(sigma * j_hat)) - sigma.shape[0] + lam_term
-            + cfg.gamma * float(np.abs(j_hat).sum() - np.trace(j_hat)))
+    gap = float(np.sum(np.multiply(sigma, j_hat, out=tmp))) - sigma.shape[0] + lam_term
+    if cfg.gamma > 0:
+        gap += cfg.gamma * float(np.abs(j_hat, out=tmp).sum() - np.trace(j_hat))
+    return gap
 
 
 def duality_gap(result, sigma_hat, cfg):
@@ -260,12 +319,14 @@ def duality_gap(result, sigma_hat, cfg):
 
 def _finalize(solved, sigma, cfg):
     j_hat, j_inv, iterations, converged, (kkt, zg, r, conflicts) = solved
+    conflicts = np.triu(conflicts, k=1)
     if conflicts.any():
         logger.warning("zeroed %d sign-conflicting residual entries",
                        np.count_nonzero(conflicts))
-    # spectral check of the overall covariance estimate Sigma_M - Sigma_R
+    # spectral check of the overall covariance estimate Sigma_M - Sigma_R,
+    # exactly symmetric as J^-1 and the residual are
     overall = j_inv - r
-    min_eig = float(np.linalg.eigvalsh(0.5 * (overall + overall.T)).min())
+    min_eig = float(np.linalg.eigvalsh(overall).min())
     return SolveResult(
         j_hat=SymmetricMatrix(j_hat),
         sigma_m_hat=SymmetricMatrix(j_inv),
@@ -319,16 +380,18 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
                 "gamma = 0 with no box is unbounded unless sigma_hat is "
                 "positive definite") from None
 
-    def prox(m, t):
-        a = np.clip(_soft_threshold(m, cfg.gamma * t), -cfg.lambda_off, cfg.lambda_off)
-        np.fill_diagonal(a, np.diag(m))
-        return a
+    def prox(m, t, out):
+        shrunk = _soft_threshold(m, cfg.gamma * t, out) if cfg.gamma > 0 else m
+        np.clip(shrunk, -cfg.lambda_off, cfg.lambda_off, out=out)
+        np.fill_diagonal(out, m.diagonal())
 
     j = np.diag(1.0 / np.diag(sigma))
     if warm_start is not None:
         warm = shaped_like(warm_start.j_hat, sigma, "warm start")
         # a warm start outside this box (from a wider one) restarts cold
-        if np.array_equal(prox(warm, 0.0), warm):
+        boxed = np.empty_like(warm)
+        prox(warm, 0.0, boxed)
+        if np.array_equal(boxed, warm):
             j = warm
 
     solved = _prox_gradient(sigma, cfg, prox, j, gap_tol=10.0 * cfg.eps_abs)
@@ -359,7 +422,9 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
         its shape.
     PreconditionViolated
         If sigma_hat has a non-finite entry, lambda_off is infinite,
-        s_r is not inside s_m, or the diagonal is not inside s_m.
+        s_r is not inside s_m, the diagonal is not inside s_m, or
+        signs_on_sr is zero on an s_r pair or differs in sign between
+        (i,j) and (j,i).
     """
     sigma = _checked_sigma(sigma_hat)
     if not np.isfinite(cfg.lambda_off):
@@ -373,15 +438,24 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
         raise PreconditionViolated("s_r must be off-diagonal and inside s_m")
     if np.any(signs[mask_r] == 0):
         raise PreconditionViolated("signs_on_sr must be nonzero on every s_r pair")
+    clash = np.argwhere(mask_r & (signs != signs.T))
+    if clash.size:
+        i, k = clash[0]
+        raise PreconditionViolated(
+            "signs_on_sr gives opposite signs at (%d, %d) and (%d, %d)" % (i, k, k, i))
     fixed_r = np.where(mask_r, cfg.lambda_off * signs, 0.0)
     eye = np.eye(sigma.shape[0], dtype=bool)
     free_off = mask_m & ~mask_r & ~eye
+    pinned = ~free_off
 
-    def prox(m, t):
+    def prox(m, t, out):
+        if cfg.gamma > 0:
+            _soft_threshold(m, cfg.gamma * t, out)
+        else:
+            np.copyto(out, m)
         # fixed_r is zero off s_r, which also zeroes the pairs outside s_m
-        a = np.where(free_off, _soft_threshold(m, cfg.gamma * t), fixed_r)
-        np.fill_diagonal(a, np.diag(m))
-        return a
+        np.copyto(out, fixed_r, where=pinned)
+        np.fill_diagonal(out, m.diagonal())
 
     start = fixed_r + np.diag(
         np.maximum(1.0 / np.diag(sigma), np.abs(fixed_r).sum(axis=1) + 1.0))

@@ -4,6 +4,14 @@ Everything downstream (models, solver, diagnostics) moves data around as
 ``SymmetricMatrix`` instances or plain ndarrays, and sets of index pairs
 as p x p boolean masks; the helpers here are the only linear-algebra
 primitives the package needs.
+
+Positive definite matrices are factored and inverted through LAPACK
+``dpotrf`` and ``dpotri`` of the OpenBLAS that numpy's wheels bundle,
+bound once with ``ctypes``: ``inv_pd`` inverts from a Cholesky factor,
+and ``PdWorkspace`` factors and inverts in reused buffers, which the
+solver loop needs to run without allocating. When the library or a
+symbol is missing, both fall back to ``np.linalg.cholesky`` and the
+symmetrised ``np.linalg.inv``; ``_lapack`` is the one switch.
 """
 
 import ctypes
@@ -72,23 +80,26 @@ class SymmetricMatrix:
         return "SymmetricMatrix(dim=%d)" % self.dim
 
 
-def _load_dpotri():
-    # LAPACKE dpotri of the ILP64 OpenBLAS that numpy's wheels bundle;
-    # None when this numpy ships no such library
+def _load_lapack():
+    # LAPACKE dpotrf and dpotri of the ILP64 OpenBLAS that numpy's wheels
+    # bundle, as (dpotrf, dpotri); None when this numpy ships no such library
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
-            fn = ctypes.CDLL(str(path)).scipy_LAPACKE_dpotri_work64_
+            lib = ctypes.CDLL(str(path))
+            fns = (lib.scipy_LAPACKE_dpotrf_work64_, lib.scipy_LAPACKE_dpotri_work64_)
         except (OSError, AttributeError):
             continue
-        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_int64]
-        fn.restype = ctypes.c_int64
-        return fn
+        for fn in fns:
+            fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+                           ctypes.c_void_p, ctypes.c_int64]
+            fn.restype = ctypes.c_int64
+        return fns
     return None
 
 
-_dpotri = _load_dpotri()
+# the one switch between the LAPACK routes and numpy's cholesky and inv
+_lapack = _load_lapack()
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
 
@@ -98,8 +109,8 @@ def inv_pd(a, chol=None):
     ``chol`` is the lower Cholesky factor of ``a``, zero above the
     diagonal as ``np.linalg.cholesky`` returns it, when the caller holds
     one; it may be overwritten. The inverse comes from that factor
-    through LAPACK ``dpotri`` when numpy's bundled OpenBLAS exports it,
-    and otherwise is ``(inv(a) + inv(a).T) / 2``.
+    through LAPACK ``dpotri`` when numpy's bundled OpenBLAS exports
+    ``dpotrf`` and ``dpotri``, and otherwise is ``(inv(a) + inv(a).T) / 2``.
 
     Raises
     ------
@@ -113,7 +124,7 @@ def inv_pd(a, chol=None):
             chol = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite("matrix is not positive definite") from None
-    if _dpotri is None:
+    if _lapack is None:
         inv = np.linalg.inv(a)
         return 0.5 * (inv + inv.T)
     c = np.require(chol, dtype=np.float64, requirements=["C", "A", "W"])
@@ -122,10 +133,68 @@ def inv_pd(a, chol=None):
     # the C-order lower factor read column-major is the upper factor L^T;
     # the inverse lands in that triangle and the zeros above stay
     p = c.shape[0]
-    if _dpotri(_COL_MAJOR, b"U", p, c.ctypes.data, max(p, 1)) != 0:
+    if _lapack[1](_COL_MAJOR, b"U", p, c.ctypes.data, max(p, 1)) != 0:
         raise NotPositiveDefinite("Cholesky factor is singular")
     c += np.tril(c, -1).T
     return c
+
+
+class PdWorkspace:
+    """Factors and inverts p x p positive definite matrices in reused buffers.
+
+    With LAPACK bound, ``factor`` runs ``dpotrf`` in place on a copy of
+    its argument and ``inverse`` runs ``dpotri`` into the caller's
+    buffer, so neither allocates a p x p array; both are bit for bit
+    ``np.linalg.cholesky`` and ``inv_pd``. Without it they are those two
+    calls. Arguments must be exactly symmetric C-order float arrays.
+    """
+
+    def __init__(self, p):
+        self._p = p
+        self._lapack = _lapack
+        if self._lapack is not None:
+            self._fac = np.empty((p, p))
+            self._upper = np.triu(np.ones((p, p), dtype=bool), 1)
+
+    def factor(self, a):
+        """Diagonal of the lower Cholesky factor of ``a``, or None if ``a`` is not PD.
+
+        The factor is kept for the next ``inverse``, which also reads ``a``
+        on the fallback route, so ``a`` must not change before it.
+        """
+        if self._lapack is None:
+            try:
+                self._chol = np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                return None
+            self._a = a
+            return self._chol.diagonal()
+        # read column-major, symmetric a is itself, and the lower factor
+        # lands in the column-major lower triangle: C order's upper one
+        np.copyto(self._fac, a)
+        if self._lapack[0](_COL_MAJOR, b"L", self._p, self._fac.ctypes.data,
+                           max(self._p, 1)) != 0:
+            return None
+        return self._fac.diagonal()
+
+    def inverse(self, out):
+        """Inverse of the last matrix factored, written into ``out`` when
+        LAPACK is bound (and returned); a new array otherwise."""
+        if self._lapack is None:
+            return inv_pd(self._a, self._chol)
+        # the transposed factor holds L in C order, as inv_pd's does, so
+        # dpotri 'U' sees the same operand; 'L' on the factor in place
+        # differs in the last bit
+        np.copyto(out, self._fac.T)
+        if self._lapack[1](_COL_MAJOR, b"U", self._p, out.ctypes.data,
+                           max(self._p, 1)) != 0:
+            raise NotPositiveDefinite("Cholesky factor is singular")
+        # mirror the lower triangle; adding 0.0 clears negative zeros, as
+        # inv_pd's addition does
+        np.copyto(self._fac, out.T)
+        np.copyto(out, self._fac, where=self._upper)
+        out += 0.0
+        return out
 
 
 def logdet_pd(m):

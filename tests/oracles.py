@@ -391,3 +391,138 @@ def reference_grid_model(q, seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2)
             return None
         r *= 0.9
         shrinks += 1
+
+
+def _reference_certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None):
+    # (kkt, z_gamma, residual) as the solver formed them before its loop
+    # took a workspace, symmetrisations included
+    zg = np.where(np.abs(j_hat) > 1e-8, np.sign(j_hat), 0.0)
+    if cfg.gamma > 0:
+        interior = np.clip(j_inv - sigma, -cfg.gamma, cfg.gamma) / cfg.gamma
+        zg = np.where(np.abs(j_hat) > 1e-8, zg, interior)
+    np.fill_diagonal(zg, 0.0)
+    zg = 0.5 * (zg + zg.T)
+    if clip_mask is None:
+        if np.isfinite(cfg.lambda_off):
+            clip_mask = np.abs(j_hat) >= cfg.lambda_off - 1e-4 * cfg.lambda_off
+        else:
+            clip_mask = np.zeros(j_hat.shape, dtype=bool)
+    r = np.where(clip_mask, j_inv - sigma - cfg.gamma * zg, 0.0)
+    np.fill_diagonal(r, 0.0)
+    r = 0.5 * (r + r.T)
+    r[(r != 0.0) & (r * np.sign(j_hat) < -1e-8)] = 0.0
+    stationarity = sigma - j_inv + r + cfg.gamma * zg
+    if kkt_mask is not None:
+        stationarity = stationarity[kkt_mask]
+    return float(np.abs(stationarity).max()), zg, r
+
+
+def _reference_gap(j_hat, sigma, sigma_r, cfg):
+    r_l1 = float(np.abs(sigma_r).sum() - np.abs(np.diag(sigma_r)).sum())
+    lam_term = cfg.lambda_off * r_l1 if r_l1 > 0 else 0.0
+    return (float(np.sum(sigma * j_hat)) - sigma.shape[0] + lam_term
+            + cfg.gamma * float(np.abs(j_hat).sum() - np.trace(j_hat)))
+
+
+def reference_prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
+                            gap_tol=np.inf):
+    """The solver's G-ISTA loop as written before it took a workspace.
+
+    Every matrix is a fresh array: ``prox(m, t)`` returns the feasible
+    point, the factor is ``np.linalg.cholesky``'s and the inverse
+    ``inv_pd``'s. Returns a dict of the final ``j_hat``, ``sigma_r_hat``,
+    ``iterations``, ``converged``, ``kkt_residual`` and ``duality_gap``,
+    plus ``backtracks``, the number of step halvings, and ``not_pd``, the
+    number of those taken for a candidate with no Cholesky factor.
+    """
+    from covdecomp.symmat import inv_pd
+
+    def objective(a, chol):
+        return (float(np.sum(sigma * a)) - 2.0 * float(np.log(np.diag(chol)).sum())
+                + cfg.gamma * float(np.abs(a).sum() - np.trace(a)))
+
+    def result(j, j_inv, iterations, converged):
+        kkt, _, r = _reference_certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask)
+        return {"j_hat": j, "sigma_r_hat": r, "iterations": iterations,
+                "converged": converged, "kkt_residual": kkt,
+                "duality_gap": _reference_gap(j, sigma, r, cfg),
+                "backtracks": backtracks, "not_pd": not_pd}
+
+    chol = np.linalg.cholesky(j)
+    history = [objective(j, chol)]
+    j_inv = inv_pd(j, chol)
+    t = 1.0
+    backtracks = not_pd = 0
+    for it in range(1, cfg.max_iter + 1):
+        grad = sigma - j_inv
+        for _ in range(60):
+            cand = prox(j - t * grad, t)
+            try:
+                chol = np.linalg.cholesky(cand)
+            except np.linalg.LinAlgError:
+                t *= 0.5
+                backtracks += 1
+                not_pd += 1
+                continue
+            f = objective(cand, chol)
+            step = cand - j
+            ss = float(np.sum(step * step))
+            if f <= max(history) - 1e-4 * ss / t:
+                break
+            t *= 0.5
+            backtracks += 1
+        else:
+            raise AssertionError("no feasible step length")
+        cand_inv = inv_pd(cand, chol)
+        sy = float(np.sum(step * (j_inv - cand_inv)))
+        if sy > 0:
+            t = ss / sy
+        j, j_inv = cand, cand_inv
+        history = (history + [f])[-10:]
+        stop = cfg.eps_abs + cfg.eps_rel * max(np.abs(sigma).max(), np.abs(j).max())
+        if np.abs(np.diag(sigma) - np.diag(j_inv)).max() > stop:
+            continue
+        kkt, _, r = _reference_certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask)
+        if kkt <= stop and abs(_reference_gap(j, sigma, r, cfg)) <= gap_tol:
+            return result(j, j_inv, it, True)
+    return result(j, j_inv, cfg.max_iter, False)
+
+
+def _reference_soft_threshold(m, level):
+    return m - np.clip(m, -level, level)
+
+
+def reference_box_solve(sigma_hat, cfg, warm_j=None):
+    """``admm_solve`` on ``reference_prox_gradient``; ``warm_j`` is a start
+    inside the box."""
+    sigma = np.asarray(sigma_hat, dtype=float)
+    sigma = 0.5 * (sigma + sigma.T)
+
+    def prox(m, t):
+        a = np.clip(_reference_soft_threshold(m, cfg.gamma * t),
+                    -cfg.lambda_off, cfg.lambda_off)
+        np.fill_diagonal(a, np.diag(m))
+        return a
+
+    j = np.diag(1.0 / np.diag(sigma)) if warm_j is None else np.asarray(warm_j)
+    return reference_prox_gradient(sigma, cfg, prox, j, gap_tol=10.0 * cfg.eps_abs)
+
+
+def reference_witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
+    """``witness_solve`` on ``reference_prox_gradient``, for symmetric masks
+    and signs."""
+    sigma = np.asarray(sigma_hat, dtype=float)
+    sigma = 0.5 * (sigma + sigma.T)
+    eye = np.eye(sigma.shape[0], dtype=bool)
+    fixed_r = np.where(s_r, cfg.lambda_off * np.sign(signs_on_sr), 0.0)
+    free_off = s_m & ~s_r & ~eye
+
+    def prox(m, t):
+        a = np.where(free_off, _reference_soft_threshold(m, cfg.gamma * t), fixed_r)
+        np.fill_diagonal(a, np.diag(m))
+        return a
+
+    start = fixed_r + np.diag(
+        np.maximum(1.0 / np.diag(sigma), np.abs(fixed_r).sum(axis=1) + 1.0))
+    return reference_prox_gradient(sigma, cfg, prox, start, clip_mask=s_r,
+                                   kkt_mask=free_off | eye)

@@ -2,6 +2,7 @@
 residual extraction, the soft-threshold limit, and the witness program."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ from covdecomp import (
     SymmetricMatrix,
 )
 from covdecomp import solver, symmat
-from oracles import TIGHT, gista, kkt_residual, sample_cov_instance
+from oracles import (TIGHT, gista, kkt_residual, reference_box_solve,
+                     reference_witness_solve, sample_cov_instance)
 
 
 def tight_config(**kw):
@@ -501,6 +503,18 @@ class TestWitnessSolve:
         with pytest.raises(PreconditionViolated, match="sign"):
             cd.witness_solve(sigma, s_m, s_r, np.zeros((4, 4)), good)
 
+    def test_conflicting_signs_rejected_before_solving(self, chain, monkeypatch):
+        sigma = np.asarray(cd.true_covariance(chain))
+        s_m, s_r, _, _ = cd.partition_pairs(chain)
+        signs = np.sign(np.asarray(chain.j_markov))
+        i, k = np.argwhere(np.triu(s_r))[0]
+        signs[k, i] = -signs[i, k]
+        cfg = tight_config(gamma=0.0, lambda_off=chain.lambda_star)
+        monkeypatch.setattr(solver, "_prox_gradient", None)
+        with pytest.raises(PreconditionViolated,
+                           match=r"opposite signs at \(%d, %d\)" % (i, k)):
+            cd.witness_solve(sigma, s_m, s_r, signs, cfg)
+
     @pytest.mark.parametrize("operand", ["s_m", "s_r", "signs_on_sr"])
     def test_operand_of_wrong_shape_rejected(self, operand, chain, monkeypatch):
         sigma = np.asarray(cd.true_covariance(chain))
@@ -519,21 +533,143 @@ class TestWitnessSolve:
         # it builds has a PD completion; drive the shared loop with a
         # prox that pins the diagonal at 1 and the off-diagonal at 5,
         # which no PD matrix matches, so no step length is feasible
-        def prox(m, t):
-            return np.array([[1.0, 5.0], [5.0, 1.0]])
+        def prox(m, t, out):
+            out[...] = [[1.0, 5.0], [5.0, 1.0]]
 
         cfg = tight_config(gamma=0.0, lambda_off=5.0)
         with pytest.raises(InfeasibleConstraints):
             solver._prox_gradient(np.eye(2), cfg, prox, 0.5 * np.eye(2))
 
+def _fixed_boost_grid(q, seed):
+    return cd.grid_model(q, seed, diag_boost_policy=cd.DiagBoostPolicy(fixed=1.0))
+
+
+def _default_cell(seed, n):
+    # one cell of the default {"grid_sizes": [10]} sweep
+    model = cd.grid_model(10, cd.derive_seed(seed, 0, 0))
+    samples = cd.draw_samples(model, n, cd.derive_seed(seed, 0, 0, n, 1))
+    sigma = np.asarray(cd.sample_covariance(samples.data))
+    return sigma, model.lambda_star, cd.gamma_schedule(2.08, 100, n)
+
+
+def _assert_bitwise(res, ref):
+    # tobytes also tells -0.0 from 0.0, which the matrix CSVs print apart
+    assert np.asarray(res.j_hat).tobytes() == ref["j_hat"].tobytes()
+    assert np.asarray(res.sigma_r_hat).tobytes() == ref["sigma_r_hat"].tobytes()
+    assert res.iterations == ref["iterations"]
+    assert res.converged == ref["converged"]
+    for name in ("kkt_residual", "duality_gap"):
+        assert np.float64(getattr(res, name)).tobytes() == np.float64(ref[name]).tobytes()
+
+
+class TestAgainstReferenceLoop:
+    """The workspace loop's iterates are bit for bit those of the loop it
+    replaced, kept as ``oracles.reference_prox_gradient``."""
+
+    def test_warm_started_sweep_chain(self):
+        model = _fixed_boost_grid(10, 11)
+        warm, ref_warm = None, None
+        for n in (250, 500, 1000, 2000):
+            samples = cd.draw_samples(model, n, 100 + n)
+            sigma = np.asarray(cd.sample_covariance(samples.data))
+            cfg = SolverConfig(gamma=cd.gamma_schedule(2.08, 100, n),
+                               lambda_off=model.lambda_star)
+            warm = cd.admm_solve(sigma, cfg, warm_start=warm)
+            ref = reference_box_solve(sigma, cfg, ref_warm)
+            ref_warm = ref["j_hat"]
+            _assert_bitwise(warm, ref)
+
+    def test_unpenalised_box_program(self):
+        model = _fixed_boost_grid(10, 11)
+        sigma = np.asarray(cd.true_covariance(model))
+        cfg = tight_config(gamma=0.0, lambda_off=model.lambda_star)
+        ref = reference_box_solve(sigma, cfg)
+        # some trial points have no Cholesky factor
+        assert ref["not_pd"] > 0
+        _assert_bitwise(cd.admm_solve(sigma, cfg), ref)
+
+    def test_witness_program(self):
+        model = _fixed_boost_grid(10, 11)
+        sigma = np.asarray(cd.true_covariance(model))
+        s_m, s_r, _, _ = cd.partition_pairs(model)
+        signs = np.sign(np.asarray(model.sigma_residual))
+        cfg = tight_config(gamma=0.0, lambda_off=model.lambda_star)
+        _assert_bitwise(cd.witness_solve(sigma, s_m, s_r, signs, cfg),
+                        reference_witness_solve(sigma, s_m, s_r, signs, cfg))
+
+    def test_default_cell_of_hundreds_of_iterations(self):
+        sigma, lam, gamma = _default_cell(0, 2000)
+        cfg = SolverConfig(gamma=gamma, lambda_off=lam)
+        ref = reference_box_solve(sigma, cfg)
+        assert ref["iterations"] >= 300
+        _assert_bitwise(cd.admm_solve(sigma, cfg), ref)
+
+    def test_backtracking_solve(self):
+        sigma, lam, gamma = _default_cell(2, 250)
+        cfg = SolverConfig(gamma=gamma, lambda_off=lam)
+        ref = reference_box_solve(sigma, cfg)
+        # halvings both for a missing factor and for too little decrease
+        assert 0 < ref["not_pd"] < ref["backtracks"]
+        _assert_bitwise(cd.admm_solve(sigma, cfg), ref)
+
+    def test_solve_that_hits_max_iter(self):
+        sigma, lam, gamma = _default_cell(0, 2000)
+        cfg = SolverConfig(gamma=gamma, lambda_off=lam, max_iter=40)
+        ref = reference_box_solve(sigma, cfg)
+        assert not ref["converged"]
+        _assert_bitwise(cd.admm_solve(sigma, cfg), ref)
+
+
+class TestWorkspace:
+    def test_iterations_allocate_no_matrix(self, monkeypatch):
+        # between two prox calls, one iteration or one backtrack, the peak
+        # traced memory must not rise by as much as a boolean p x p array
+        if symmat._lapack is None:
+            pytest.skip("numpy bundles no scipy_LAPACKE_dpotrf/dpotri_work64_")
+        model = _fixed_boost_grid(15, 3)
+        p = 225
+        sigma = np.asarray(cd.true_covariance(model))
+        s_m, s_r, _, _ = cd.partition_pairs(model)
+        signs = np.sign(np.asarray(model.sigma_residual))
+        rises = []
+        loop = solver._prox_gradient
+
+        def watched_loop(sigma, cfg, prox, j, **kwargs):
+            base = []
+
+            def watched(m, t, out):
+                if base:
+                    rises.append(tracemalloc.get_traced_memory()[1] - base[0])
+                prox(m, t, out)
+                tracemalloc.reset_peak()
+                base[:] = [tracemalloc.get_traced_memory()[0]]
+
+            return loop(sigma, cfg, watched, j, **kwargs)
+
+        monkeypatch.setattr(solver, "_prox_gradient", watched_loop)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            for gamma in (0.0, 0.01):
+                cfg = tight_config(gamma=gamma, lambda_off=model.lambda_star)
+                assert cd.admm_solve(sigma, cfg).converged
+            assert cd.witness_solve(sigma, s_m, s_r, signs, cfg).converged
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(rises) > 100
+        assert max(rises) < p * p
+
+
 class TestInversePaths:
     """Both ways of forming J^-1 reach the same certified optimum."""
 
     def _solve_both(self, solve, monkeypatch):
-        if symmat._dpotri is None:
-            pytest.skip("numpy bundles no scipy_LAPACKE_dpotri_work64_")
+        if symmat._lapack is None:
+            pytest.skip("numpy bundles no scipy_LAPACKE_dpotrf/dpotri_work64_")
         lapack = solve()
-        monkeypatch.setattr(symmat, "_dpotri", None)
+        monkeypatch.setattr(symmat, "_lapack", None)
         fallback = solve()
         for res in (lapack, fallback):
             assert res.converged

@@ -103,10 +103,10 @@ def _random_spd(p, seed):
 
 @pytest.fixture(params=["lapack", "fallback"])
 def inverse_path(request, monkeypatch):
-    if request.param == "lapack" and symmat._dpotri is None:
-        pytest.skip("numpy bundles no scipy_LAPACKE_dpotri_work64_")
+    if request.param == "lapack" and symmat._lapack is None:
+        pytest.skip("numpy bundles no scipy_LAPACKE_dpotrf/dpotri_work64_")
     if request.param == "fallback":
-        monkeypatch.setattr(symmat, "_dpotri", None)
+        monkeypatch.setattr(symmat, "_lapack", None)
     return request.param
 
 
@@ -121,7 +121,7 @@ class TestInvPd:
         np.testing.assert_array_equal(inv_pd(a), got)
 
     def test_fallback_is_symmetrized_inv_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(symmat, "_dpotri", None)
+        monkeypatch.setattr(symmat, "_lapack", None)
         a = _random_spd(50, seed=5)
         inv = np.linalg.inv(a)
         np.testing.assert_array_equal(inv_pd(a, np.linalg.cholesky(a)),
@@ -133,8 +133,8 @@ class TestInvPd:
             inv_pd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_singular_factor_rejected(self):
-        if symmat._dpotri is None:
-            pytest.skip("numpy bundles no scipy_LAPACKE_dpotri_work64_")
+        if symmat._lapack is None:
+            pytest.skip("numpy bundles no scipy_LAPACKE_dpotrf/dpotri_work64_")
         with pytest.raises(NotPositiveDefinite):
             inv_pd(np.eye(2), np.diag([1.0, 0.0]))
 
@@ -142,8 +142,25 @@ class TestInvPd:
         libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
         if not list(libs.glob("libscipy_openblas64_*.so")):
             pytest.skip("no libscipy_openblas64_*.so beside numpy, so no "
-                        "scipy_LAPACKE_dpotri_work64_")
-        assert symmat._dpotri is not None
+                        "scipy_LAPACKE_dpotrf/dpotri_work64_")
+        assert symmat._lapack is not None
+
+
+class TestPdWorkspace:
+    @pytest.mark.parametrize("a", [_random_spd(1, 1), _random_spd(100, 100),
+                                   np.diag([1.0, 2.0, 4.0])],
+                             ids=["p1", "p100", "diagonal"])
+    def test_cholesky_and_inv_pd_bit_for_bit(self, a, inverse_path):
+        # bytes, so that a negative zero off the diagonal counts too
+        p = a.shape[0]
+        ws = symmat.PdWorkspace(p)
+        chol = np.linalg.cholesky(a)
+        assert ws.factor(a).tobytes() == np.diag(chol).tobytes()
+        out = np.empty((p, p))
+        assert ws.inverse(out).tobytes() == inv_pd(a, chol).tobytes()
+
+    def test_indefinite_has_no_factor(self, inverse_path):
+        assert symmat.PdWorkspace(2).factor(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
 
 
 class TestInfOperatorNorm:
