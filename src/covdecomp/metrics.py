@@ -78,16 +78,14 @@ def sign_consistency(est, truth, threshold):
     return bool(np.all(est_arr[support] * truth_arr[support] > 0))
 
 
-def _overall_precision_error(j_hat, sigma_r_hat, true_precision):
-    j = np.asarray(j_hat, dtype=float)
-    r = np.asarray(sigma_r_hat, dtype=float)
+def _overall_precision_error(sigma_m_hat, sigma_r_hat, true_precision):
+    # sigma_m_hat is a result's exactly symmetric J^-1, and r is symmetric
+    overall_cov = np.asarray(sigma_m_hat, dtype=float) - np.asarray(sigma_r_hat, dtype=float)
     try:
-        # inv_pd returns an exactly symmetric inverse, and r is symmetric
-        overall_cov = inv_pd(j) - r
         est_precision = inv_pd(overall_cov)
     except NotPositiveDefinite:
         raise NotPositiveDefinite(
-            "overall precision is undefined: j_hat or j_hat^-1 - sigma_r_hat "
+            "overall precision is undefined: sigma_m_hat - sigma_r_hat "
             "is not positive definite"
         ) from None
     return float(np.abs(est_precision - true_precision).max())
@@ -106,7 +104,7 @@ def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
     r_true = np.asarray(truth_model.sigma_residual, dtype=float)
     sigma_true, _, true_precision = truth_model._overall
     try:
-        overall_err = _overall_precision_error(result.j_hat, result.sigma_r_hat,
+        overall_err = _overall_precision_error(result.sigma_m_hat, result.sigma_r_hat,
                                                true_precision)
     except NotPositiveDefinite:
         logger.warning("indefinite overall estimate; recording +inf precision error")

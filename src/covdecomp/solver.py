@@ -11,12 +11,14 @@ The primal program solved here is
 Both programs share one loop (G-ISTA, Guillot et al. 2012): a gradient
 step with a Barzilai-Borwein length, then an entrywise prox, halving the
 length until the candidate has a Cholesky factor and passes a
-nonmonotone sufficient-decrease test. It stops on the certified KKT
-residual, and for the box program also on the duality gap.
+nonmonotone sufficient-decrease test. With gamma = 0 the box program is
+smooth, and it takes projected Newton steps (Bertsekas 1982) instead,
+handing over to the loop when they cannot go on. Both stop on the
+certified KKT residual, and for the box program also on the duality gap.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,24 +110,72 @@ def _soft_threshold(m, level, out):
 
 
 class _Workspace:
-    """The p x p buffers of one solve; no iteration allocates another.
+    """The p x p buffers and the shared steps of one solve; no iteration
+    allocates another p x p array.
 
     ``j`` and ``j_inv`` hold the iterate and its inverse, ``cand`` and
     ``cand_inv`` the trial point's; an accepted trial swaps the pairs.
-    ``grad`` holds the gradient and ``step`` the gradient step and then
-    the accepted step. ``tmp`` takes the products that are summed, and
-    ``zg``, ``r``, ``flags`` the certificate.
+    ``grad`` holds the gradient and ``step`` the step. ``tmp`` takes the
+    products that are summed, and ``zg``, ``r``, ``flags`` the certificate.
+    Every sum that steers the iterates is a pairwise np.sum over an
+    elementwise product: backtracking reacts to summation noise, so a
+    BLAS dot product in its place changes iteration counts.
     """
 
-    def __init__(self, p):
+    def __init__(self, sigma, cfg, clip_mask=None, kkt_mask=None):
+        p = sigma.shape[0]
+        self.sigma, self.cfg = sigma, cfg
+        self.clip_mask, self.kkt_mask = clip_mask, kkt_mask
+        self.sigma_max = np.abs(sigma).max()
+        self.sigma_diag = np.diag(sigma)
         self.pd = PdWorkspace(p)
         (self.j, self.j_inv, self.cand, self.cand_inv, self.grad, self.step,
          self.tmp, self.zg, self.r) = (np.empty((p, p)) for _ in range(9))
         self.flags = np.empty((p, p), dtype=bool)
 
+    def start(self, j):
+        """Take the PD start j as the iterate; returns its objective."""
+        np.copyto(self.j, j)
+        chol_diag = self.pd.factor(self.j)
+        if chol_diag is None:
+            raise NotPositiveDefinite("starting point is not positive definite")
+        f = self.objective(self.j, chol_diag)
+        self.j_inv = self.pd.inverse(self.j_inv)
+        return f
+
+    def objective(self, a, chol_diag):
+        # a is PD, so its diagonal is positive and |a|_1,off = |a|_1 - tr a
+        f = (float(np.sum(np.multiply(self.sigma, a, out=self.tmp)))
+             - 2.0 * float(np.log(chol_diag).sum()))
+        if self.cfg.gamma > 0:
+            f += self.cfg.gamma * float(np.abs(a, out=self.tmp).sum() - np.trace(a))
+        return f
+
     def accept(self):
+        """Make the factored trial point the iterate, with its inverse."""
+        self.cand_inv = self.pd.inverse(self.cand_inv)
         self.j, self.cand = self.cand, self.j
         self.j_inv, self.cand_inv = self.cand_inv, self.j_inv
+
+    def certificate(self):
+        return _certificate(self.j, self.j_inv, self.sigma, self.cfg,
+                            self.clip_mask, self.kkt_mask,
+                            (self.zg, self.r, self.tmp, self.grad, self.flags))
+
+    def certified(self, gap_tol):
+        """The iterate's certificate once its KKT residual is within
+        eps_abs + eps_rel max(|Sigma|, |J|), a tenth of the documented
+        bound, and its gap within gap_tol; else None."""
+        cfg = self.cfg
+        stop = cfg.eps_abs + cfg.eps_rel * max(self.sigma_max, self.j.max(), -self.j.min())
+        # the diagonal is part of every KKT residual and costs O(p)
+        if np.abs(self.sigma_diag - self.j_inv.diagonal()).max() > stop:
+            return None
+        cert = self.certificate()
+        if (cert[0] <= stop
+                and abs(_gap(self.j, self.sigma, cert[2], cfg, self.tmp)) <= gap_tol):
+            return cert
+        return None
 
 
 def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
@@ -133,35 +183,10 @@ def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
     # prox(m, t, out) writes into out the map of a gradient step m of
     # length t onto the feasible set, which must hold the PD start j;
     # every iterate is exactly symmetric, since sigma, the start and the
-    # prox are.
-    # Stops once the KKT residual is within eps_abs + eps_rel max(|Sigma|,
-    # |J|), a tenth of the documented bound, and the gap within gap_tol.
+    # prox are. Stops once _Workspace.certified(gap_tol) holds.
     # Returns (J, J^-1, iterations, converged, _certificate(J)).
-    # Every sum that steers the iterates is a pairwise np.sum over an
-    # elementwise product: backtracking reacts to summation noise, so a
-    # BLAS dot product in its place changes iteration counts.
-    ws = _Workspace(sigma.shape[0])
-    sigma_max = np.abs(sigma).max()
-    sigma_diag = np.diag(sigma)
-
-    def objective(a, chol_diag):
-        # a is PD, so its diagonal is positive and |a|_1,off = |a|_1 - tr a
-        f = (float(np.sum(np.multiply(sigma, a, out=ws.tmp)))
-             - 2.0 * float(np.log(chol_diag).sum()))
-        if cfg.gamma > 0:
-            f += cfg.gamma * float(np.abs(a, out=ws.tmp).sum() - np.trace(a))
-        return f
-
-    def certificate(j, j_inv):
-        return _certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask,
-                            (ws.zg, ws.r, ws.tmp, ws.grad, ws.flags))
-
-    np.copyto(ws.j, j)
-    chol_diag = ws.pd.factor(ws.j)
-    if chol_diag is None:
-        raise NotPositiveDefinite("starting point is not positive definite")
-    history = [objective(ws.j, chol_diag)]
-    ws.j_inv = ws.pd.inverse(ws.j_inv)
+    ws = _Workspace(sigma, cfg, clip_mask, kkt_mask)
+    history = [ws.start(j)]
     t = 1.0
     for it in range(1, cfg.max_iter + 1):
         np.subtract(sigma, ws.j_inv, out=ws.grad)
@@ -173,7 +198,7 @@ def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
             if chol_diag is None:
                 t *= 0.5
                 continue
-            f = objective(ws.cand, chol_diag)
+            f = ws.objective(ws.cand, chol_diag)
             np.subtract(ws.cand, ws.j, out=ws.step)
             ss = float(np.sum(np.multiply(ws.step, ws.step, out=ws.tmp)))
             if f <= max(history) - 1e-4 * ss / t:
@@ -182,25 +207,118 @@ def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
         else:
             raise InfeasibleConstraints(
                 "no step length gives a positive definite iterate (iteration %d)" % it)
-        ws.cand_inv = ws.pd.inverse(ws.cand_inv)
         # Barzilai-Borwein length <s,s>/<s,y> with y the gradient change;
         # <s,y> > 0 by strict convexity of -log det unless the step vanished
-        np.subtract(ws.j_inv, ws.cand_inv, out=ws.tmp)
+        j_inv = ws.j_inv
+        ws.accept()
+        np.subtract(j_inv, ws.j_inv, out=ws.tmp)
         sy = float(np.sum(np.multiply(ws.step, ws.tmp, out=ws.tmp)))
         if sy > 0:
             t = ss / sy
-        ws.accept()
         history = (history + [f])[-_HISTORY:]
-        stop = cfg.eps_abs + cfg.eps_rel * max(sigma_max, ws.j.max(), -ws.j.min())
-        # the diagonal is part of every KKT residual and costs O(p)
-        if np.abs(sigma_diag - ws.j_inv.diagonal()).max() > stop:
-            continue
-        cert = certificate(ws.j, ws.j_inv)
-        if (cert[0] <= stop
-                and abs(_gap(ws.j, sigma, cert[2], cfg, ws.tmp)) <= gap_tol):
+        cert = ws.certified(gap_tol)
+        if cert is not None:
             return ws.j, ws.j_inv, it, True, cert
-    logger.warning("solver hit max_iter=%d without converging", cfg.max_iter)
-    return ws.j, ws.j_inv, cfg.max_iter, False, certificate(ws.j, ws.j_inv)
+    return ws.j, ws.j_inv, cfg.max_iter, False, ws.certificate()
+
+
+def _box_prox(cfg):
+    # admm_solve's prox(m, t, out): soft threshold at gamma t, then the
+    # clamp to the box; the diagonal passes through
+    def prox(m, t, out):
+        shrunk = _soft_threshold(m, cfg.gamma * t, out) if cfg.gamma > 0 else m
+        np.clip(shrunk, -cfg.lambda_off, cfg.lambda_off, out=out)
+        np.fill_diagonal(out, m.diagonal())
+
+    return prox
+
+
+def _projected_newton(sigma, cfg, prox, j, gap_tol):
+    # Projected Newton steps (Bertsekas, SIAM J. Control Optim. 1982) on
+    # the smooth gamma = 0 box program; prox is its box clamp. The
+    # eps-active set A holds the pairs within eps of the box whose
+    # gradient G = Sigma - J^-1 pushes outward, eps = min(lambda / 10,
+    # |J - P(J - G)|). Off A the step is the Newton step of the free face,
+    # D = J - J Sigma J - J M J with M the multiplier on A that makes
+    # D_A = 0: since (W (x) W)^-1 = J (x) J, M solves the |A| x |A| system
+    # K m = (J - J Sigma J)_A, K_(ij),(kl) = J_ik J_jl + J_il J_jk. On A
+    # the step is -G. Trial points P(J + a D) halve a from 1 until they
+    # have a Cholesky factor and pass the Armijo test along the projection
+    # arc against the current objective. With |A| > p, a singular K, or
+    # no step length that passes, the iterate and the rest of max_iter go
+    # to _prox_gradient. Stops as _prox_gradient does and returns what it
+    # does, iterations counting Newton steps and then loop iterations.
+    ws = _Workspace(sigma, cfg, clip_mask=np.zeros(sigma.shape, dtype=bool))
+    p = sigma.shape[0]
+    lam = cfg.lambda_off
+    f0 = ws.start(j)
+    for it in range(1, cfg.max_iter + 1):
+        np.subtract(sigma, ws.j_inv, out=ws.grad)
+        # the projected gradient P(J - G) - J
+        prox(np.subtract(ws.j, ws.grad, out=ws.tmp), 0.0, ws.cand)
+        np.subtract(ws.cand, ws.j, out=ws.tmp)
+        eps = min(0.1 * lam, float(np.sqrt(np.sum(np.multiply(ws.tmp, ws.tmp, out=ws.tmp)))))
+        np.greater_equal(np.abs(ws.j, out=ws.tmp), lam - eps, out=ws.flags)
+        np.less(np.multiply(ws.j, ws.grad, out=ws.tmp), 0.0, out=ws.flags, where=ws.flags)
+        ai, aj = np.divmod(np.flatnonzero(ws.flags), p)
+        upper = ai < aj
+        ai, aj = ai[upper], aj[upper]
+        if ai.size > p:
+            break
+        # D = -J (G + M) J, which is J - J Sigma J - J M J, in two products
+        # and without the cancellation of J - J Sigma J near the optimum
+        np.matmul(ws.grad, ws.j, out=ws.tmp)
+        if ai.size:
+            jm = ws.j
+            k = (jm[np.ix_(ai, ai)] * jm[np.ix_(aj, aj)]
+                 + jm[np.ix_(ai, aj)] * jm[np.ix_(aj, ai)])
+            try:
+                # (J M J)_A = -(J G J)_A
+                m = np.linalg.solve(k, -np.einsum("ij,ji->i", jm[ai], ws.tmp[:, aj]))
+            except np.linalg.LinAlgError:
+                break
+            # G J + M J, M J adding m_(ij) J_j to row i and m_(ij) J_i to row j
+            np.add.at(ws.tmp, ai, m[:, None] * jm[aj])
+            np.add.at(ws.tmp, aj, m[:, None] * jm[ai])
+        np.matmul(ws.j, ws.tmp, out=ws.step)
+        np.add(ws.step, ws.step.T, out=ws.tmp)
+        np.multiply(ws.tmp, -0.5, out=ws.step)
+        g_act = ws.grad[ai, aj]
+        ws.step[ai, aj] = ws.step[aj, ai] = -g_act
+        # <G, D> on the free entries; D = -G on both triangles of A
+        gd_free = (float(np.sum(np.multiply(ws.grad, ws.step, out=ws.tmp)))
+                   + 2.0 * float(np.sum(g_act * g_act)))
+        # the objective sums O(p^2) terms of size about |f| + p; differences
+        # below 1e-12 of that are rounding, so a step may raise f that much
+        slack = 1e-12 * (abs(f0) + p)
+        a = 1.0
+        for _ in range(_BACKTRACKS):
+            np.multiply(ws.step, a, out=ws.tmp)
+            prox(np.add(ws.j, ws.tmp, out=ws.tmp), 0.0, ws.cand)
+            chol_diag = ws.pd.factor(ws.cand)
+            if chol_diag is not None:
+                f = ws.objective(ws.cand, chol_diag)
+                moved = 2.0 * float(np.sum(g_act * (ws.j[ai, aj] - ws.cand[ai, aj])))
+                if f <= f0 + slack - 1e-4 * (moved - a * gd_free):
+                    break
+            a *= 0.5
+        else:
+            break
+        ws.accept()
+        f0 = f
+        # P(J + a D) puts the clipped entries exactly on the box, so the
+        # residual is read there; an interior optimum in the CLIP_TIE band
+        # would carry one of rounding noise and either sign
+        np.equal(np.abs(ws.j, out=ws.tmp), lam, out=ws.clip_mask)
+        cert = ws.certified(gap_tol)
+        if cert is not None:
+            return ws.j, ws.j_inv, it, True, cert
+    else:
+        return ws.j, ws.j_inv, cfg.max_iter, False, ws.certificate()
+    rest = replace(cfg, max_iter=cfg.max_iter - it + 1)
+    j_hat, j_inv, iterations, converged, cert = _prox_gradient(
+        sigma, rest, prox, ws.j, gap_tol=gap_tol)
+    return j_hat, j_inv, it - 1 + iterations, converged, cert
 
 
 def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None,
@@ -319,6 +437,8 @@ def duality_gap(result, sigma_hat, cfg):
 
 def _finalize(solved, sigma, cfg):
     j_hat, j_inv, iterations, converged, (kkt, zg, r, conflicts) = solved
+    if not converged:
+        logger.warning("solver hit max_iter=%d without converging", cfg.max_iter)
     conflicts = np.triu(conflicts, k=1)
     if conflicts.any():
         logger.warning("zeroed %d sign-conflicting residual entries",
@@ -361,6 +481,8 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         ``converged`` is True when the KKT residual is within 10 (eps_abs
         + eps_rel max(|Sigma|, |J|)) and the duality gap within 10 eps_abs;
         else max_iter ran out, and the last iterate is returned with a warning.
+        With gamma = 0 ``iterations`` counts projected Newton steps, plus
+        the loop's iterations after a hand-over, all within max_iter.
 
     Raises
     ------
@@ -380,11 +502,7 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
                 "gamma = 0 with no box is unbounded unless sigma_hat is "
                 "positive definite") from None
 
-    def prox(m, t, out):
-        shrunk = _soft_threshold(m, cfg.gamma * t, out) if cfg.gamma > 0 else m
-        np.clip(shrunk, -cfg.lambda_off, cfg.lambda_off, out=out)
-        np.fill_diagonal(out, m.diagonal())
-
+    prox = _box_prox(cfg)
     j = np.diag(1.0 / np.diag(sigma))
     if warm_start is not None:
         warm = shaped_like(warm_start.j_hat, sigma, "warm start")
@@ -394,7 +512,8 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         if np.array_equal(boxed, warm):
             j = warm
 
-    solved = _prox_gradient(sigma, cfg, prox, j, gap_tol=10.0 * cfg.eps_abs)
+    solve = _projected_newton if cfg.gamma == 0 else _prox_gradient
+    solved = solve(sigma, cfg, prox, j, gap_tol=10.0 * cfg.eps_abs)
     return _finalize(solved, sigma, cfg)
 
 

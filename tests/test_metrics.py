@@ -16,6 +16,7 @@ from covdecomp import (
     SymmetricMatrix,
     metrics,
 )
+from covdecomp.symmat import inv_pd
 from oracles import brute_edit_distance, brute_support
 
 
@@ -170,7 +171,7 @@ def _true_precision(model):
 class TestOverallPrecisionError:
     def test_zero_for_exact_model(self, chain):
         err = metrics._overall_precision_error(
-            chain.j_markov, chain.sigma_residual, _true_precision(chain)
+            inv_pd(chain.j_markov), chain.sigma_residual, _true_precision(chain)
         )
         assert err < 1e-10
 
@@ -180,14 +181,15 @@ class TestOverallPrecisionError:
         est = np.linalg.inv(np.linalg.inv(j) - r)
         true = _true_precision(chain)
         direct = np.abs(est - true).max()
-        err = metrics._overall_precision_error(j, r, true)
+        err = metrics._overall_precision_error(inv_pd(j), r, true)
         assert err == pytest.approx(direct)
 
     def test_indefinite_overall_rejected(self, chain):
         r = np.zeros((4, 4))
         r[0, 1] = r[1, 0] = 50.0
         with pytest.raises(NotPositiveDefinite):
-            metrics._overall_precision_error(chain.j_markov, r, _true_precision(chain))
+            metrics._overall_precision_error(inv_pd(chain.j_markov), r,
+                                             _true_precision(chain))
 
 
 @pytest.fixture(scope="module")

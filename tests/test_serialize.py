@@ -14,6 +14,11 @@ from covdecomp import InfoModel, MalformedCsv, PreconditionViolated, SolverConfi
 from covdecomp.serialize import read_matrix_csv, write_matrix_csv
 
 
+def _csv_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestModelRoundTrip:
     def test_exact_round_trip(self, chain, tmp_path):
         d = cd.save_model(chain, tmp_path / "model")
@@ -35,7 +40,7 @@ class TestModelRoundTrip:
 
     def test_tampered_model_rejected(self, chain, tmp_path):
         d = cd.save_model(chain, tmp_path / "model")
-        rows = list(csv.reader((d / "sigma_residual.csv").open()))
+        rows = _csv_rows(d / "sigma_residual.csv")
         # move residual mass onto a pair that is not clipped in j_markov
         rows[1][2] = rows[2][1] = "0.05"
         rows[0][1] = rows[1][0] = "0.0"
@@ -156,7 +161,7 @@ class TestTraceCsv:
         j[0, 1] = j[1, 0] = 0.2
         trace = cd.lbp_run(InfoModel(j, np.ones(3)), max_iter=50, tol=1e-12)
         path = cd.write_trace_csv(trace, tmp_path / "trace.csv")
-        rows = list(csv.reader(path.open()))
+        rows = _csv_rows(path)
         assert rows[0] == ["iteration", "mean_error", "var_error"]
         assert len(rows) == trace.iterations_run + 1
         assert int(rows[1][0]) == 1
@@ -167,7 +172,7 @@ class TestTraceCsv:
         j = np.eye(2)
         trace = cd.lbp_run(InfoModel(j, np.array([1.0, 2.0])), max_iter=5, tol=1e-12)
         path = cd.write_trace_csv(trace, tmp_path / "trace.csv")
-        rows = list(csv.reader(path.open()))[1:]
+        rows = _csv_rows(path)[1:]
         for row in rows:
             assert math.isfinite(float(row[1]))
             assert math.isfinite(float(row[2]))
@@ -189,7 +194,7 @@ class TestMatrixCsv:
     ])
     def test_bad_cell_named_with_file(self, chain, tmp_path, cell, message):
         d = cd.save_model(chain, tmp_path / "model")
-        rows = list(csv.reader((d / "j_markov.csv").open()))
+        rows = _csv_rows(d / "j_markov.csv")
         rows[1][2] = cell
         with (d / "j_markov.csv").open("w", newline="") as fh:
             csv.writer(fh).writerows(rows)

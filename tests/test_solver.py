@@ -19,7 +19,7 @@ from covdecomp import (
     SolverConfig,
     SymmetricMatrix,
 )
-from covdecomp import solver, symmat
+from covdecomp import cli, solver, symmat
 from oracles import (TIGHT, gista, kkt_residual, reference_box_solve,
                      reference_witness_solve, sample_cov_instance)
 
@@ -345,11 +345,11 @@ class TestSoftThresholdCovariance:
         assert np.all(np.abs(np.asarray(r)[off]) <= np.maximum(np.abs(sigma[off]) - gamma, 0.0) + 1e-15)
 
 
-def _random_spd(p, seed):
-    # a random eigenbasis with eigenvalues log-uniform over four decades
+def _random_spd(p, seed, decades=4.0):
+    # a random eigenbasis with eigenvalues log-uniform over some decades
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    a = (q * 10.0 ** rng.uniform(-2.0, 2.0, p)) @ q.T
+    a = (q * 10.0 ** rng.uniform(-0.5 * decades, 0.5 * decades, p)) @ q.T
     return 0.5 * (a + a.T)
 
 
@@ -562,6 +562,15 @@ def _assert_bitwise(res, ref):
         assert np.float64(getattr(res, name)).tobytes() == np.float64(ref[name]).tobytes()
 
 
+def _box_loop(sigma, cfg):
+    # the box program on the prox-gradient loop, which admm_solve runs for
+    # gamma > 0 and hands a gamma = 0 solve to only as its fallback
+    start = np.diag(1.0 / np.diag(sigma))
+    solved = solver._prox_gradient(sigma, cfg, solver._box_prox(cfg), start,
+                                   gap_tol=10.0 * cfg.eps_abs)
+    return solver._finalize(solved, sigma, cfg)
+
+
 class TestAgainstReferenceLoop:
     """The workspace loop's iterates are bit for bit those of the loop it
     replaced, kept as ``oracles.reference_prox_gradient``."""
@@ -586,7 +595,7 @@ class TestAgainstReferenceLoop:
         ref = reference_box_solve(sigma, cfg)
         # some trial points have no Cholesky factor
         assert ref["not_pd"] > 0
-        _assert_bitwise(cd.admm_solve(sigma, cfg), ref)
+        _assert_bitwise(_box_loop(sigma, cfg), ref)
 
     def test_witness_program(self):
         model = _fixed_boost_grid(10, 11)
@@ -653,7 +662,7 @@ class TestWorkspace:
         try:
             for gamma in (0.0, 0.01):
                 cfg = tight_config(gamma=gamma, lambda_off=model.lambda_star)
-                assert cd.admm_solve(sigma, cfg).converged
+                assert _box_loop(sigma, cfg).converged
             assert cd.witness_solve(sigma, s_m, s_r, signs, cfg).converged
         finally:
             if started:
@@ -688,6 +697,73 @@ class TestInversePaths:
         cfg = tight_config(gamma=0.0, lambda_off=small_grid.lambda_star)
         self._solve_both(lambda: cd.witness_solve(sigma, s_m, s_r, signs, cfg),
                          monkeypatch)
+
+
+def _no_loop(*args, **kwargs):
+    raise AssertionError("the projected Newton solve handed over to the loop")
+
+
+class TestProjectedNewton:
+    """gamma = 0 box solves take projected Newton steps and hand over to
+    the prox-gradient loop only when the active set outgrows p."""
+
+    @pytest.mark.parametrize("q, boost", [(6, 1.0), (10, None)],
+                             ids=["fixed_boost_q6", "adaptive_q10"])
+    def test_exact_covariance_in_few_steps(self, q, boost, monkeypatch):
+        policy = cd.DiagBoostPolicy() if boost is None else cd.DiagBoostPolicy(fixed=boost)
+        model = cd.grid_model(q, 0, diag_boost_policy=policy)
+        sigma = np.asarray(cd.true_covariance(model))
+        # the loop's answer at tolerances that keep its own error far
+        # below the comparison's; it takes over 1000 iterations at q = 10
+        ref = _box_loop(sigma, SolverConfig(gamma=0.0, lambda_off=model.lambda_star,
+                                            eps_abs=1e-12, eps_rel=1e-11, max_iter=20000))
+        assert ref.converged
+        monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
+        res = cd.admm_solve(sigma, tight_config(gamma=0.0, lambda_off=model.lambda_star))
+        assert res.converged
+        assert res.iterations <= 30
+        assert np.abs(np.asarray(res.j_hat) - np.asarray(ref.j_hat)).max() < 1e-9
+
+    def test_unpenalised_draws_certify(self, monkeypatch):
+        # the program the loop crawls on: its answer is Sigma^-1
+        monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
+        for seed in range(20):
+            sigma = _random_spd(8, seed, decades=3.0)
+            assert np.linalg.cond(sigma) <= 1e3
+            res = cd.admm_solve(sigma, SolverConfig(gamma=0.0, lambda_off=math.inf))
+            assert res.converged
+            inverse = np.linalg.inv(sigma)
+            assert (np.abs(np.asarray(res.j_hat) - inverse).max()
+                    <= 1e-6 * np.abs(inverse).max())
+
+    def test_wide_active_set_hands_over_to_the_loop(self, monkeypatch):
+        # near_zero clips every pair, so after one step |A| = 120 > p = 16
+        model = cd.grid_model(4, 0)
+        sigma = np.asarray(cd.true_covariance(model))
+        cfg = SolverConfig(gamma=0.0,
+                           lambda_off=cli.resolve_lambda("near_zero", model, 16, 1000))
+        loop, budgets = solver._prox_gradient, []
+
+        def counted(sigma, cfg, *args, **kwargs):
+            budgets.append(cfg.max_iter)
+            return loop(sigma, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_prox_gradient", counted)
+        res = cd.admm_solve(sigma, cfg)
+        assert budgets == [cfg.max_iter - 1]
+        assert res.converged
+
+    def test_interior_optimum_in_clip_band_carries_no_residual(self):
+        # the optimum's (0, 2) entry lies 1.6e-5 inside a box of 1.16, in
+        # the CLIP_TIE band; a residual read there is rounding noise
+        sigma = _random_spd(5, 6543)
+        cfg = tight_config(gamma=0.0, lambda_off=1.162109375)
+        res = cd.admm_solve(sigma, cfg)
+        j, r = np.asarray(res.j_hat), np.asarray(res.sigma_r_hat)
+        assert res.converged
+        assert (1.0 - solver.CLIP_TIE) * cfg.lambda_off <= abs(j[0, 2]) < cfg.lambda_off
+        assert r[0, 2] == 0.0
+        assert np.all(r * j >= 0.0)
 
 
 @pytest.mark.parametrize(
