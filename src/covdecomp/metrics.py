@@ -53,8 +53,7 @@ def edit_distance(a, b, threshold):
     """Number of unordered pairs in exactly one of the two supports."""
     a_arr = np.asarray(a, dtype=float)
     b_arr = shaped_like(b, a_arr, "edit_distance operand")
-    differ = support_of(a_arr, threshold) ^ support_of(b_arr, threshold)
-    return int(np.count_nonzero(differ))
+    return _edit(support_of(a_arr, threshold), support_of(b_arr, threshold))
 
 
 def normalized_edit_distance(est, truth, threshold):
@@ -72,10 +71,27 @@ def sign_consistency(est, truth, threshold):
     """True iff supports match exactly and signs agree on that support."""
     est_arr = np.asarray(est, dtype=float)
     truth_arr = shaped_like(truth, est_arr, "sign_consistency truth")
-    support = support_of(truth_arr, threshold)
-    if not np.array_equal(support_of(est_arr, threshold), support):
+    return _sign_consistent(est_arr, truth_arr, support_of(est_arr, threshold),
+                            support_of(truth_arr, threshold))
+
+
+# the three comparisons on supports formed once, as compare_to_truth needs
+
+def _edit(sup_a, sup_b):
+    return int(np.count_nonzero(sup_a ^ sup_b))
+
+
+def _normalized_edit(sup_est, sup_truth):
+    denom = int(np.count_nonzero(sup_truth))
+    if denom == 0:
+        raise EmptyTruthSupport("truth matrix has no off-diagonal support")
+    return _edit(sup_est, sup_truth) / denom
+
+
+def _sign_consistent(est, truth, sup_est, sup_truth):
+    if not np.array_equal(sup_est, sup_truth):
         return False
-    return bool(np.all(est_arr[support] * truth_arr[support] > 0))
+    return bool(np.all(est[sup_truth] * truth[sup_truth] > 0))
 
 
 def _overall_precision_error(sigma_m_hat, sigma_r_hat, true_precision):
@@ -114,15 +130,17 @@ def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
         np.asarray(result.sigma_m_hat, dtype=float) - r_hat - sigma_true
     )
     spectral = float(np.abs(np.linalg.eigvalsh(overall_cov_err)).max())
+    sup_j, sup_j_true, sup_r, sup_r_true = (
+        support_of(m, threshold) for m in (j_hat, j_true, r_hat, r_true))
     return MetricsRecord(
-        edit_distance_markov=edit_distance(j_hat, j_true, threshold),
-        edit_distance_residual=edit_distance(r_hat, r_true, threshold),
-        normalized_edit_markov=normalized_edit_distance(j_hat, j_true, threshold),
-        normalized_edit_residual=normalized_edit_distance(r_hat, r_true, threshold),
+        edit_distance_markov=_edit(sup_j, sup_j_true),
+        edit_distance_residual=_edit(sup_r, sup_r_true),
+        normalized_edit_markov=_normalized_edit(sup_j, sup_j_true),
+        normalized_edit_residual=_normalized_edit(sup_r, sup_r_true),
         linf_error_j=float(np.abs(j_hat - j_true).max()),
         linf_error_r=float(np.abs(r_hat - r_true).max()),
         linf_error_precision_overall=overall_err,
         spectral_error_sigma=spectral,
-        sign_consistent_r=sign_consistency(r_hat, r_true, threshold),
-        sign_consistent_j=sign_consistency(j_hat, j_true, threshold),
+        sign_consistent_r=_sign_consistent(r_hat, r_true, sup_r, sup_r_true),
+        sign_consistent_j=_sign_consistent(j_hat, j_true, sup_j, sup_j_true),
     )

@@ -11,10 +11,12 @@ The primal program solved here is
 Both programs share one loop (G-ISTA, Guillot et al. 2012): a gradient
 step with a Barzilai-Borwein length, then an entrywise prox, halving the
 length until the candidate has a Cholesky factor and passes a
-nonmonotone sufficient-decrease test. With gamma = 0 the box program is
-smooth, and it takes projected Newton steps (Bertsekas 1982) instead,
-handing over to the loop when they cannot go on. Both stop on the
-certified KKT residual, and for the box program also on the duality gap.
+nonmonotone sufficient-decrease test. The box program runs it on every
+entry of J; the witness program, whose pinned entries never move, on its
+free entries alone. With gamma = 0 the box program is smooth, and it
+takes projected Newton steps (Bertsekas 1982) instead, handing over to
+the loop when they cannot go on. Both stop on the certified KKT residual,
+and for the box program also on the duality gap.
 """
 
 import logging
@@ -122,9 +124,9 @@ class _Workspace:
     BLAS dot product in its place changes iteration counts.
     """
 
-    def __init__(self, sigma, cfg, clip_mask=None, kkt_mask=None):
+    def __init__(self, sigma, cfg, clip_mask=None, kkt_mask=None, gap_tol=np.inf):
         p = sigma.shape[0]
-        self.sigma, self.cfg = sigma, cfg
+        self.sigma, self.cfg, self.gap_tol = sigma, cfg, gap_tol
         self.clip_mask, self.kkt_mask = clip_mask, kkt_mask
         self.sigma_max = np.abs(sigma).max()
         self.sigma_diag = np.diag(sigma)
@@ -151,18 +153,40 @@ class _Workspace:
             f += self.cfg.gamma * float(np.abs(a, out=self.tmp).sum() - np.trace(a))
         return f
 
+    def gradient(self):
+        np.subtract(self.sigma, self.j_inv, out=self.grad)
+
+    def trial(self, prox, t):
+        """Factor the trial point prox(J - t G, t) into cand; returns the
+        diagonal of its Cholesky factor, or None if it is not PD."""
+        np.multiply(self.grad, t, out=self.step)
+        np.subtract(self.j, self.step, out=self.step)
+        prox(self.step, t, self.cand)
+        return self.pd.factor(self.cand)
+
+    def step_norm(self):
+        """<s, s> for the step s from the iterate to the trial point."""
+        np.subtract(self.cand, self.j, out=self.step)
+        return float(np.sum(np.multiply(self.step, self.step, out=self.tmp)))
+
     def accept(self):
         """Make the factored trial point the iterate, with its inverse."""
         self.cand_inv = self.pd.inverse(self.cand_inv)
         self.j, self.cand = self.cand, self.j
         self.j_inv, self.cand_inv = self.cand_inv, self.j_inv
 
+    def advance(self):
+        """accept after step_norm; returns <s, y>, y the gradient change."""
+        self.accept()
+        np.subtract(self.cand_inv, self.j_inv, out=self.tmp)
+        return float(np.sum(np.multiply(self.step, self.tmp, out=self.tmp)))
+
     def certificate(self):
         return _certificate(self.j, self.j_inv, self.sigma, self.cfg,
                             self.clip_mask, self.kkt_mask,
                             (self.zg, self.r, self.tmp, self.grad, self.flags))
 
-    def certified(self, gap_tol):
+    def certified(self):
         """The iterate's certificate once its KKT residual is within
         eps_abs + eps_rel max(|Sigma|, |J|), a tenth of the documented
         bound, and its gap within gap_tol; else None."""
@@ -173,34 +197,152 @@ class _Workspace:
             return None
         cert = self.certificate()
         if (cert[0] <= stop
-                and abs(_gap(self.j, self.sigma, cert[2], cfg, self.tmp)) <= gap_tol):
+                and abs(_gap(self.j, self.sigma, cert[2], cfg, self.tmp)) <= self.gap_tol):
             return cert
         return None
 
+    def solved(self, iterations, converged, cert):
+        """The solve's (J, J^-1, iterations, converged, certificate)."""
+        return self.j, self.j_inv, iterations, converged, cert
 
-def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
-                   gap_tol=np.inf):
-    # prox(m, t, out) writes into out the map of a gradient step m of
-    # length t onto the feasible set, which must hold the PD start j;
-    # every iterate is exactly symmetric, since sigma, the start and the
-    # prox are. Stops once _Workspace.certified(gap_tol) holds.
-    # Returns (J, J^-1, iterations, converged, _certificate(J)).
-    ws = _Workspace(sigma, cfg, clip_mask, kkt_mask)
+
+class _FreeWorkspace:
+    """The witness program's loop state over its free entries F alone: the
+    diagonal, then the free pairs of the upper triangle, as vectors named
+    as in _Workspace. Its methods are _Workspace's, for _prox_gradient.
+
+    The pinned entries never move: ``full`` takes them once from the start
+    and, for each trial, the trial vector on both triangles, which keeps
+    it exactly symmetric for the factorisation. An accepted trial gathers
+    its inverse on F from the lower triangle that ``lower_inverse`` writes
+    into ``full_inv``; the whole J and J^-1 are formed only for
+    _certificate. Sums over F weigh each pair twice, once per triangle,
+    and add the pinned entries' share, constant from the start. The
+    witness program certifies no duality gap. No iteration allocates a
+    p x p array.
+    """
+
+    def __init__(self, sigma, cfg, free, clip_mask):
+        # free is the symmetric mask of F, clip_mask that of the residual
+        p = sigma.shape[0]
+        self.sigma, self.cfg, self.p = sigma, cfg, p
+        self.clip_mask, self.kkt_mask = clip_mask, free
+        rows, cols = np.nonzero(np.triu(free, 1))
+        rows = np.concatenate([np.arange(p), rows])
+        cols = np.concatenate([np.arange(p), cols])
+        # flat indices of F in the upper and in the lower triangle
+        self.upper, self.lower = rows * p + cols, cols * p + rows
+        self.weight = np.where(rows == cols, 1.0, 2.0)
+        self.sigma_f = np.take(sigma, self.upper)
+        self.weighted_sigma = self.weight * self.sigma_f
+        self.sigma_max = np.abs(sigma).max()
+        self.pd = PdWorkspace(p)
+        self.full, self.full_inv = np.empty((p, p)), np.empty((p, p))
+        (self.j, self.j_inv, self.cand, self.cand_inv, self.grad, self.step,
+         self.tmp, self.zg) = (np.empty(rows.size) for _ in range(8))
+
+    def start(self, j):
+        np.copyto(self.full, j)
+        np.take(j, self.upper, out=self.j)
+        pinned = ~self.kkt_mask
+        self.pinned_sigma = float(np.sum(self.sigma * j, where=pinned))
+        self.pinned_l1 = float(np.abs(j).sum(where=pinned))
+        self.pinned_max = float(np.abs(j).max(initial=0.0, where=pinned))
+        chol_diag = self.pd.factor(self.full)
+        if chol_diag is None:
+            raise NotPositiveDefinite("starting point is not positive definite")
+        f = self.objective(self.j, chol_diag)
+        self._gather_inverse(self.j_inv)
+        return f
+
+    def objective(self, x, chol_diag):
+        f = (float(np.sum(np.multiply(self.weighted_sigma, x, out=self.tmp)))
+             + self.pinned_sigma - 2.0 * float(np.log(chol_diag).sum()))
+        if self.cfg.gamma > 0:
+            off = np.abs(x[self.p:], out=self.tmp[self.p:])
+            f += self.cfg.gamma * (2.0 * float(off.sum()) + self.pinned_l1)
+        return f
+
+    def gradient(self):
+        np.subtract(self.sigma_f, self.j_inv, out=self.grad)
+
+    def trial(self, prox, t):
+        np.multiply(self.grad, t, out=self.step)
+        np.subtract(self.j, self.step, out=self.step)
+        prox(self.step, t, self.cand)
+        np.put(self.full, self.upper, self.cand)
+        np.put(self.full, self.lower, self.cand)
+        return self.pd.factor(self.full)
+
+    def step_norm(self):
+        np.subtract(self.cand, self.j, out=self.step)
+        np.multiply(self.step, self.step, out=self.tmp)
+        return float(np.sum(np.multiply(self.tmp, self.weight, out=self.tmp)))
+
+    def advance(self):
+        self.j, self.cand = self.cand, self.j
+        self.j_inv, self.cand_inv = self.cand_inv, self.j_inv
+        self._gather_inverse(self.j_inv)
+        np.subtract(self.cand_inv, self.j_inv, out=self.tmp)
+        np.multiply(self.step, self.tmp, out=self.tmp)
+        return float(np.sum(np.multiply(self.tmp, self.weight, out=self.tmp)))
+
+    def _gather_inverse(self, out):
+        # J^-1 on F of the point last factored
+        self.full_inv = self.pd.lower_inverse(self.full_inv)
+        np.take(self.full_inv, self.lower, out=out)
+
+    def certificate(self):
+        np.put(self.full, self.upper, self.j)
+        np.put(self.full, self.lower, self.j)
+        self.pd.mirror(self.full_inv)
+        return _certificate(self.full, self.full_inv, self.sigma, self.cfg,
+                            self.clip_mask, self.kkt_mask)
+
+    def certified(self):
+        # _Workspace's stop rule; off the clip mask the residual is zero, so
+        # the KKT residual on F is |Sigma - J^-1 + gamma z_gamma|, with
+        # z_gamma formed as _certificate forms it
+        cfg, p = self.cfg, self.p
+        stop = cfg.eps_abs + cfg.eps_rel * max(self.sigma_max, self.j.max(), -self.j.min(),
+                                               self.pinned_max)
+        r = np.subtract(self.sigma_f, self.j_inv, out=self.tmp)
+        if np.abs(r[:p]).max() > stop:
+            return None
+        if cfg.gamma > 0:
+            zg = np.subtract(self.j_inv, self.sigma_f, out=self.zg)
+            np.clip(zg, -cfg.gamma, cfg.gamma, out=zg)
+            np.divide(zg, cfg.gamma, out=zg)
+            np.copyto(zg, np.sign(self.j), where=np.abs(self.j) > 1e-8)
+            zg[:p] = 0.0
+            r += np.multiply(zg, cfg.gamma, out=zg)
+        if np.abs(r, out=r).max() > stop:
+            return None
+        cert = self.certificate()
+        return cert if cert[0] <= stop else None
+
+    def solved(self, iterations, converged, cert):
+        # cert is certificate()'s, which formed J and J^-1
+        return self.full, self.full_inv, iterations, converged, cert
+
+
+def _prox_gradient(ws, prox, j):
+    # ws is a _Workspace or a _FreeWorkspace; prox(m, t, out) writes into
+    # out the map of a gradient step m of length t onto the feasible set,
+    # which must hold the PD start j. Every iterate is exactly symmetric,
+    # since sigma, the start and the prox are. Stops once ws.certified()
+    # holds. Returns ws.solved(iterations, converged, certificate).
     history = [ws.start(j)]
     t = 1.0
-    for it in range(1, cfg.max_iter + 1):
-        np.subtract(sigma, ws.j_inv, out=ws.grad)
+    for it in range(1, ws.cfg.max_iter + 1):
+        ws.gradient()
         for _ in range(_BACKTRACKS):
-            np.multiply(ws.grad, t, out=ws.step)
-            np.subtract(ws.j, ws.step, out=ws.step)
-            prox(ws.step, t, ws.cand)
-            chol_diag = ws.pd.factor(ws.cand)
+            chol_diag = ws.trial(prox, t)
             if chol_diag is None:
                 t *= 0.5
                 continue
             f = ws.objective(ws.cand, chol_diag)
-            np.subtract(ws.cand, ws.j, out=ws.step)
-            ss = float(np.sum(np.multiply(ws.step, ws.step, out=ws.tmp)))
+            ss = ws.step_norm()
             if f <= max(history) - 1e-4 * ss / t:
                 break
             t *= 0.5
@@ -209,17 +351,14 @@ def _prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
                 "no step length gives a positive definite iterate (iteration %d)" % it)
         # Barzilai-Borwein length <s,s>/<s,y> with y the gradient change;
         # <s,y> > 0 by strict convexity of -log det unless the step vanished
-        j_inv = ws.j_inv
-        ws.accept()
-        np.subtract(j_inv, ws.j_inv, out=ws.tmp)
-        sy = float(np.sum(np.multiply(ws.step, ws.tmp, out=ws.tmp)))
+        sy = ws.advance()
         if sy > 0:
             t = ss / sy
         history = (history + [f])[-_HISTORY:]
-        cert = ws.certified(gap_tol)
+        cert = ws.certified()
         if cert is not None:
-            return ws.j, ws.j_inv, it, True, cert
-    return ws.j, ws.j_inv, cfg.max_iter, False, ws.certificate()
+            return ws.solved(it, True, cert)
+    return ws.solved(ws.cfg.max_iter, False, ws.certificate())
 
 
 def _box_prox(cfg):
@@ -248,7 +387,8 @@ def _projected_newton(sigma, cfg, prox, j, gap_tol):
     # no step length that passes, the iterate and the rest of max_iter go
     # to _prox_gradient. Stops as _prox_gradient does and returns what it
     # does, iterations counting Newton steps and then loop iterations.
-    ws = _Workspace(sigma, cfg, clip_mask=np.zeros(sigma.shape, dtype=bool))
+    ws = _Workspace(sigma, cfg, clip_mask=np.zeros(sigma.shape, dtype=bool),
+                    gap_tol=gap_tol)
     p = sigma.shape[0]
     lam = cfg.lambda_off
     f0 = ws.start(j)
@@ -310,14 +450,14 @@ def _projected_newton(sigma, cfg, prox, j, gap_tol):
         # residual is read there; an interior optimum in the CLIP_TIE band
         # would carry one of rounding noise and either sign
         np.equal(np.abs(ws.j, out=ws.tmp), lam, out=ws.clip_mask)
-        cert = ws.certified(gap_tol)
+        cert = ws.certified()
         if cert is not None:
-            return ws.j, ws.j_inv, it, True, cert
+            return ws.solved(it, True, cert)
     else:
-        return ws.j, ws.j_inv, cfg.max_iter, False, ws.certificate()
+        return ws.solved(cfg.max_iter, False, ws.certificate())
     rest = replace(cfg, max_iter=cfg.max_iter - it + 1)
     j_hat, j_inv, iterations, converged, cert = _prox_gradient(
-        sigma, rest, prox, ws.j, gap_tol=gap_tol)
+        _Workspace(sigma, rest, gap_tol=gap_tol), prox, ws.j)
     return j_hat, j_inv, it - 1 + iterations, converged, cert
 
 
@@ -512,8 +652,11 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         if np.array_equal(boxed, warm):
             j = warm
 
-    solve = _projected_newton if cfg.gamma == 0 else _prox_gradient
-    solved = solve(sigma, cfg, prox, j, gap_tol=10.0 * cfg.eps_abs)
+    gap_tol = 10.0 * cfg.eps_abs
+    if cfg.gamma == 0:
+        solved = _projected_newton(sigma, cfg, prox, j, gap_tol)
+    else:
+        solved = _prox_gradient(_Workspace(sigma, cfg, gap_tol=gap_tol), prox, j)
     return _finalize(solved, sigma, cfg)
 
 
@@ -546,6 +689,25 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
         (i,j) and (j,i).
     """
     sigma = _checked_sigma(sigma_hat)
+    mask_r, free, start = _witness_pattern(sigma, s_m, s_r, signs_on_sr, cfg)
+    p = sigma.shape[0]
+
+    def prox(m, t, out):
+        # on _FreeWorkspace's vectors, the p diagonal entries first
+        if cfg.gamma > 0:
+            _soft_threshold(m[p:], cfg.gamma * t, out[p:])
+            out[:p] = m[:p]
+        else:
+            np.copyto(out, m)
+
+    solved = _prox_gradient(_FreeWorkspace(sigma, cfg, free, mask_r), prox, start)
+    return _finalize(solved, sigma, cfg)
+
+
+def _witness_pattern(sigma, s_m, s_r, signs_on_sr, cfg):
+    # witness_solve's checks on its operands; returns the symmetric masks of
+    # s_r and of the free entries (the diagonal and s_m minus s_r), and the
+    # start: the fixed pattern with a diagonally dominant diagonal
     if not np.isfinite(cfg.lambda_off):
         raise PreconditionViolated("witness program needs a finite lambda_off")
     mask_m = _sym_mask(s_m, sigma, "s_m")
@@ -563,21 +725,6 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
         raise PreconditionViolated(
             "signs_on_sr gives opposite signs at (%d, %d) and (%d, %d)" % (i, k, k, i))
     fixed_r = np.where(mask_r, cfg.lambda_off * signs, 0.0)
-    eye = np.eye(sigma.shape[0], dtype=bool)
-    free_off = mask_m & ~mask_r & ~eye
-    pinned = ~free_off
-
-    def prox(m, t, out):
-        if cfg.gamma > 0:
-            _soft_threshold(m, cfg.gamma * t, out)
-        else:
-            np.copyto(out, m)
-        # fixed_r is zero off s_r, which also zeroes the pairs outside s_m
-        np.copyto(out, fixed_r, where=pinned)
-        np.fill_diagonal(out, m.diagonal())
-
     start = fixed_r + np.diag(
         np.maximum(1.0 / np.diag(sigma), np.abs(fixed_r).sum(axis=1) + 1.0))
-    solved = _prox_gradient(sigma, cfg, prox, start, clip_mask=mask_r,
-                            kkt_mask=free_off | eye)
-    return _finalize(solved, sigma, cfg)
+    return mask_r, mask_m & ~mask_r, start

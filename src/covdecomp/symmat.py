@@ -180,6 +180,11 @@ class PdWorkspace:
     def inverse(self, out):
         """Inverse of the last matrix factored, written into ``out`` when
         LAPACK is bound (and returned); a new array otherwise."""
+        return self.mirror(self.lower_inverse(out))
+
+    def lower_inverse(self, out):
+        """``inverse`` before ``mirror``: exact in the lower triangle only
+        when LAPACK is bound, and the whole inverse otherwise."""
         if self._lapack is None:
             return inv_pd(self._a, self._chol)
         # the transposed factor holds L in C order, as inv_pd's does, so
@@ -189,8 +194,14 @@ class PdWorkspace:
         if self._lapack[1](_COL_MAJOR, b"U", self._p, out.ctypes.data,
                            max(self._p, 1)) != 0:
             raise NotPositiveDefinite("Cholesky factor is singular")
-        # mirror the lower triangle; adding 0.0 clears negative zeros, as
-        # inv_pd's addition does
+        return out
+
+    def mirror(self, out):
+        """Copy the lower triangle of a ``lower_inverse`` result onto its
+        upper one, in place, and return it; this overwrites the factor."""
+        if self._lapack is None:
+            return out
+        # adding 0.0 clears negative zeros, as inv_pd's addition does
         np.copyto(self._fac, out.T)
         np.copyto(out, self._fac, where=self._upper)
         out += 0.0

@@ -66,6 +66,29 @@ def kkt_residual(sigma, j_hat, sigma_r, gamma):
     return worst
 
 
+def witness_kkt_residual(sigma, j_hat, free, gamma):
+    """Stationarity violation of the witness program's J on its free entries.
+
+    ``free`` is the symmetric mask of the diagonal and the free pairs. On
+    the diagonal Sigma_ii = (J^-1)_ii; on a free pair g = (J^-1 - Sigma)_ij
+    must equal gamma sign(J_ij) where |J_ij| > 1e-8 and lie in
+    [-gamma, gamma] elsewhere. The pinned entries carry multipliers and
+    are not read.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    j = np.asarray(j_hat, dtype=float)
+    g = np.linalg.inv(j) - sigma
+    worst = 0.0
+    for i, k in zip(*np.nonzero(free)):
+        if i == k:
+            worst = max(worst, abs(g[i, k]))
+        elif abs(j[i, k]) > 1e-8:
+            worst = max(worst, abs(g[i, k] - gamma * np.sign(j[i, k])))
+        else:
+            worst = max(worst, abs(g[i, k]) - gamma)
+    return worst
+
+
 def naive_inf_operator_norm(a):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     best = 0.0
@@ -394,8 +417,8 @@ def reference_grid_model(q, seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2)
 
 
 def _reference_certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None):
-    # (kkt, z_gamma, residual) as the solver formed them before its loop
-    # took a workspace, symmetrisations included
+    # (kkt, z_gamma, residual, sign conflicts) as the solver formed them
+    # before its loop took a workspace, symmetrisations included
     zg = np.where(np.abs(j_hat) > 1e-8, np.sign(j_hat), 0.0)
     if cfg.gamma > 0:
         interior = np.clip(j_inv - sigma, -cfg.gamma, cfg.gamma) / cfg.gamma
@@ -410,11 +433,12 @@ def _reference_certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=No
     r = np.where(clip_mask, j_inv - sigma - cfg.gamma * zg, 0.0)
     np.fill_diagonal(r, 0.0)
     r = 0.5 * (r + r.T)
-    r[(r != 0.0) & (r * np.sign(j_hat) < -1e-8)] = 0.0
+    conflicts = (r != 0.0) & (r * np.sign(j_hat) < -1e-8)
+    r[conflicts] = 0.0
     stationarity = sigma - j_inv + r + cfg.gamma * zg
     if kkt_mask is not None:
         stationarity = stationarity[kkt_mask]
-    return float(np.abs(stationarity).max()), zg, r
+    return float(np.abs(stationarity).max()), zg, r, conflicts
 
 
 def _reference_gap(j_hat, sigma, sigma_r, cfg):
@@ -431,9 +455,10 @@ def reference_prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
     Every matrix is a fresh array: ``prox(m, t)`` returns the feasible
     point, the factor is ``np.linalg.cholesky``'s and the inverse
     ``inv_pd``'s. Returns a dict of the final ``j_hat``, ``sigma_r_hat``,
-    ``iterations``, ``converged``, ``kkt_residual`` and ``duality_gap``,
-    plus ``backtracks``, the number of step halvings, and ``not_pd``, the
-    number of those taken for a candidate with no Cholesky factor.
+    ``iterations``, ``converged``, ``kkt_residual``, ``duality_gap`` and
+    ``sign_conflicts`` (the pairs i < j), plus ``backtracks``, the number
+    of step halvings, and ``not_pd``, the number of those taken for a
+    candidate with no Cholesky factor.
     """
     from covdecomp.symmat import inv_pd
 
@@ -442,10 +467,12 @@ def reference_prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
                 + cfg.gamma * float(np.abs(a).sum() - np.trace(a)))
 
     def result(j, j_inv, iterations, converged):
-        kkt, _, r = _reference_certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask)
+        kkt, _, r, conflicts = _reference_certificate(j, j_inv, sigma, cfg,
+                                                      clip_mask, kkt_mask)
         return {"j_hat": j, "sigma_r_hat": r, "iterations": iterations,
                 "converged": converged, "kkt_residual": kkt,
                 "duality_gap": _reference_gap(j, sigma, r, cfg),
+                "sign_conflicts": np.triu(conflicts, 1),
                 "backtracks": backtracks, "not_pd": not_pd}
 
     chol = np.linalg.cholesky(j)
@@ -482,7 +509,7 @@ def reference_prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
         stop = cfg.eps_abs + cfg.eps_rel * max(np.abs(sigma).max(), np.abs(j).max())
         if np.abs(np.diag(sigma) - np.diag(j_inv)).max() > stop:
             continue
-        kkt, _, r = _reference_certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask)
+        kkt, _, r, _ = _reference_certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask)
         if kkt <= stop and abs(_reference_gap(j, sigma, r, cfg)) <= gap_tol:
             return result(j, j_inv, it, True)
     return result(j, j_inv, cfg.max_iter, False)

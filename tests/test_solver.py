@@ -21,7 +21,7 @@ from covdecomp import (
 )
 from covdecomp import cli, solver, symmat
 from oracles import (TIGHT, gista, kkt_residual, reference_box_solve,
-                     reference_witness_solve, sample_cov_instance)
+                     reference_witness_solve, sample_cov_instance, witness_kkt_residual)
 
 
 def tight_config(**kw):
@@ -383,6 +383,46 @@ class TestHonestVerdict:
         assert np.all(np.abs(j[r != 0.0]) >= (1.0 - solver.CLIP_TIE) * lambda_off)
         assert np.all(r * j >= 0.0)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 1.0),
+        gamma=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        lambda_off=st.floats(1e-3, 2.0),
+        max_iter=st.sampled_from([1, 2, 10, 100, 1000]),
+    )
+    def test_witness_certifies_or_raises(self, p, seed, density, gamma, lambda_off,
+                                         max_iter):
+        # the same three outcomes for the witness program on random masks
+        rng = np.random.default_rng(seed)
+        sigma = _random_spd(p, seed)
+        upper = np.triu(rng.random((p, p)) < density, 1)
+        in_r = upper & (rng.random((p, p)) < 0.5)
+        signs = np.triu(rng.choice([-1.0, 1.0], (p, p)), 1)
+        signs += signs.T
+        s_m = upper | upper.T | np.eye(p, dtype=bool)
+        s_r = in_r | in_r.T
+        cfg = tight_config(gamma=gamma, lambda_off=lambda_off, max_iter=max_iter)
+        try:
+            res = cd.witness_solve(sigma, s_m, s_r, signs, cfg)
+        except cd.CovdecompError:
+            return
+        if not res.converged:
+            assert res.iterations == max_iter
+            return
+        j = np.asarray(res.j_hat)
+        r = np.asarray(res.sigma_r_hat)
+        scale = max(np.abs(sigma).max(), np.abs(j).max())
+        assert (witness_kkt_residual(sigma, j, s_m & ~s_r, gamma)
+                <= 10.0 * (cfg.eps_abs + cfg.eps_rel * scale))
+        # the pinned entries stay where the program puts them, and the
+        # residual lives on s_r with the signs of J
+        assert np.array_equal(j[s_r], lambda_off * signs[s_r])
+        assert not j[~s_m].any()
+        assert not r[~s_r].any()
+        assert np.all(r * j >= 0.0)
+
 
 class TestSubnormalGamma:
     def test_certificate_does_not_overflow(self):
@@ -538,7 +578,7 @@ class TestWitnessSolve:
 
         cfg = tight_config(gamma=0.0, lambda_off=5.0)
         with pytest.raises(InfeasibleConstraints):
-            solver._prox_gradient(np.eye(2), cfg, prox, 0.5 * np.eye(2))
+            solver._prox_gradient(solver._Workspace(np.eye(2), cfg), prox, 0.5 * np.eye(2))
 
 def _fixed_boost_grid(q, seed):
     return cd.grid_model(q, seed, diag_boost_policy=cd.DiagBoostPolicy(fixed=1.0))
@@ -566,8 +606,34 @@ def _box_loop(sigma, cfg):
     # the box program on the prox-gradient loop, which admm_solve runs for
     # gamma > 0 and hands a gamma = 0 solve to only as its fallback
     start = np.diag(1.0 / np.diag(sigma))
-    solved = solver._prox_gradient(sigma, cfg, solver._box_prox(cfg), start,
-                                   gap_tol=10.0 * cfg.eps_abs)
+    ws = solver._Workspace(sigma, cfg, gap_tol=10.0 * cfg.eps_abs)
+    solved = solver._prox_gradient(ws, solver._box_prox(cfg), start)
+    return solver._finalize(solved, sigma, cfg)
+
+
+def _witness_prox(cfg, start, free):
+    # the witness program's prox on the dense loop: a soft threshold at
+    # gamma t off the diagonal, with the pinned entries held at start's
+    pinned = ~free
+
+    def prox(m, t, out):
+        if cfg.gamma > 0:
+            solver._soft_threshold(m, cfg.gamma * t, out)
+        else:
+            np.copyto(out, m)
+        np.copyto(out, start, where=pinned)
+        np.fill_diagonal(out, m.diagonal())
+
+    return prox
+
+
+def _witness_loop(sigma, s_m, s_r, signs, cfg):
+    # the witness program on the dense loop, which witness_solve ran before
+    # it kept its iterate on the free entries alone
+    sigma = solver._checked_sigma(sigma)
+    mask_r, free, start = solver._witness_pattern(sigma, s_m, s_r, signs, cfg)
+    ws = solver._Workspace(sigma, cfg, clip_mask=mask_r, kkt_mask=free)
+    solved = solver._prox_gradient(ws, _witness_prox(cfg, start, free), start)
     return solver._finalize(solved, sigma, cfg)
 
 
@@ -603,7 +669,7 @@ class TestAgainstReferenceLoop:
         s_m, s_r, _, _ = cd.partition_pairs(model)
         signs = np.sign(np.asarray(model.sigma_residual))
         cfg = tight_config(gamma=0.0, lambda_off=model.lambda_star)
-        _assert_bitwise(cd.witness_solve(sigma, s_m, s_r, signs, cfg),
+        _assert_bitwise(_witness_loop(sigma, s_m, s_r, signs, cfg),
                         reference_witness_solve(sigma, s_m, s_r, signs, cfg))
 
     def test_default_cell_of_hundreds_of_iterations(self):
@@ -629,46 +695,145 @@ class TestAgainstReferenceLoop:
         _assert_bitwise(cd.admm_solve(sigma, cfg), ref)
 
 
+def _allocation_rises(monkeypatch, solves):
+    # the rise of the peak traced memory between two prox calls, one
+    # iteration or one backtrack, over every loop that solves() runs
+    if symmat._lapack is None:
+        pytest.skip("numpy bundles no scipy_LAPACKE_dpotrf/dpotri_work64_")
+    rises = []
+    loop = solver._prox_gradient
+
+    def watched_loop(ws, prox, j):
+        base = []
+
+        def watched(m, t, out):
+            if base:
+                rises.append(tracemalloc.get_traced_memory()[1] - base[0])
+            prox(m, t, out)
+            tracemalloc.reset_peak()
+            base[:] = [tracemalloc.get_traced_memory()[0]]
+
+        return loop(ws, watched, j)
+
+    monkeypatch.setattr(solver, "_prox_gradient", watched_loop)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        solves()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return rises
+
+
+def _planted_witness(model):
+    # s_m, s_r and the residual's signs of a planted model
+    s_m, s_r, _, _ = cd.partition_pairs(model)
+    return s_m, s_r, np.sign(np.asarray(model.sigma_residual))
+
+
 class TestWorkspace:
     def test_iterations_allocate_no_matrix(self, monkeypatch):
-        # between two prox calls, one iteration or one backtrack, the peak
-        # traced memory must not rise by as much as a boolean p x p array
-        if symmat._lapack is None:
-            pytest.skip("numpy bundles no scipy_LAPACKE_dpotrf/dpotri_work64_")
+        # the peak must not rise by as much as a boolean p x p array
         model = _fixed_boost_grid(15, 3)
         p = 225
         sigma = np.asarray(cd.true_covariance(model))
-        s_m, s_r, _, _ = cd.partition_pairs(model)
-        signs = np.sign(np.asarray(model.sigma_residual))
-        rises = []
-        loop = solver._prox_gradient
 
-        def watched_loop(sigma, cfg, prox, j, **kwargs):
-            base = []
-
-            def watched(m, t, out):
-                if base:
-                    rises.append(tracemalloc.get_traced_memory()[1] - base[0])
-                prox(m, t, out)
-                tracemalloc.reset_peak()
-                base[:] = [tracemalloc.get_traced_memory()[0]]
-
-            return loop(sigma, cfg, watched, j, **kwargs)
-
-        monkeypatch.setattr(solver, "_prox_gradient", watched_loop)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
+        def solves():
             for gamma in (0.0, 0.01):
                 cfg = tight_config(gamma=gamma, lambda_off=model.lambda_star)
                 assert _box_loop(sigma, cfg).converged
-            assert cd.witness_solve(sigma, s_m, s_r, signs, cfg).converged
-        finally:
-            if started:
-                tracemalloc.stop()
+            assert _witness_loop(sigma, *_planted_witness(model), cfg).converged
+
+        rises = _allocation_rises(monkeypatch, solves)
         assert len(rises) > 100
         assert max(rises) < p * p
+
+
+def _witness_case(name):
+    # (sigma, model, cfg): exact covariances at gamma = 0, or a sample
+    # covariance of the q = 10 grid at the sweep's gamma
+    if name == "chain":
+        model = cd.chain_model((0.05, 0.04, 0.03), -0.01)
+    else:
+        model = _fixed_boost_grid(10, 3 if name == "q10_seed3" else 11)
+    sigma = np.asarray(cd.true_covariance(model))
+    gamma = 0.0
+    if name.startswith("n"):
+        n = int(name[1:])
+        samples = cd.draw_samples(model, n, 100 + n)
+        sigma = np.asarray(cd.sample_covariance(samples.data))
+        gamma = cd.gamma_schedule(2.08, sigma.shape[0], n)
+    return sigma, model, tight_config(gamma=gamma, lambda_off=model.lambda_star)
+
+
+def _assert_matches_reference(res, ref):
+    # the dense loop's steps with sums over F in another order: the same
+    # iterations, and J within the last bits
+    assert res.iterations == ref["iterations"]
+    assert res.converged == ref["converged"]
+    assert np.abs(np.asarray(res.j_hat) - ref["j_hat"]).max() <= 1e-12
+    assert np.abs(np.asarray(res.sigma_r_hat) - ref["sigma_r_hat"]).max() <= 1e-12
+    assert np.array_equal(res.sign_conflicts, ref["sign_conflicts"])
+
+
+class TestFreeEntryWitness:
+    """witness_solve runs the loop on the free entries alone; against the
+    dense loop, kept as ``oracles.reference_witness_solve``."""
+
+    @pytest.mark.parametrize("name", ["q10_seed11", "q10_seed3", "chain", "n250", "n2000"])
+    def test_matches_reference_loop(self, name):
+        sigma, model, cfg = _witness_case(name)
+        operands = _planted_witness(model)
+        ref = reference_witness_solve(sigma, *operands, cfg)
+        assert ref["converged"]
+        _assert_matches_reference(cd.witness_solve(sigma, *operands, cfg), ref)
+
+    def test_iterations_allocate_no_matrix(self, monkeypatch):
+        model = _fixed_boost_grid(15, 3)
+        p = 225
+        sigma = np.asarray(cd.true_covariance(model))
+
+        def solves():
+            for gamma in (0.0, 0.01):
+                cfg = tight_config(gamma=gamma, lambda_off=model.lambda_star)
+                assert cd.witness_solve(sigma, *_planted_witness(model), cfg).converged
+
+        rises = _allocation_rises(monkeypatch, solves)
+        assert len(rises) > 40
+        assert max(rises) < p * p
+
+    def test_free_set_of_the_diagonal_only(self):
+        p = 6
+        sigma = _random_spd(p, 5)
+        eye = np.eye(p, dtype=bool)
+        s_r = np.zeros((p, p), dtype=bool)
+        s_r[0, 3] = s_r[3, 0] = s_r[1, 2] = s_r[2, 1] = True
+        signs = np.where(s_r, -1.0, 0.0)
+        cfg = tight_config(gamma=0.1, lambda_off=0.05)
+        for pinned in (np.zeros_like(s_r), s_r):
+            operands = (eye | pinned, pinned, signs)
+            ref = reference_witness_solve(sigma, *operands, cfg)
+            res = cd.witness_solve(sigma, *operands, cfg)
+            assert res.converged
+            _assert_matches_reference(res, ref)
+            if not pinned.any():
+                # then the answer is diag(1 / Sigma_ii)
+                inverse_diag = np.diag(1.0 / np.diag(sigma))
+                assert np.abs(np.asarray(res.j_hat) - inverse_diag).max() < 1e-8
+
+    def test_empty_residual_support(self):
+        model = _fixed_boost_grid(6, 0)
+        sigma = np.asarray(cd.true_covariance(model))
+        s_m, _, _ = _planted_witness(model)
+        none = np.zeros_like(s_m)
+        cfg = tight_config(gamma=0.0, lambda_off=model.lambda_star)
+        res = cd.witness_solve(sigma, s_m, none, np.zeros(sigma.shape), cfg)
+        assert res.converged
+        assert not np.asarray(res.sigma_r_hat).any()
+        _assert_matches_reference(
+            res, reference_witness_solve(sigma, s_m, none, np.zeros(sigma.shape), cfg))
 
 
 class TestInversePaths:
@@ -744,9 +909,9 @@ class TestProjectedNewton:
                            lambda_off=cli.resolve_lambda("near_zero", model, 16, 1000))
         loop, budgets = solver._prox_gradient, []
 
-        def counted(sigma, cfg, *args, **kwargs):
-            budgets.append(cfg.max_iter)
-            return loop(sigma, cfg, *args, **kwargs)
+        def counted(ws, *args):
+            budgets.append(ws.cfg.max_iter)
+            return loop(ws, *args)
 
         monkeypatch.setattr(solver, "_prox_gradient", counted)
         res = cd.admm_solve(sigma, cfg)
