@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InfeasibleConstraints,
                      NotPositiveDefinite, PreconditionViolated)
-from .symmat import PdWorkspace, SymmetricMatrix, logdet_pd, shaped_like
+from .symmat import (BandWorkspace, PdWorkspace, SymmetricMatrix, inv_pd, logdet_pd,
+                     shaped_like, to_band)
 
 logger = logging.getLogger(__name__)
 
@@ -211,15 +212,16 @@ class _FreeWorkspace:
     diagonal, then the free pairs of the upper triangle, as vectors named
     as in _Workspace. Its methods are _Workspace's, for _prox_gradient.
 
-    The pinned entries never move: ``full`` takes them once from the start
-    and, for each trial, the trial vector on both triangles, which keeps
-    it exactly symmetric for the factorisation. An accepted trial gathers
-    its inverse on F from the lower triangle that ``lower_inverse`` writes
-    into ``full_inv``; the whole J and J^-1 are formed only for
-    _certificate. Sums over F weigh each pair twice, once per triangle,
-    and add the pinned entries' share, constant from the start. The
-    witness program certifies no duality gap. No iteration allocates a
-    p x p array.
+    Every iterate has the support of s_m, so it lies in the band of s_m's
+    half-bandwidth kd, and is factored there. The pinned entries never
+    move: ``band`` takes them once from the start and, for each trial, the
+    trial vector, and BandWorkspace factors it. An accepted trial gathers
+    its inverse on F from the lower triangle of the selected inverse that
+    BandWorkspace writes into ``full_inv``, since F lies inside the band.
+    The whole J and J^-1 are formed only for _certificate. Sums over F
+    weigh each pair twice, once per triangle, and add the pinned entries'
+    share, constant from the start. The witness program certifies no
+    duality gap. No iteration allocates a p x p array.
     """
 
     def __init__(self, sigma, cfg, free, clip_mask):
@@ -227,28 +229,33 @@ class _FreeWorkspace:
         p = sigma.shape[0]
         self.sigma, self.cfg, self.p = sigma, cfg, p
         self.clip_mask, self.kkt_mask = clip_mask, free
+        rows, cols = np.nonzero(free | clip_mask)
+        self.kd = int(np.max(cols - rows, initial=0))
         rows, cols = np.nonzero(np.triu(free, 1))
         rows = np.concatenate([np.arange(p), rows])
         cols = np.concatenate([np.arange(p), cols])
-        # flat indices of F in the upper and in the lower triangle
+        # flat indices of F in the upper and in the lower triangle, and in
+        # band storage, which holds (cols, rows) at [rows, cols - rows]
         self.upper, self.lower = rows * p + cols, cols * p + rows
+        self.banded = rows * (self.kd + 1) + cols - rows
         self.weight = np.where(rows == cols, 1.0, 2.0)
         self.sigma_f = np.take(sigma, self.upper)
         self.weighted_sigma = self.weight * self.sigma_f
         self.sigma_max = np.abs(sigma).max()
-        self.pd = PdWorkspace(p)
+        self.pd = BandWorkspace(p, self.kd)
         self.full, self.full_inv = np.empty((p, p)), np.empty((p, p))
         (self.j, self.j_inv, self.cand, self.cand_inv, self.grad, self.step,
          self.tmp, self.zg) = (np.empty(rows.size) for _ in range(8))
 
     def start(self, j):
         np.copyto(self.full, j)
+        self.band = to_band(j, self.kd)
         np.take(j, self.upper, out=self.j)
         pinned = ~self.kkt_mask
         self.pinned_sigma = float(np.sum(self.sigma * j, where=pinned))
         self.pinned_l1 = float(np.abs(j).sum(where=pinned))
         self.pinned_max = float(np.abs(j).max(initial=0.0, where=pinned))
-        chol_diag = self.pd.factor(self.full)
+        chol_diag = self.pd.factor(self.band)
         if chol_diag is None:
             raise NotPositiveDefinite("starting point is not positive definite")
         f = self.objective(self.j, chol_diag)
@@ -270,9 +277,8 @@ class _FreeWorkspace:
         np.multiply(self.grad, t, out=self.step)
         np.subtract(self.j, self.step, out=self.step)
         prox(self.step, t, self.cand)
-        np.put(self.full, self.upper, self.cand)
-        np.put(self.full, self.lower, self.cand)
-        return self.pd.factor(self.full)
+        np.put(self.band, self.banded, self.cand)
+        return self.pd.factor(self.band)
 
     def step_norm(self):
         np.subtract(self.cand, self.j, out=self.step)
@@ -289,13 +295,13 @@ class _FreeWorkspace:
 
     def _gather_inverse(self, out):
         # J^-1 on F of the point last factored
-        self.full_inv = self.pd.lower_inverse(self.full_inv)
+        self.full_inv = self.pd.selected_inverse(self.full_inv)
         np.take(self.full_inv, self.lower, out=out)
 
     def certificate(self):
         np.put(self.full, self.upper, self.j)
         np.put(self.full, self.lower, self.j)
-        self.pd.mirror(self.full_inv)
+        self.full_inv = inv_pd(self.full)
         return _certificate(self.full, self.full_inv, self.sigma, self.cfg,
                             self.clip_mask, self.kkt_mask)
 
@@ -383,10 +389,11 @@ def _projected_newton(sigma, cfg, prox, j, gap_tol):
     # K m = (J - J Sigma J)_A, K_(ij),(kl) = J_ik J_jl + J_il J_jk. On A
     # the step is -G. Trial points P(J + a D) halve a from 1 until they
     # have a Cholesky factor and pass the Armijo test along the projection
-    # arc against the current objective. With |A| > p, a singular K, or
-    # no step length that passes, the iterate and the rest of max_iter go
-    # to _prox_gradient. Stops as _prox_gradient does and returns what it
-    # does, iterations counting Newton steps and then loop iterations.
+    # arc against the current objective. With |A| > 4p (K then holds up to
+    # 16 p^2 entries), a singular K, or no step length that passes, the
+    # iterate and the rest of max_iter go to _prox_gradient. Stops as
+    # _prox_gradient does and returns what it does, iterations counting
+    # Newton steps and then loop iterations.
     ws = _Workspace(sigma, cfg, clip_mask=np.zeros(sigma.shape, dtype=bool),
                     gap_tol=gap_tol)
     p = sigma.shape[0]
@@ -403,7 +410,7 @@ def _projected_newton(sigma, cfg, prox, j, gap_tol):
         ai, aj = np.divmod(np.flatnonzero(ws.flags), p)
         upper = ai < aj
         ai, aj = ai[upper], aj[upper]
-        if ai.size > p:
+        if ai.size > 4 * p:
             break
         # D = -J (G + M) J, which is J - J Sigma J - J M J, in two products
         # and without the cancellation of J - J Sigma J near the optimum

@@ -790,6 +790,19 @@ class TestFreeEntryWitness:
         assert ref["converged"]
         _assert_matches_reference(cd.witness_solve(sigma, *operands, cfg), ref)
 
+    def test_permuted_grid(self):
+        # in a random order the band of s_m spans most of the matrix, which
+        # is then factored and inverted as one block
+        sigma, model, cfg = _witness_case("q10_seed11")
+        order = np.random.default_rng(7).permutation(sigma.shape[0])
+        sub = np.ix_(order, order)
+        operands = [np.asarray(x)[sub] for x in _planted_witness(model)]
+        ws = solver._FreeWorkspace(sigma[sub], cfg, operands[0] & ~operands[1], operands[1])
+        assert ws.kd > sigma.shape[0] // 2
+        ref = reference_witness_solve(sigma[sub], *operands, cfg)
+        assert ref["converged"]
+        _assert_matches_reference(cd.witness_solve(sigma[sub], *operands, cfg), ref)
+
     def test_iterations_allocate_no_matrix(self, monkeypatch):
         model = _fixed_boost_grid(15, 3)
         p = 225
@@ -870,7 +883,7 @@ def _no_loop(*args, **kwargs):
 
 class TestProjectedNewton:
     """gamma = 0 box solves take projected Newton steps and hand over to
-    the prox-gradient loop only when the active set outgrows p."""
+    the prox-gradient loop only when the active set outgrows 4p."""
 
     @pytest.mark.parametrize("q, boost", [(6, 1.0), (10, None)],
                              ids=["fixed_boost_q6", "adaptive_q10"])
@@ -901,8 +914,17 @@ class TestProjectedNewton:
             assert (np.abs(np.asarray(res.j_hat) - inverse).max()
                     <= 1e-6 * np.abs(inverse).max())
 
+    def test_small_boxed_program_keeps_its_newton_steps(self, monkeypatch):
+        # a box of 0.01 puts more than p = 8 of the 28 pairs on A, but K
+        # stays small: within 4p the solve keeps its Newton steps
+        monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
+        for seed in range(10):
+            res = cd.admm_solve(_random_spd(8, seed), tight_config(gamma=0.0, lambda_off=0.01))
+            assert res.converged
+            assert res.iterations <= 15
+
     def test_wide_active_set_hands_over_to_the_loop(self, monkeypatch):
-        # near_zero clips every pair, so after one step |A| = 120 > p = 16
+        # near_zero clips every pair, so after one step |A| = 120 > 4p = 64
         model = cd.grid_model(4, 0)
         sigma = np.asarray(cd.true_covariance(model))
         cfg = SolverConfig(gamma=0.0,

@@ -163,6 +163,76 @@ class TestPdWorkspace:
         assert symmat.PdWorkspace(2).factor(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
 
 
+def _banded_spd(mask, seed):
+    # a diagonally dominant matrix with the support of the symmetric mask
+    off = np.triu(np.where(mask, np.random.default_rng(seed).uniform(-1, 1, mask.shape), 0.0), 1)
+    a = off + off.T
+    np.fill_diagonal(a, np.abs(a).sum(axis=1) + 0.5)
+    return a
+
+
+def _chain_mask(p):
+    return np.abs(np.subtract.outer(np.arange(p), np.arange(p))) <= 1
+
+
+def _grid_mask(q, order=None):
+    # the q x q grid's neighbours, relabelled so that node order[k] is k
+    i, j = np.divmod(np.arange(q * q), q)
+    mask = np.abs(np.subtract.outer(i, i)) + np.abs(np.subtract.outer(j, j)) <= 1
+    return mask if order is None else mask[np.ix_(order, order)]
+
+
+def _spanning_order(q, seed):
+    # a random order of the grid's nodes with the neighbours 0 and 1 first
+    # and last, so that the band spans the whole matrix
+    rest = np.random.default_rng(seed).permutation(np.arange(2, q * q))
+    return np.concatenate([[0], rest, [1]])
+
+
+def _half_bandwidth(mask):
+    rows, cols = np.nonzero(mask)
+    return int(np.max(cols - rows, initial=0))
+
+
+def _block_tridiagonal_lower(p, kd):
+    # the entries selected_inverse writes: i >= j in the same block or in
+    # neighbouring ones, blocks of max(kd, _MIN_BLOCK) rows, the last
+    # taking the remainder
+    b = max(kd, symmat._MIN_BLOCK)
+    block = np.minimum(np.arange(p) // b, max(1, p // b) - 1)
+    return (np.abs(np.subtract.outer(block, block)) <= 1) & np.tri(p, dtype=bool)
+
+
+class TestBandWorkspace:
+    @pytest.mark.parametrize("mask, kd", [(_chain_mask(100), 1), (_grid_mask(10), 10),
+                                          (_grid_mask(6, _spanning_order(6, 0)), 35)],
+                             ids=["chain", "grid", "permuted_grid"])
+    @pytest.mark.parametrize("min_block", [1, symmat._MIN_BLOCK])
+    def test_selected_inverse_matches_inv(self, mask, kd, min_block, inverse_path,
+                                          monkeypatch):
+        # blocks of kd rows and of the default size; the permuted grid's
+        # band spans the matrix, which is then one block
+        monkeypatch.setattr(symmat, "_MIN_BLOCK", min_block)
+        p = mask.shape[0]
+        assert _half_bandwidth(mask) == kd
+        a = _banded_spd(mask, seed=p)
+        ws = symmat.BandWorkspace(p, kd)
+        chol_diag = ws.factor(symmat.to_band(a, kd))
+        np.testing.assert_allclose(chol_diag, np.diag(np.linalg.cholesky(a)), rtol=1e-13)
+        got = ws.selected_inverse(np.full((p, p), np.nan))
+        expected = np.linalg.inv(a)
+        on = _block_tridiagonal_lower(p, kd)
+        assert np.abs(got - expected)[on].max() <= 1e-13 * np.abs(expected).max()
+
+    def test_indefinite_band_has_no_factor(self, inverse_path):
+        # tridiagonal with unit diagonal and -0.9 beside it: its least
+        # eigenvalue is 1 - 1.8 cos(pi / 51) < 0
+        a = np.where(_chain_mask(50), -0.9, 0.0)
+        np.fill_diagonal(a, 1.0)
+        assert np.linalg.eigvalsh(a).min() < 0
+        assert symmat.BandWorkspace(50, 1).factor(symmat.to_band(a, 1)) is None
+
+
 class TestInfOperatorNorm:
     def test_matches_naive_max_row_sum(self, rng):
         a = rng.standard_normal((6, 4))
