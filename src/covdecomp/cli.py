@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CovdecompError, DimensionMismatch
+from .errors import CovdecompError, DimensionMismatch, PreconditionViolated
 from .inference import InfoModel, lbp_run, walk_summability
 from .metrics import DEFAULT_SUPPORT_THRESHOLD, MetricsRecord, compare_to_truth, support_of
 from .model import DiagBoostPolicy, chain_model, grid_model, true_covariance
@@ -92,20 +93,22 @@ class ExperimentSpec:
     exact_tolerance: float = 1e-6
 
     def validate(self):
+        for f in fields(self):
+            _check_type(f, getattr(self, f.name))
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise PreconditionViolated("trials must be >= 1")
         if any(n < 1 for n in self.sample_sizes):
-            raise ValueError("sample sizes must be >= 1")
+            raise PreconditionViolated("sample sizes must be >= 1")
         if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+            raise PreconditionViolated("threads must be >= 1")
         if self.generator not in ("grid", "chain"):
-            raise ValueError("generator must be 'grid' or 'chain'")
+            raise PreconditionViolated("generator must be 'grid' or 'chain'")
         parse_lambda_policy(self.lambda_policy)
         if not self.c_gamma:
-            raise ValueError("c_gamma list must be nonempty")
+            raise PreconditionViolated("c_gamma list must be nonempty")
         unknown = set(self.solver) - set(_SOLVER_KEYS)
         if unknown:
-            raise ValueError("unknown solver overrides: %s" % sorted(unknown))
+            raise PreconditionViolated("unknown solver overrides: %s" % sorted(unknown))
         return self
 
     def boost_policy(self):
@@ -114,23 +117,46 @@ class ExperimentSpec:
         return DiagBoostPolicy(fixed=float(self.diag_boost))
 
 
+def _check_type(f, value):
+    # value fits field f of ExperimentSpec: of its default's type (a float
+    # field takes an int, no number field a bool), a list or tuple of such
+    # values for a tuple field, or None for a field whose default is None
+    if value is None and f.default is None:
+        return
+    if f.type is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise PreconditionViolated("%s must be a list, got %r" % (f.name, value))
+        kind, items, what = type(f.default[0]), value, "a list of %s"
+    else:
+        kind, items, what = f.type, [value], "%s"
+    abstract = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    for v in items:
+        if not isinstance(v, abstract) or isinstance(v, bool) and kind is not bool:
+            raise PreconditionViolated(
+                "%s must be %s, got %r" % (f.name, what % kind.__name__, value))
+
+
 def spec_from_config(path=None, **overrides):
-    """Merge defaults, the JSON config (if any), and keyword overrides."""
+    """Merge defaults, the JSON config (if any), and keyword overrides.
+
+    Raises ``PreconditionViolated`` for a config that is not a JSON object,
+    an unknown key or a value of the wrong type or range.
+    """
     payload = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise PreconditionViolated("%s is not JSON: %s" % (path, exc)) from None
         if not isinstance(payload, dict):
-            raise ValueError("config root must be a JSON object")
+            raise PreconditionViolated("config root must be a JSON object")
     payload.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in fields(ExperimentSpec)}
     unknown = set(payload) - known
     if unknown:
-        raise ValueError("unknown config keys: %s" % sorted(unknown))
-    for key in ("grid_sizes", "chain_rho", "magnitude_range", "sample_sizes",
-                "c_gamma", "exact_rho1"):
-        if key in payload:
-            payload[key] = tuple(payload[key])
+        raise PreconditionViolated("unknown config keys: %s" % sorted(unknown))
+    payload = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
     return ExperimentSpec(**payload).validate()
 
 
@@ -138,21 +164,23 @@ def parse_lambda_policy(text):
     """Parse 'fixed:V', 'lambda_star', 'inf', 'near_zero', 'inflated:C'."""
     name, _, arg = str(text).partition(":")
     if name not in LAMBDA_POLICIES:
-        raise ValueError(
+        raise PreconditionViolated(
             "unknown lambda policy %r (expected one of %s)" % (text, LAMBDA_POLICIES)
         )
     if name in ("fixed", "inflated"):
-        if not arg:
-            raise ValueError("policy %r needs a value, e.g. '%s:0.2'" % (name, name))
-        return name, float(arg)
+        try:
+            return name, float(arg)
+        except ValueError:
+            raise PreconditionViolated(
+                "policy %r needs a number, e.g. '%s:0.2'" % (name, name)) from None
     if arg:
-        raise ValueError("policy %r takes no value" % name)
+        raise PreconditionViolated("policy %r takes no value" % name)
     return name, None
 
 
 def _require_model_free(name):
     if name in ("lambda_star", "inflated"):
-        raise ValueError(
+        raise PreconditionViolated(
             "policy %r needs a generated model; to fit data, set the box "
             "with --lambda fixed:V" % name
         )
@@ -318,14 +346,12 @@ def run_exact_decomposition(spec):
                 cases.append(("grid", {"q": q, "trial": trial}, m))
     for name, params, model in cases:
         sigma_star = true_covariance(model)
-        p = sigma_star.dim
+        p = sigma_star.shape[0]
         lam = resolve_lambda(spec.lambda_policy, model, p, max(spec.sample_sizes))
         cfg = SolverConfig(gamma=0.0, lambda_off=lam, **solver)
         result = admm_solve(sigma_star, cfg)
-        err_j = float(np.abs(np.asarray(result.j_hat)
-                             - np.asarray(model.j_markov)).max())
-        err_r = float(np.abs(np.asarray(result.sigma_r_hat)
-                             - np.asarray(model.sigma_residual)).max())
+        err_j = float(np.abs(result.j_hat - model.j_markov).max())
+        err_r = float(np.abs(result.sigma_r_hat - model.sigma_residual).max())
         instances.append({
             "generator": name, "params": params, "p": p, "lambda": lam,
             "error_j": err_j, "error_r": err_r,
@@ -355,14 +381,13 @@ def ingest_csv(path, centered=True):
 
 def export_graphs(result, names, threshold):
     """Edge lists of the estimated Markov and residual graphs."""
-    p = result.j_hat.dim
+    p = result.j_hat.shape[0]
     if len(names) != p:
         raise DimensionMismatch(
             "got %d names for a %d-variable result" % (len(names), p)
         )
 
-    def edges(matrix):
-        a = np.asarray(matrix)
+    def edges(a):
         out = []
         for i, j in zip(*np.nonzero(support_of(a, threshold))):
             out.append({"source": names[i], "target": names[j],
@@ -388,7 +413,7 @@ def _cmd_generate(spec):
         meta.update(rho=list(spec.chain_rho), residual_value=spec.residual_value)
     path = save_model(model, out / "model", extra_meta=meta)
     logger.info("model written to %s (p=%d, lambda_star=%g)",
-                path, model.j_markov.dim, model.lambda_star)
+                path, model.dim, model.lambda_star)
     return 0
 
 
@@ -443,12 +468,10 @@ def _cmd_lbp(spec):
     report = []
     for k in range(spec.lbp_models):
         model = _build_model(spec, q, derive_seed(spec.seed, k))
-        j_markov = np.asarray(model.j_markov)
-        j_overall = model._overall[2]
-        p = j_markov.shape[0]
+        p = model.dim
         h = np.random.default_rng(derive_seed(spec.seed, k, 1)).standard_normal(p)
         entry = {"model": k, "p": p}
-        for tag, j in (("markov", j_markov), ("overall", j_overall)):
+        for tag, j in (("markov", model.j_markov), ("overall", model._overall[2])):
             info = InfoModel(j=j, h=h)
             trace = lbp_run(info, spec.lbp_max_iter, spec.lbp_tol)
             write_trace_csv(trace, out / ("trace_%s_%d.csv" % (tag, k)))
@@ -466,7 +489,7 @@ def _cmd_lbp(spec):
 
 def _cmd_ingest(spec):
     if not spec.data_path:
-        raise ValueError("ingest needs --data PATH")
+        raise PreconditionViolated("ingest needs --data PATH")
     out = Path(spec.out_dir)
     samples = ingest_csv(spec.data_path, centered=spec.centered)
     save_samples(samples, out / "samples")

@@ -21,7 +21,7 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .symmat import SymmetricMatrix
+from .symmat import checked_symmetric
 
 MESSAGE_NORM_LIMIT = 1e12
 
@@ -29,22 +29,21 @@ MESSAGE_NORM_LIMIT = 1e12
 @dataclass(frozen=True)
 class InfoModel:
     """Information-form Gaussian: density proportional to
-    exp(-x' J x / 2 + h' x)."""
+    exp(-x' J x / 2 + h' x). ``j`` is checked with ``checked_symmetric``
+    and kept as a read-only copy."""
 
-    j: SymmetricMatrix
+    j: np.ndarray
     h: np.ndarray
 
     def __post_init__(self):
-        j = SymmetricMatrix(self.j)
+        j = checked_symmetric(self.j, "j")
         h = np.array(self.h, dtype=float).reshape(-1)
-        if h.shape[0] != j.dim:
-            raise DimensionMismatch(
-                "h has length %d but j is %dx%d" % (h.shape[0], j.dim, j.dim)
-            )
+        if h.shape[0] != j.shape[0]:
+            raise DimensionMismatch("h has length %d but j is %s" % (h.shape[0], j.shape))
         if not np.isfinite(h).all():
             raise MalformedMatrix("h must be finite")
         try:
-            np.linalg.cholesky(j.entries)
+            np.linalg.cholesky(j)
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite("information matrix must be positive definite")
         object.__setattr__(self, "j", j)
@@ -52,7 +51,7 @@ class InfoModel:
 
     @property
     def dim(self):
-        return self.j.dim
+        return self.j.shape[0]
 
 
 @dataclass
@@ -74,9 +73,8 @@ def exact_moments(m):
     inverse from the Cholesky factor would read ``(1/sqrt 3)^2`` for
     ``1/3``.
     """
-    j = np.asarray(m.j, dtype=float)
-    mean = np.linalg.solve(j, m.h)
-    cov = np.linalg.inv(j)
+    mean = np.linalg.solve(m.j, m.h)
+    cov = np.linalg.inv(m.j)
     return mean, np.diag(cov).copy()
 
 
@@ -136,8 +134,7 @@ def lbp_run(m, max_iter, tol, damping=0.0):
         raise PreconditionViolated("tol must be >= 0, got %r" % (tol,))
     if not 0 <= damping < 1:
         raise PreconditionViolated("damping must lie in [0, 1)")
-    j = np.asarray(m.j, dtype=float)
-    h = np.asarray(m.h, dtype=float)
+    j, h = m.j, m.h
     p = j.shape[0]
     exact_mean, exact_var = exact_moments(m)
     j_diag = np.diag(j).copy()

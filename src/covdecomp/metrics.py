@@ -96,7 +96,7 @@ def _sign_consistent(est, truth, sup_est, sup_truth):
 
 def _overall_precision_error(sigma_m_hat, sigma_r_hat, true_precision):
     # sigma_m_hat is a result's exactly symmetric J^-1, and r is symmetric
-    overall_cov = np.asarray(sigma_m_hat, dtype=float) - np.asarray(sigma_r_hat, dtype=float)
+    overall_cov = sigma_m_hat - sigma_r_hat
     try:
         est_precision = inv_pd(overall_cov)
     except NotPositiveDefinite:
@@ -114,10 +114,8 @@ def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
     when the estimated overall covariance is indefinite, so sweep rows
     for bad cells still carry the remaining metrics.
     """
-    j_hat = np.asarray(result.j_hat, dtype=float)
-    r_hat = np.asarray(result.sigma_r_hat, dtype=float)
-    j_true = np.asarray(truth_model.j_markov, dtype=float)
-    r_true = np.asarray(truth_model.sigma_residual, dtype=float)
+    j_hat, r_hat = result.j_hat, result.sigma_r_hat
+    j_true, r_true = truth_model.j_markov, truth_model.sigma_residual
     sigma_true, _, true_precision = truth_model._overall
     try:
         overall_err = _overall_precision_error(result.sigma_m_hat, result.sigma_r_hat,
@@ -126,9 +124,7 @@ def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
         logger.warning("indefinite overall estimate; recording +inf precision error")
         overall_err = float("inf")
     # a difference of exactly symmetric matrices, so exactly symmetric
-    overall_cov_err = (
-        np.asarray(result.sigma_m_hat, dtype=float) - r_hat - sigma_true
-    )
+    overall_cov_err = result.sigma_m_hat - r_hat - sigma_true
     spectral = float(np.abs(np.linalg.eigvalsh(overall_cov_err)).max())
     sup_j, sup_j_true, sup_r, sup_r_true = (
         support_of(m, threshold) for m in (j_hat, j_true, r_hat, r_true))

@@ -8,11 +8,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    MalformedMatrix,
     NotPositiveDefinite,
     PreconditionViolated,
     SingularSubmatrix,
 )
-from .symmat import SymmetricMatrix, hessian_submatrix, inf_operator_norm, inv_pd
+from .symmat import checked_symmetric, hessian_submatrix, inf_operator_norm, inv_pd
 
 # Ground-truth models are constructed exactly, so ties are detected at
 # machine-level tolerance; estimates use the looser solver-side tie band.
@@ -27,25 +28,35 @@ class DecompositionModel:
     """Ground-truth pair (J_M, Sigma_R) with lambda = max off-diagonal |J_M|.
 
     The implied overall covariance is ``J_M^-1 - Sigma_R`` (see
-    :func:`true_covariance`).
+    :func:`true_covariance`). Keeps read-only copies of both matrices, as
+    ``checked_symmetric`` returns them, and of the finite length-p ``mean``.
     """
 
-    j_markov: SymmetricMatrix
-    sigma_residual: SymmetricMatrix
+    j_markov: np.ndarray
+    sigma_residual: np.ndarray
     lambda_star: float
     mean: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("j_markov", "sigma_residual"):
-            value = getattr(self, name)
-            if not isinstance(value, SymmetricMatrix):
-                object.__setattr__(self, name, SymmetricMatrix(value))
-        if self.mean is None:
-            object.__setattr__(self, "mean", np.zeros(self.j_markov.dim))
+        j = checked_symmetric(self.j_markov, "j_markov")
+        r = checked_symmetric(self.sigma_residual, "sigma_residual")
+        if j.shape != r.shape:
+            raise DimensionMismatch("j_markov %s vs sigma_residual %s" % (j.shape, r.shape))
+        try:
+            mean = np.zeros(len(j)) if self.mean is None else np.array(self.mean, dtype=float)
+        except (TypeError, ValueError):
+            raise MalformedMatrix("mean must be a vector of floats") from None
+        if mean.shape != (len(j),):
+            raise DimensionMismatch("mean has shape %s, expected (%d,)" % (mean.shape, len(j)))
+        if not np.isfinite(mean).all():
+            raise MalformedMatrix("mean entries must be finite")
+        mean.flags.writeable = False
+        for name, value in (("j_markov", j), ("sigma_residual", r), ("mean", mean)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self):
-        return self.j_markov.dim
+        return self.j_markov.shape[0]
 
     @cached_property
     def _overall(self):
@@ -122,12 +133,7 @@ def validate_model(m):
 
 def _violations(m, sigma_m=None):
     # validate_model's check; sigma_m is J_M^-1 when the caller holds it
-    j = np.asarray(m.j_markov)
-    r = np.asarray(m.sigma_residual)
-    if j.shape != r.shape:
-        raise DimensionMismatch(
-            "j_markov %s vs sigma_residual %s" % (j.shape, r.shape)
-        )
+    j, r = m.j_markov, m.sigma_residual
     p = j.shape[0]
     lam = m.lambda_star
     violations = []
@@ -169,11 +175,7 @@ def _violations(m, sigma_m=None):
 
 
 def _build_validated(j, r, lam, context, sigma_m=None):
-    model = DecompositionModel(
-        j_markov=SymmetricMatrix(j),
-        sigma_residual=SymmetricMatrix(r),
-        lambda_star=float(lam),
-    )
+    model = DecompositionModel(j_markov=j, sigma_residual=r, lambda_star=float(lam))
     violations = _violations(model, sigma_m)
     if violations:
         raise PreconditionViolated("%s: %s" % (context, "; ".join(violations)))
@@ -296,7 +298,7 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
 
 
 def _overall_covariance(m):
-    sigma = inv_pd(np.asarray(m.j_markov)) - np.asarray(m.sigma_residual)
+    sigma = inv_pd(m.j_markov) - m.sigma_residual
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -306,7 +308,7 @@ def _overall_covariance(m):
 
 def true_covariance(m):
     """Overall covariance ``J_M^-1 - Sigma_R`` of a model."""
-    return SymmetricMatrix(_overall_covariance(m)[0])
+    return _overall_covariance(m)[0]
 
 
 def partition_pairs(m):
@@ -320,8 +322,7 @@ def partition_pairs(m):
     -------
     (s_m, s_r, s, s_m_c) : tuple of bool ndarray of shape (p, p)
     """
-    j = np.asarray(m.j_markov)
-    r = np.asarray(m.sigma_residual)
+    j, r = m.j_markov, m.sigma_residual
     eye = np.eye(j.shape[0], dtype=bool)
     in_m = eye | (j != 0.0)
     in_r = ~eye & (r != 0.0)
@@ -351,7 +352,7 @@ def incoherence_report(m, m_param, tau=2.0, n=1000, c6=1.0, c7=1.0):
     violations = validate_model(m)
     if violations:
         raise PreconditionViolated("model invalid: %s" % "; ".join(violations))
-    j = np.asarray(m.j_markov)
+    j = m.j_markov
     p = j.shape[0]
     sigma_m = inv_pd(j)
     _, s_r, s, s_c = partition_pairs(m)
@@ -378,7 +379,7 @@ def incoherence_report(m, m_param, tau=2.0, n=1000, c6=1.0, c7=1.0):
     d = int(np.count_nonzero(j, axis=1).max())
     log_term = np.log(4.0) + tau * np.log(p)
     bound = c6 * d * np.sqrt(log_term / n) + c7 * d * d * log_term / n
-    sigma_star = np.asarray(true_covariance(m))
+    sigma_star = true_covariance(m)
     a6_margin = float(np.linalg.eigvalsh(sigma_star).min() - bound)
     return IncoherenceReport(
         alpha=float(alpha),

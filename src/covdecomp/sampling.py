@@ -5,8 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionViolated
-from .symmat import SymmetricMatrix
+from .errors import MalformedMatrix, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,7 @@ def sample_covariance(s):
 
     Accepts a SampleSet or a raw (n, p) array.
     """
-    x = np.asarray(s.data if isinstance(s, SampleSet) else s, dtype=float)
-    c = x.T @ x / x.shape[0]
-    return SymmetricMatrix(0.5 * (c + c.T))
+    return _second_moment(s, centered=False)
 
 
 def sample_covariance_centered(s):
@@ -85,10 +82,22 @@ def sample_covariance_centered(s):
 
     Accepts a SampleSet or a raw (n, p) array.
     """
+    return _second_moment(s, centered=True)
+
+
+def _second_moment(s, centered):
+    # x^T x / n for the (n, p) data x of a SampleSet or an array, its column
+    # means subtracted first when centered; x is checked before any arithmetic
     x = np.asarray(s.data if isinstance(s, SampleSet) else s, dtype=float)
-    x = x - x.mean(axis=0)
+    if x.ndim != 2 or min(x.shape) < 1:
+        raise PreconditionViolated(
+            "data must be an n x p array with n, p >= 1, got shape %s" % (x.shape,))
+    if centered:
+        x = x - x.mean(axis=0)
     c = x.T @ x / x.shape[0]
-    return SymmetricMatrix(0.5 * (c + c.T))
+    if not np.isfinite(c).all():
+        raise MalformedMatrix("sample covariance entries must be finite")
+    return 0.5 * (c + c.T)
 
 
 def gamma_schedule(c_gamma, p, n):

@@ -15,10 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedCsv, NonNumericCell, PreconditionViolated
+from .errors import DimensionMismatch, MalformedCsv, NonNumericCell, PreconditionViolated
 from .model import DecompositionModel, validate_model
 from .sampling import SampleSet
-from .symmat import SymmetricMatrix
 
 SCHEMA_VERSION = 1
 
@@ -70,7 +69,10 @@ def read_matrix_csv(path):
     data = _read_numeric_csv(path, 0)[1]
     if not np.isfinite(data).all():
         raise MalformedCsv("%s has a non-finite cell" % path)
-    return SymmetricMatrix(data, symmetrize=True)
+    if data.shape[0] != data.shape[1]:
+        raise DimensionMismatch("%s holds a %d x %d matrix, expected a square one"
+                                % ((path,) + data.shape))
+    return 0.5 * (data + data.T)
 
 
 def write_matrix_csv(m, path):
@@ -94,9 +96,9 @@ def save_model(m, dirpath, extra_meta=None):
     write_matrix_csv(m.sigma_residual, d / "sigma_residual.csv")
     meta = {
         "schema_version": SCHEMA_VERSION,
-        "dim": m.j_markov.dim,
+        "dim": m.dim,
         "lambda_star": m.lambda_star,
-        "mean": [float(x) for x in np.asarray(m.mean)],
+        "mean": [float(x) for x in m.mean],
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -110,11 +112,8 @@ def load_model(dirpath):
     j = read_matrix_csv(d / "j_markov.csv")
     r = read_matrix_csv(d / "sigma_residual.csv")
     meta = _read_json(d / "meta.json")
-    mean = np.asarray(meta.get("mean", np.zeros(j.dim)), dtype=float)
-    m = DecompositionModel(
-        j_markov=j, sigma_residual=r, lambda_star=float(meta["lambda_star"]),
-        mean=mean,
-    )
+    m = DecompositionModel(j_markov=j, sigma_residual=r,
+                           lambda_star=float(meta["lambda_star"]), mean=meta.get("mean"))
     violations = validate_model(m)
     if violations:
         raise PreconditionViolated(
@@ -141,7 +140,7 @@ def save_result(result, dirpath, extra_diagnostics=None):
         "converged": result.converged,
         "overall_pd": result.overall_pd,
         "min_eig_overall": result.min_eig_overall,
-        "clip_pairs": _pair_list(np.triu(np.asarray(result.sigma_r_hat) != 0.0, k=1)),
+        "clip_pairs": _pair_list(np.triu(result.sigma_r_hat != 0.0, k=1)),
         "sign_conflicts": _pair_list(result.sign_conflicts),
     }
     if extra_diagnostics:

@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InfeasibleConstraints,
                      NotPositiveDefinite, PreconditionViolated)
-from .symmat import (BandWorkspace, PdWorkspace, SymmetricMatrix, inv_pd, logdet_pd,
-                     shaped_like, to_band)
+from .symmat import BandWorkspace, PdWorkspace, inv_pd, logdet_pd, shaped_like, to_band
 
 logger = logging.getLogger(__name__)
 
@@ -76,13 +75,13 @@ class SolveResult:
     exactly zero diagonal and support inside the clip set, and the mask
     ``sign_conflicts`` (i < j) marks the residual entries zeroed for
     fighting the sign of ``j_hat``. Passing a result as ``warm_start``
-    restarts the solver from its ``j_hat``.
+    restarts the solver from its ``j_hat``. The p x p estimates are read-only.
     """
 
-    j_hat: SymmetricMatrix
-    sigma_m_hat: SymmetricMatrix
-    sigma_r_hat: SymmetricMatrix
-    z_gamma: SymmetricMatrix
+    j_hat: np.ndarray
+    sigma_m_hat: np.ndarray
+    sigma_r_hat: np.ndarray
+    z_gamma: np.ndarray
     kkt_residual: float
     duality_gap: float
     iterations: int
@@ -537,9 +536,9 @@ def soft_threshold_covariance(sigma_hat, gamma):
 
     Returns
     -------
-    sigma_estimate : SymmetricMatrix
+    sigma_estimate : ndarray of shape (p, p)
         Diagonal of Sigma_hat with soft-thresholded off-diagonals.
-    sigma_r : SymmetricMatrix
+    sigma_r : ndarray of shape (p, p)
         Off-diagonal entries sign(-x)(|x| - gamma)_+ of Sigma_hat,
         zero diagonal; satisfies sigma_estimate_off == -sigma_r_off.
     """
@@ -551,7 +550,7 @@ def soft_threshold_covariance(sigma_hat, gamma):
     np.fill_diagonal(r, 0.0)
     est = shrunk.copy()
     np.fill_diagonal(est, np.diag(s))
-    return SymmetricMatrix(est), SymmetricMatrix(r)
+    return est, r
 
 
 def _gap(j_hat, sigma, sigma_r, cfg, tmp=None):
@@ -594,11 +593,14 @@ def _finalize(solved, sigma, cfg):
     # exactly symmetric as J^-1 and the residual are
     overall = j_inv - r
     min_eig = float(np.linalg.eigvalsh(overall).min())
+    # the solve's workspace goes with this call, so nothing else holds them
+    for a in (j_hat, j_inv, r, zg):
+        a.flags.writeable = False
     return SolveResult(
-        j_hat=SymmetricMatrix(j_hat),
-        sigma_m_hat=SymmetricMatrix(j_inv),
-        sigma_r_hat=SymmetricMatrix(r),
-        z_gamma=SymmetricMatrix(zg),
+        j_hat=j_hat,
+        sigma_m_hat=j_inv,
+        sigma_r_hat=r,
+        z_gamma=zg,
         kkt_residual=kkt,
         duality_gap=_gap(j_hat, sigma, r, cfg),
         iterations=iterations,
@@ -614,7 +616,7 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
 
     Parameters
     ----------
-    sigma_hat : SymmetricMatrix or ndarray
+    sigma_hat : array-like of shape (p, p)
         Square, finite input with strictly positive diagonal; only its
         symmetric part enters the program.
     cfg : SolverConfig

@@ -1,9 +1,11 @@
 """Dense symmetric matrix kernel.
 
-Everything downstream (models, solver, diagnostics) moves data around as
-``SymmetricMatrix`` instances or plain ndarrays, and sets of index pairs
-as p x p boolean masks; the helpers here are the only linear-algebra
-primitives the package needs.
+Everything downstream (models, solver, diagnostics) moves matrices
+around as plain float ndarrays, and sets of index pairs as p x p boolean
+masks; the helpers here are the only linear-algebra primitives the
+package needs. ``checked_symmetric`` is the one check on a symmetric
+matrix from outside the program: models validate theirs with it once,
+and carry read-only copies.
 
 Positive definite matrices are factored and inverted through LAPACK
 and BLAS routines of the OpenBLAS that numpy's wheels bundle, bound once
@@ -25,62 +27,31 @@ import numpy as np
 from .errors import DimensionMismatch, MalformedMatrix, NotPositiveDefinite
 
 
-class SymmetricMatrix:
-    """Immutable dense symmetric p x p matrix.
+def checked_symmetric(a, name):
+    """Read-only float copy of ``a``, a matrix from outside the program.
 
-    Parameters
-    ----------
-    entries : array-like of shape (p, p)
-        Matrix entries. Must be exactly symmetric unless ``symmetrize``
-        is set, and must contain only finite values.
-    symmetrize : bool, default False
-        Replace the input with (A + A.T)/2. Intended for data read back
-        from text formats, where rounding breaks exact symmetry;
-        internal producers are expected to construct exact input.
-
-    Attributes
-    ----------
-    entries : ndarray of shape (p, p)
-        Read-only storage.
-    dim : int
-        The dimension p.
+    Raises
+    ------
+    DimensionMismatch
+        If ``a`` is not a square matrix.
+    MalformedMatrix
+        If ``a`` is not numeric or empty, has a non-finite entry or is not
+        exactly symmetric.
     """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries, symmetrize=False):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch("expected a square matrix, got shape %s" % (a.shape,))
-        if a.shape[0] < 1:
-            raise MalformedMatrix("dim must be >= 1")
-        if not np.isfinite(a).all():
-            raise MalformedMatrix("matrix entries must be finite")
-        if symmetrize:
-            a = 0.5 * (a + a.T)
-        elif not np.array_equal(a, a.T):
-            raise MalformedMatrix(
-                "matrix is not exactly symmetric; pass symmetrize=True to average")
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricMatrix is immutable")
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if copy:
-            return np.array(self.entries, dtype=dtype)
-        return np.asarray(self.entries, dtype=dtype)
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    def __repr__(self):
-        return "SymmetricMatrix(dim=%d)" % self.dim
+    try:
+        a = np.array(a, dtype=float)
+    except (TypeError, ValueError):
+        raise MalformedMatrix("%s must hold numbers" % name) from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch("%s must be a square matrix, got shape %s" % (name, a.shape))
+    if a.size == 0:
+        raise MalformedMatrix("%s is empty" % name)
+    if not np.isfinite(a).all():
+        raise MalformedMatrix("%s entries must be finite" % name)
+    if not np.array_equal(a, a.T):
+        raise MalformedMatrix("%s is not exactly symmetric" % name)
+    a.flags.writeable = False
+    return a
 
 
 _Lapack = namedtuple("_Lapack", "potrf potri trtri pbtrf symm")
@@ -369,7 +340,7 @@ def hessian_submatrix(sigma_m, rows, cols):
 
     Parameters
     ----------
-    sigma_m : SymmetricMatrix or ndarray of shape (p, p)
+    sigma_m : ndarray of shape (p, p)
     rows, cols : bool ndarray of shape (p, p)
         Pair masks selecting Hessian rows and columns, enumerated in
         row-major order.

@@ -23,7 +23,7 @@ def test_audit_records_every_solve_route(solve_record, tmp_path):
     assert cli.main(["fit", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert [name for name, _ in solve_record] == ["admm_solve", "witness_solve", "admm_solve"]
     assert solve_record[0][1] is direct and solve_record[1][1] is witness
-    assert solve_record[2][1].j_hat.dim == 4
+    assert solve_record[2][1].j_hat.shape == (4, 4)
 
 
 def _certified_box_result():

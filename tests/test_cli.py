@@ -22,7 +22,7 @@ from covdecomp.cli import (
     run_sweep,
     spec_from_config,
 )
-from covdecomp.errors import MalformedCsv, NonNumericCell
+from covdecomp.errors import MalformedCsv, NonNumericCell, PreconditionViolated
 from oracles import TIGHT
 
 TIGHT_SOLVER = {"solver": dict(TIGHT)}
@@ -101,10 +101,15 @@ class TestSpecFromConfig:
             {"generator": "lattice"},
             {"lambda_policy": "soft"},
             {"c_gamma": ()},
+            {"trials": "3"},
+            {"grid_sizes": 5},
+            {"sample_sizes": (100.0,)},
+            {"fresh_models": 1},
+            {"lambda_policy": "fixed:x"},
         ],
     )
     def test_validation_failures(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated):
             spec_from_config(**kw)
 
 
@@ -353,6 +358,17 @@ class TestMainEntry:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text", ['{"trials": "3"}', '{"grid_sizes": 5}', '{"trials": 3'],
+                             ids=["string-trials", "scalar-grid-sizes", "malformed-json"])
+    def test_bad_config_value_fails_cleanly(self, tmp_path, caplog, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        with pytest.raises(PreconditionViolated):
+            spec_from_config(cfg)
+        with caplog.at_level("ERROR", logger="covdecomp.cli"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert len(caplog.messages) == 1
 
     def test_exactdecomp_exit_codes(self, tmp_path):
         cfg = tmp_path / "cfg.json"

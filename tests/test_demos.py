@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion in-process."""
+"""Smoke tests of the public surface: every name the package exports
+resolves, and every demo script runs to completion in-process."""
 
 import runpy
 import tempfile
@@ -6,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import covdecomp as cd
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_every_export_resolves():
+    assert len(set(cd.__all__)) == len(cd.__all__)
+    assert [name for name in cd.__all__ if not hasattr(cd, name)] == []
 
 
 def test_all_demos_found():

@@ -39,14 +39,23 @@ class TestInfoModel:
             InfoModel(np.diag([1.0, -1.0]), np.zeros(2))
 
     def test_inputs_copied(self):
-        h = np.zeros(2)
-        m = InfoModel(np.eye(2), h)
-        h[0] = 99.0
-        assert m.h[0] == 0.0
+        j, h = np.eye(2), np.zeros(2)
+        m = InfoModel(j, h)
+        j[0, 0] = h[0] = 99.0
+        assert m.j[0, 0] == 1.0 and m.h[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.j[0, 0] = 5.0
 
     def test_non_square_j_rejected(self):
         with pytest.raises(DimensionMismatch):
             InfoModel(np.ones((2, 3)), np.zeros(2))
+
+    @pytest.mark.parametrize("j", [np.zeros((0, 0)), [[1.0, np.nan], [np.nan, 1.0]],
+                                   [[1.0, 0.5], [0.4, 1.0]]],
+                             ids=["empty", "non-finite", "asymmetric"])
+    def test_malformed_j_rejected(self, j):
+        with pytest.raises(MalformedMatrix):
+            InfoModel(j, np.zeros(len(j)))
 
     def test_wrong_length_h_is_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match="length"):

@@ -13,7 +13,6 @@ from covdecomp import (
     EmptyTruthSupport,
     NotPositiveDefinite,
     SolverConfig,
-    SymmetricMatrix,
     metrics,
 )
 from covdecomp.symmat import inv_pd
@@ -240,7 +239,7 @@ class TestCompareToTruth:
         broken = cd.SolveResult(**{**res.__dict__})
         r = np.zeros((4, 4))
         r[0, 1] = r[1, 0] = 50.0
-        broken.sigma_r_hat = SymmetricMatrix(r)
+        broken.sigma_r_hat = r
         with caplog.at_level("WARNING", logger="covdecomp.metrics"):
             rec = cd.compare_to_truth(broken, model)
         assert rec.linf_error_precision_overall == float("inf")

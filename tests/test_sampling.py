@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covdecomp import (
+    MalformedMatrix,
+    PreconditionViolated,
     derive_seed,
     draw_samples,
     gamma_schedule,
@@ -94,6 +96,17 @@ class TestSampleCovariance:
         cov = np.asarray(sample_covariance(x))
         scale = max(np.abs(cov).max(), 1.0)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10 * scale
+
+    @pytest.mark.parametrize("cov", [sample_covariance, sample_covariance_centered])
+    @pytest.mark.parametrize("x", [np.zeros((0, 3)), np.ones(3), np.zeros((3, 0))],
+                             ids=["no-rows", "vector", "no-columns"])
+    def test_rejects_malformed_data(self, cov, x):
+        with pytest.raises(PreconditionViolated, match="n x p"):
+            cov(x)
+
+    def test_rejects_non_finite_data(self):
+        with pytest.raises(MalformedMatrix, match="finite"):
+            sample_covariance([[np.nan, 1.0]])
 
     def test_converges_to_truth(self, chain):
         sigma_star = np.asarray(true_covariance(chain))

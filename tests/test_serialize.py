@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import covdecomp as cd
-from covdecomp import InfoModel, MalformedCsv, PreconditionViolated, SolverConfig
+from covdecomp import (DimensionMismatch, InfoModel, MalformedCsv, PreconditionViolated,
+                       SolverConfig)
 from covdecomp.serialize import read_matrix_csv, write_matrix_csv
 
 
@@ -181,11 +182,23 @@ class TestTraceCsv:
 class TestMatrixCsv:
     def test_matrix_csv_roundtrip_exact(self, tmp_path, rng):
         a = rng.standard_normal((4, 4))
-        m = cd.SymmetricMatrix(a + a.T, symmetrize=True)
+        m = a + a.T
         path = tmp_path / "m.csv"
         write_matrix_csv(m, path)
         back = read_matrix_csv(path)
         np.testing.assert_array_equal(np.asarray(back), np.asarray(m))
+
+    def test_matrix_file_symmetrized(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n2.1,1.0\n")
+        back = read_matrix_csv(path)
+        assert back[0, 1] == back[1, 0] == pytest.approx(2.05)
+
+    def test_non_square_matrix_file_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,0.0,0.0\n0.0,1.0,0.0\n")
+        with pytest.raises(DimensionMismatch, match="square"):
+            read_matrix_csv(path)
 
     @pytest.mark.parametrize("cell, message", [
         # a matrix file has no header, so data row 1 is file row 2

@@ -17,7 +17,6 @@ from covdecomp import (
     NotPositiveDefinite,
     PreconditionViolated,
     SolverConfig,
-    SymmetricMatrix,
 )
 from covdecomp import cli, solver, symmat
 from oracles import (TIGHT, gista, kkt_residual, reference_box_solve,
@@ -205,6 +204,12 @@ class TestSolveInvariants:
         r = np.asarray(res.sigma_r_hat)
         tie = solver.CLIP_TIE * cfg.lambda_off
         assert np.all(np.abs(j[r != 0.0]) >= cfg.lambda_off - tie)
+
+    def test_estimates_are_read_only(self, solved):
+        res, _, _ = solved
+        for a in (res.j_hat, res.sigma_m_hat, res.sigma_r_hat, res.z_gamma):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
 
     def test_warm_restart_is_idempotent(self, solved):
         res, sigma, cfg = solved
@@ -447,10 +452,10 @@ class TestAgainstProximalGradient:
 class TestDualityGapErrors:
     def test_indefinite_estimate_rejected(self):
         res = cd.SolveResult(
-            j_hat=SymmetricMatrix(np.diag([1.0, -1.0])),
-            sigma_m_hat=SymmetricMatrix(np.eye(2)),
-            sigma_r_hat=SymmetricMatrix(np.zeros((2, 2))),
-            z_gamma=SymmetricMatrix(np.zeros((2, 2))),
+            j_hat=np.diag([1.0, -1.0]),
+            sigma_m_hat=np.eye(2),
+            sigma_r_hat=np.zeros((2, 2)),
+            z_gamma=np.zeros((2, 2)),
             kkt_residual=0.0,
             duality_gap=0.0,
             iterations=1,

@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covdecomp import (
-    CovdecompError,
     DimensionMismatch,
-    MalformedMatrix,
     NotPositiveDefinite,
-    SymmetricMatrix,
     hessian_submatrix,
     inf_operator_norm,
     logdet_pd,
@@ -30,51 +27,6 @@ def spd_matrices(max_dim=6):
 
 def _spd_from(a):
     return a @ a.T + np.eye(a.shape[0])
-
-
-class TestSymmetricMatrix:
-    def test_holds_entries_and_dim(self):
-        m = SymmetricMatrix([[2.0, 1.0], [1.0, 3.0]])
-        assert m.dim == 2
-        assert m[0, 1] == 1.0
-        np.testing.assert_array_equal(np.asarray(m), [[2.0, 1.0], [1.0, 3.0]])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            SymmetricMatrix(np.zeros((2, 3)))
-        with pytest.raises(DimensionMismatch):
-            SymmetricMatrix(np.zeros(4))
-
-    def test_rejects_asymmetric_without_flag(self):
-        a = [[1.0, 2.0], [2.1, 1.0]]
-        with pytest.raises(ValueError):
-            SymmetricMatrix(a)
-        m = SymmetricMatrix(a, symmetrize=True)
-        assert m[0, 1] == m[1, 0] == pytest.approx(2.05)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SymmetricMatrix([[1.0, np.nan], [np.nan, 1.0]])
-
-    def test_rejections_are_package_errors(self):
-        for bad in ([[1.0, np.inf], [np.inf, 1.0]], [[1.0, 2.0], [0.0, 1.0]],
-                    np.zeros((0, 0))):
-            with pytest.raises(MalformedMatrix) as info:
-                SymmetricMatrix(bad)
-            assert isinstance(info.value, CovdecompError)
-
-    def test_immutable(self):
-        m = SymmetricMatrix(np.eye(2))
-        with pytest.raises(AttributeError):
-            m.entries = np.zeros((2, 2))
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 5.0
-
-    def test_input_copied(self):
-        a = np.eye(2)
-        m = SymmetricMatrix(a)
-        a[0, 0] = 7.0
-        assert m[0, 0] == 1.0
 
 
 class TestLogdetPd:
