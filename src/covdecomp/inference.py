@@ -21,7 +21,7 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .symmat import checked_symmetric
+from .symmat import as_floats, checked_square, checked_symmetric, cholesky
 
 MESSAGE_NORM_LIMIT = 1e12
 
@@ -37,14 +37,12 @@ class InfoModel:
 
     def __post_init__(self):
         j = checked_symmetric(self.j, "j")
-        h = np.array(self.h, dtype=float).reshape(-1)
+        h = np.array(as_floats(self.h, "h")).reshape(-1)
         if h.shape[0] != j.shape[0]:
             raise DimensionMismatch("h has length %d but j is %s" % (h.shape[0], j.shape))
         if not np.isfinite(h).all():
             raise MalformedMatrix("h must be finite")
-        try:
-            np.linalg.cholesky(j)
-        except np.linalg.LinAlgError:
+        if cholesky(j) is None:
             raise NotPositiveDefinite("information matrix must be positive definite")
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", h)
@@ -90,13 +88,12 @@ def walk_summability(j):
     DimensionMismatch
         If ``j`` is not a square matrix.
     MalformedMatrix
-        If ``j`` has a non-finite entry.
+        If ``j`` is not numeric or empty, or has a non-finite entry.
     NonPositiveDiagonal
         If a diagonal entry of ``j`` is not positive.
     """
-    a = np.asarray(j, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("expected a square matrix, got shape %s" % (a.shape,))
+    # not checked_symmetric: a rescaled D J D need not be exactly symmetric
+    a = checked_square(j, "j")
     if not np.isfinite(a).all():
         raise MalformedMatrix("information matrix entries must be finite")
     d = np.diag(a)
@@ -108,7 +105,7 @@ def walk_summability(j):
     return float(np.abs(np.linalg.eigvalsh(r_bar)).max())
 
 
-def lbp_run(m, max_iter, tol, damping=0.0):
+def lbp_run(m, max_iter, tol):
     """Synchronous loopy belief propagation with error tracing.
 
     Each iteration updates every directed message once, then records the
@@ -116,8 +113,6 @@ def lbp_run(m, max_iter, tol, damping=0.0):
     against ``exact_moments``. ``converged`` becomes true when the
     largest message change drops below ``tol``; a nonpositive cavity
     precision or a message norm beyond 1e12 halts the run as diverged.
-    ``damping`` in [0, 1) blends each new message with the previous one
-    (0 disables blending).
 
     Messages live on the directed edges of J's off-diagonal support, so
     one iteration costs O(|E|).
@@ -125,15 +120,12 @@ def lbp_run(m, max_iter, tol, damping=0.0):
     Raises
     ------
     PreconditionViolated
-        If ``max_iter < 1``, ``tol`` is negative or NaN, or ``damping``
-        lies outside [0, 1).
+        If ``max_iter < 1`` or ``tol`` is negative or NaN.
     """
     if not max_iter >= 1:
         raise PreconditionViolated("max_iter must be >= 1")
     if not tol >= 0:
         raise PreconditionViolated("tol must be >= 0, got %r" % (tol,))
-    if not 0 <= damping < 1:
-        raise PreconditionViolated("damping must lie in [0, 1)")
     j, h = m.j, m.h
     p = j.shape[0]
     exact_mean, exact_var = exact_moments(m)
@@ -163,9 +155,6 @@ def lbp_run(m, max_iter, tol, damping=0.0):
         cavity_h = belief_h[src] - d_h[rev]
         new_j = neg_j_sq / cavity_j
         new_h = neg_j * cavity_h / cavity_j
-        if damping > 0:
-            new_j = (1.0 - damping) * new_j + damping * d_j
-            new_h = (1.0 - damping) * new_h + damping * d_h
         delta = max(np.abs(new_j - d_j).max(initial=0.0),
                     np.abs(new_h - d_h).max(initial=0.0))
         d_j, d_h = new_j, new_h

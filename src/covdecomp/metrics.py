@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EmptyTruthSupport, NotPositiveDefinite, PreconditionViolated
-from .symmat import inv_pd, shaped_like
+from .symmat import as_floats, inv_pd, shaped_like
 
 logger = logging.getLogger(__name__)
 
@@ -46,12 +46,12 @@ def support_of(m, threshold=DEFAULT_SUPPORT_THRESHOLD):
     """
     if threshold < 0:
         raise PreconditionViolated("threshold must be >= 0")
-    return np.triu(np.abs(np.asarray(m, dtype=float)) > threshold, k=1)
+    return np.triu(np.abs(as_floats(m, "matrix")) > threshold, k=1)
 
 
 def edit_distance(a, b, threshold):
     """Number of unordered pairs in exactly one of the two supports."""
-    a_arr = np.asarray(a, dtype=float)
+    a_arr = as_floats(a, "edit_distance operand")
     b_arr = shaped_like(b, a_arr, "edit_distance operand")
     return _edit(support_of(a_arr, threshold), support_of(b_arr, threshold))
 
@@ -69,7 +69,7 @@ def normalized_edit_distance(est, truth, threshold):
 
 def sign_consistency(est, truth, threshold):
     """True iff supports match exactly and signs agree on that support."""
-    est_arr = np.asarray(est, dtype=float)
+    est_arr = as_floats(est, "sign_consistency estimate")
     truth_arr = shaped_like(truth, est_arr, "sign_consistency truth")
     return _sign_consistent(est_arr, truth_arr, support_of(est_arr, threshold),
                             support_of(truth_arr, threshold))

@@ -13,12 +13,17 @@ from .errors import (
     PreconditionViolated,
     SingularSubmatrix,
 )
-from .symmat import checked_symmetric, hessian_submatrix, inf_operator_norm, inv_pd
+from .symmat import (as_floats, checked_symmetric, cholesky, hessian_submatrix,
+                     inf_operator_norm, inv_pd)
 
 # Ground-truth models are constructed exactly, so ties are detected at
 # machine-level tolerance; estimates use the looser solver-side tie band.
 GROUND_TRUTH_EPS_TIE = 1e-9
 
+# grid_model's boost search, PD margin and residual shrinks (see DiagBoostPolicy)
+_BOOST_START = 0.01
+_BOOST_FACTOR = 2.0
+_PD_MARGIN = 0.01
 _SHRINK_FACTOR = 0.9
 _MAX_SHRINKS = 50
 
@@ -42,10 +47,7 @@ class DecompositionModel:
         r = checked_symmetric(self.sigma_residual, "sigma_residual")
         if j.shape != r.shape:
             raise DimensionMismatch("j_markov %s vs sigma_residual %s" % (j.shape, r.shape))
-        try:
-            mean = np.zeros(len(j)) if self.mean is None else np.array(self.mean, dtype=float)
-        except (TypeError, ValueError):
-            raise MalformedMatrix("mean must be a vector of floats") from None
+        mean = np.zeros(len(j)) if self.mean is None else np.array(as_floats(self.mean, "mean"))
         if mean.shape != (len(j),):
             raise DimensionMismatch("mean has shape %s, expected (%d,)" % (mean.shape, len(j)))
         if not np.isfinite(mean).all():
@@ -65,8 +67,7 @@ class DecompositionModel:
         compare_to_truth, which a sweep calls at every sample size, and
         for the lbp study's overall precision."""
         sigma, chol = _overall_covariance(self)
-        # inv_pd overwrites the factor it is given; draw_samples reads chol
-        arrays = (sigma, chol, inv_pd(sigma, chol.copy()))
+        arrays = (sigma, chol, inv_pd(sigma))
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -76,17 +77,14 @@ class DecompositionModel:
 class DiagBoostPolicy:
     """How grid_model picks the uniform diagonal weighting c*I.
 
-    With ``fixed`` unset, c doubles from ``start`` until
-    lambda_min(J_M) >= margin; the same margin then gates the overall
-    covariance, shrinking residual magnitudes by 10% per retry. A
-    ``fixed`` value skips the search and is validated against the margin.
+    With ``fixed`` unset, c doubles from 0.01 until lambda_min(J_M) >=
+    0.01; the same margin then gates the overall covariance, shrinking
+    residual magnitudes by 10% per retry. A ``fixed`` value skips the
+    search and is validated against the margin.
     The experiment protocol uses ``DiagBoostPolicy(fixed=1.0)``: unit
     weighting is the scale the published penalty constants are tuned for.
     """
 
-    start: float = 0.01
-    factor: float = 2.0
-    margin: float = 0.01
     fixed: float = None
 
 
@@ -103,14 +101,6 @@ class IncoherenceReport:
     a4_satisfied: bool
     a5_satisfied: bool
     a6_margin: float
-
-
-def _chol_ok(a):
-    try:
-        np.linalg.cholesky(a)
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 def validate_model(m):
@@ -143,7 +133,7 @@ def _violations(m, sigma_m=None):
     except NotPositiveDefinite:
         violations.append("positive-definiteness: j_markov is not PD")
     else:
-        if not _chol_ok(sigma_m - r):
+        if cholesky(sigma_m - r) is None:
             violations.append("positive-definiteness: overall covariance is not PD")
     off = ~np.eye(p, dtype=bool)
     too_big = np.abs(j) > lam + GROUND_TRUTH_EPS_TIE
@@ -266,17 +256,17 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
         a[i, j] = a[j, i] = hi * np.sign(a[i, j])
     if policy.fixed is not None:
         c = float(policy.fixed)
-        if not _chol_ok(a + (c - policy.margin) * np.eye(p)):
+        if cholesky(a + (c - _PD_MARGIN) * np.eye(p)) is None:
             raise PreconditionViolated(
-                "fixed diagonal boost %.3g misses the PD margin %.3g" % (c, policy.margin)
+                "fixed diagonal boost %.3g misses the PD margin %.3g" % (c, _PD_MARGIN)
             )
     else:
         # lambda_min(a + c I) = lambda_min(a) + c, so one eigendecomposition
         # serves every doubling
         lambda_min = np.linalg.eigvalsh(a).min()
-        c = policy.start
-        while lambda_min + c < policy.margin:
-            c *= policy.factor
+        c = _BOOST_START
+        while lambda_min + c < _PD_MARGIN:
+            c *= _BOOST_FACTOR
     j_m = a + c * np.eye(p)
     r = np.zeros((p, p))
     for k in clip_idx:
@@ -284,13 +274,13 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
         r[i, j] = r[j, i] = np.sign(j_m[i, j]) * rng.uniform(lo, hi)
     sigma_m = inv_pd(j_m)
     # lambda_min(overall) >= margin iff overall - margin I has a factor
-    margin_eye = policy.margin * np.eye(p)
+    margin_eye = _PD_MARGIN * np.eye(p)
     shrinks = 0
-    while not _chol_ok(sigma_m - r - margin_eye):
+    while cholesky(sigma_m - r - margin_eye) is None:
         if shrinks >= _MAX_SHRINKS:
             raise PreconditionViolated(
                 "overall covariance margin %.3g unreachable after %d residual shrinks"
-                % (policy.margin, _MAX_SHRINKS)
+                % (_PD_MARGIN, _MAX_SHRINKS)
             )
         r *= _SHRINK_FACTOR
         shrinks += 1
@@ -299,10 +289,9 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
 
 def _overall_covariance(m):
     sigma = inv_pd(m.j_markov) - m.sigma_residual
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("model's overall covariance is not PD") from None
+    chol = cholesky(sigma)
+    if chol is None:
+        raise NotPositiveDefinite("model's overall covariance is not PD")
     return sigma, chol
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedMatrix, PreconditionViolated
+from .symmat import as_floats
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def sample_covariance_centered(s):
 def _second_moment(s, centered):
     # x^T x / n for the (n, p) data x of a SampleSet or an array, its column
     # means subtracted first when centered; x is checked before any arithmetic
-    x = np.asarray(s.data if isinstance(s, SampleSet) else s, dtype=float)
+    x = as_floats(s.data if isinstance(s, SampleSet) else s, "data")
     if x.ndim != 2 or min(x.shape) < 1:
         raise PreconditionViolated(
             "data must be an n x p array with n, p >= 1, got shape %s" % (x.shape,))

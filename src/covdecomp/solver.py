@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InfeasibleConstraints,
-                     NotPositiveDefinite, PreconditionViolated)
-from .symmat import BandWorkspace, PdWorkspace, inv_pd, logdet_pd, shaped_like, to_band
+from .errors import InfeasibleConstraints, NotPositiveDefinite, PreconditionViolated
+from .symmat import (BandWorkspace, PdWorkspace, as_floats, checked_square, cholesky, inv_pd,
+                     logdet_pd, shaped_like, to_band)
 
 logger = logging.getLogger(__name__)
 
@@ -92,9 +92,7 @@ class SolveResult:
 
 
 def _checked_sigma(sigma_hat):
-    sigma = np.asarray(sigma_hat, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DimensionMismatch("sigma_hat must be square, got shape %s" % (sigma.shape,))
+    sigma = checked_square(sigma_hat, "sigma_hat")
     if not np.isfinite(sigma).all():
         raise PreconditionViolated("sigma_hat has non-finite entries")
     if np.any(np.diag(sigma) <= 0):
@@ -544,7 +542,7 @@ def soft_threshold_covariance(sigma_hat, gamma):
     """
     if gamma < 0:
         raise PreconditionViolated("gamma must be >= 0")
-    s = np.asarray(sigma_hat, dtype=float)
+    s = as_floats(sigma_hat, "sigma_hat")
     shrunk = np.sign(s) * np.maximum(np.abs(s) - gamma, 0.0)
     r = -shrunk
     np.fill_diagonal(r, 0.0)
@@ -571,7 +569,8 @@ def duality_gap(result, sigma_hat, cfg):
     <Sigma_hat, J> = p - lambda ||Sigma_R||_{1,off} - gamma ||J||_{1,off}
     into the dual; at the optimum the gap is zero. Raises
     ``DimensionMismatch`` for a non-square sigma_hat or a result of
-    another size, ``PreconditionViolated`` for a non-finite sigma_hat and
+    another size, ``MalformedMatrix`` for an empty or non-numeric one,
+    ``PreconditionViolated`` for a non-finite sigma_hat and
     ``NotPositiveDefinite`` when j_hat or sigma_m_hat is not PD.
     """
     sigma = _checked_sigma(sigma_hat)
@@ -637,6 +636,8 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
     ------
     DimensionMismatch
         If sigma_hat is not square or the warm start's size differs.
+    MalformedMatrix
+        If sigma_hat is empty or does not hold numbers.
     PreconditionViolated
         If sigma_hat has a non-finite entry, or if gamma is 0 and
         lambda_off infinite while sigma_hat is not PD: that program is
@@ -644,12 +645,10 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
     """
     sigma = _checked_sigma(sigma_hat)
     if cfg.gamma == 0 and not np.isfinite(cfg.lambda_off):
-        try:
-            np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
+        if cholesky(sigma) is None:
             raise PreconditionViolated(
                 "gamma = 0 with no box is unbounded unless sigma_hat is "
-                "positive definite") from None
+                "positive definite")
 
     prox = _box_prox(cfg)
     j = np.diag(1.0 / np.diag(sigma))
@@ -691,6 +690,8 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
     DimensionMismatch
         If sigma_hat is not square, or s_m, s_r or signs_on_sr is not of
         its shape.
+    MalformedMatrix
+        If sigma_hat is empty, or it or signs_on_sr does not hold numbers.
     PreconditionViolated
         If sigma_hat has a non-finite entry, lambda_off is infinite,
         s_r is not inside s_m, the diagonal is not inside s_m, or

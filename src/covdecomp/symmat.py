@@ -3,19 +3,19 @@
 Everything downstream (models, solver, diagnostics) moves matrices
 around as plain float ndarrays, and sets of index pairs as p x p boolean
 masks; the helpers here are the only linear-algebra primitives the
-package needs. ``checked_symmetric`` is the one check on a symmetric
-matrix from outside the program: models validate theirs with it once,
-and carry read-only copies.
+package needs. ``as_floats`` is the one conversion of outside input to
+numbers, and ``checked_symmetric`` the one check on a symmetric matrix
+from outside: models validate theirs once, and carry read-only copies.
 
-Positive definite matrices are factored and inverted through LAPACK
-and BLAS routines of the OpenBLAS that numpy's wheels bundle, bound once
-with ``ctypes``: ``inv_pd`` inverts from a Cholesky factor, and
-``PdWorkspace`` factors and inverts in reused buffers, which the solver
-loop needs to run without allocating. ``BandWorkspace`` does the same
-for banded matrices held in band storage, forming the inverse on the
-band alone. When the library or a symbol is missing, all three fall
-back to ``np.linalg.cholesky`` and the symmetrised ``np.linalg.inv``;
-``_lapack`` is the one switch.
+Positive definiteness is decided here alone: ``cholesky`` tests it, and
+``inv_pd`` is a one-shot ``PdWorkspace``, which factors and inverts in
+reused buffers so that the solver loop runs without allocating.
+``BandWorkspace`` does the same for banded matrices in band storage,
+forming the inverse on the band alone. Only these two bind LAPACK
+``dpotri``, beside ``dpotrf``/``dpbtrf``, from the OpenBLAS that numpy's
+wheels bundle, through ``ctypes``; without it both fall back to
+``cholesky`` and the symmetrised ``np.linalg.inv``, and ``_lapack`` is
+the one switch.
 """
 
 import ctypes
@@ -25,6 +25,25 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedMatrix, NotPositiveDefinite
+
+
+def as_floats(a, name, dtype=float):
+    """``a`` as an ndarray of ``dtype``; MalformedMatrix if it holds no numbers."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError):
+        raise MalformedMatrix("%s must hold numbers" % name) from None
+
+
+def checked_square(a, name):
+    """``a`` as a float ndarray; DimensionMismatch if it is not a square
+    matrix, MalformedMatrix if it is not numeric or is empty."""
+    a = as_floats(a, name)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch("%s must be a square matrix, got shape %s" % (name, a.shape))
+    if a.size == 0:
+        raise MalformedMatrix("%s is empty" % name)
+    return a
 
 
 def checked_symmetric(a, name):
@@ -38,20 +57,22 @@ def checked_symmetric(a, name):
         If ``a`` is not numeric or empty, has a non-finite entry or is not
         exactly symmetric.
     """
-    try:
-        a = np.array(a, dtype=float)
-    except (TypeError, ValueError):
-        raise MalformedMatrix("%s must hold numbers" % name) from None
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("%s must be a square matrix, got shape %s" % (name, a.shape))
-    if a.size == 0:
-        raise MalformedMatrix("%s is empty" % name)
+    a = np.array(checked_square(a, name))
     if not np.isfinite(a).all():
         raise MalformedMatrix("%s entries must be finite" % name)
     if not np.array_equal(a, a.T):
         raise MalformedMatrix("%s is not exactly symmetric" % name)
     a.flags.writeable = False
     return a
+
+
+def cholesky(a):
+    """Lower Cholesky factor of ``a``, as ``np.linalg.cholesky`` returns
+    it, or None if ``a`` is not positive definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
 
 
 _Lapack = namedtuple("_Lapack", "potrf potri trtri pbtrf symm")
@@ -96,50 +117,30 @@ _ROW_MAJOR, _LEFT, _LOWER = 101, 141, 122
 _MIN_BLOCK = 32
 
 
-def inv_pd(a, chol=None):
-    """Exactly symmetric inverse of a positive definite matrix.
-
-    ``chol`` is the lower Cholesky factor of ``a``, zero above the
-    diagonal as ``np.linalg.cholesky`` returns it, when the caller holds
-    one; it may be overwritten. The inverse comes from that factor
-    through LAPACK ``dpotri`` when numpy's bundled OpenBLAS exports
-    ``dpotrf`` and ``dpotri``, and otherwise is ``(inv(a) + inv(a).T) / 2``.
+def inv_pd(a):
+    """Exactly symmetric inverse of a positive definite matrix, through a
+    one-shot ``PdWorkspace``.
 
     Raises
     ------
     NotPositiveDefinite
-        If ``a`` has no Cholesky factor, or ``chol`` is singular.
-    DimensionMismatch
-        If ``chol`` is not square.
+        If ``a`` has no Cholesky factor.
     """
-    if chol is None:
-        try:
-            chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("matrix is not positive definite") from None
-    if _lapack is None:
-        inv = np.linalg.inv(a)
-        return 0.5 * (inv + inv.T)
-    c = np.require(chol, dtype=np.float64, requirements=["C", "A", "W"])
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionMismatch("Cholesky factor must be square, got shape %s" % (c.shape,))
-    # the C-order lower factor read column-major is the upper factor L^T;
-    # the inverse lands in that triangle and the zeros above stay
-    p = c.shape[0]
-    if _lapack.potri(_COL_MAJOR, b"U", p, c.ctypes.data, max(p, 1)) != 0:
-        raise NotPositiveDefinite("Cholesky factor is singular")
-    c += np.tril(c, -1).T
-    return c
+    ws = PdWorkspace(a.shape[0])
+    if ws.factor(a) is None:
+        raise NotPositiveDefinite("matrix is not positive definite")
+    return ws.inverse(np.empty(a.shape))
 
 
 class PdWorkspace:
     """Factors and inverts p x p positive definite matrices in reused buffers.
 
     With LAPACK bound, ``factor`` runs ``dpotrf`` in place on a copy of
-    its argument and ``inverse`` runs ``dpotri`` into the caller's
-    buffer, so neither allocates a p x p array; both are bit for bit
-    ``np.linalg.cholesky`` and ``inv_pd``. Without it they are those two
-    calls. Arguments must be exactly symmetric C-order float arrays.
+    its argument, bit for bit ``np.linalg.cholesky``, and ``inverse``
+    runs ``dpotri`` into the caller's buffer, so neither allocates a
+    p x p array. Without it, ``factor`` is ``cholesky`` and ``inverse``
+    the symmetrised ``np.linalg.inv``. Arguments must be exactly
+    symmetric float arrays.
     """
 
     def __init__(self, p):
@@ -156,12 +157,9 @@ class PdWorkspace:
         on the fallback route, so ``a`` must not change before it.
         """
         if self._lapack is None:
-            try:
-                self._chol = np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                return None
             self._a = a
-            return self._chol.diagonal()
+            chol = cholesky(a)
+            return None if chol is None else chol.diagonal()
         # read column-major, symmetric a is itself, and the lower factor
         # lands in the column-major lower triangle: C order's upper one
         np.copyto(self._fac, a)
@@ -171,23 +169,28 @@ class PdWorkspace:
         return self._fac.diagonal()
 
     def inverse(self, out):
-        """Inverse of the last matrix factored, written into ``out`` when
-        LAPACK is bound (and returned); a new array otherwise."""
+        """Exactly symmetric inverse of the last matrix factored, written
+        into ``out`` when LAPACK is bound (and returned); a new array
+        otherwise."""
         if self._lapack is None:
-            return inv_pd(self._a, self._chol)
-        # the transposed factor holds L in C order, as inv_pd's does, so
-        # dpotri 'U' sees the same operand; 'L' on the factor in place
-        # differs in the last bit. dpotri fills the lower triangle, which
-        # goes onto the upper one through the factor's buffer; adding 0.0
-        # clears negative zeros, as inv_pd's addition does
+            inv = np.linalg.inv(self._a)
+            return 0.5 * (inv + inv.T)
+        # the transposed factor holds L in C order, which dpotri 'U' reads
+        # as L^T; 'L' on the factor in place would differ in the last bit.
+        # dpotri fills the lower triangle, which goes onto the upper one
+        # through the factor's buffer; adding 0.0 clears negative zeros
         np.copyto(out, self._fac.T)
-        if self._lapack.potri(_COL_MAJOR, b"U", self._p, out.ctypes.data,
-                              max(self._p, 1)) != 0:
-            raise NotPositiveDefinite("Cholesky factor is singular")
+        _check(self._lapack.potri(_COL_MAJOR, b"U", self._p, out.ctypes.data, max(self._p, 1)))
         np.copyto(self._fac, out.T)
         np.copyto(out, self._fac, where=self._upper)
         out += 0.0
         return out
+
+
+def _check(info):
+    # the status of dpotri or dtrtri on a factor; nonzero is a zero pivot
+    if info != 0:
+        raise NotPositiveDefinite("Cholesky factor is singular")
 
 
 def to_band(a, kd):
@@ -223,9 +226,8 @@ class BandWorkspace:
     Z_kk = L_kk^-T L_kk^-1 + M^T Z_(k+1,k+1) M, in O(p b^2). A band wider
     than half the matrix, or a matrix of fewer than 2 _MIN_BLOCK rows, is
     one block: ``dpbtrf`` and ``dpotri``. Neither method allocates an
-    array of p rows. Without LAPACK, ``factor`` runs
-    ``np.linalg.cholesky`` on the dense matrix and ``selected_inverse``
-    returns its whole inverse by ``inv_pd``.
+    array of p rows. Without LAPACK, both hand the dense matrix to a
+    ``PdWorkspace``, and ``selected_inverse`` returns its whole inverse.
     """
 
     def __init__(self, p, kd):
@@ -233,7 +235,9 @@ class BandWorkspace:
         b = max(kd, _MIN_BLOCK)
         self._starts = [k * b for k in range(max(1, p // b))] + [p]
         self._fac = np.empty((p, kd + 1))
-        if len(self._starts) > 2:
+        if self._lapack is None:
+            self._dense = PdWorkspace(p)
+        elif len(self._starts) > 2:
             # [L_kk^-1; -M] and [L_kk^-1; Z_(k+1,k)], whose product is
             # Z_kk; the inverse's upper triangle stays zero
             tall = b + p - self._starts[-2]
@@ -251,12 +255,7 @@ class BandWorkspace:
             a = np.zeros((p, p))
             _unpack(band, a)
             a += np.tril(a, -1).T
-            try:
-                self._chol = np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                return None
-            self._a = a
-            return self._chol.diagonal()
+            return self._dense.factor(a)
         np.copyto(self._fac, band)
         if self._lapack.pbtrf(_COL_MAJOR, b"L", p, kd, self._fac.ctypes.data, kd + 1) != 0:
             return None
@@ -268,7 +267,7 @@ class BandWorkspace:
         LAPACK is bound (and returned); out's other entries are scratch.
         Without LAPACK, the whole inverse in a new array."""
         if self._lapack is None:
-            return inv_pd(self._a, self._chol)
+            return self._dense.inverse(out)
         lapack, p, s = self._lapack, self._p, self._starts
         # L on the blocks the recursion reads, zero off the band
         for a, m, e in zip(s, s[1:], s[2:] + [p]):
@@ -278,14 +277,14 @@ class BandWorkspace:
         last = s[-2]
         # the factor's lower triangle in C order is the upper one read
         # column-major, so each LAPACK call takes "U"
-        self._check(lapack.potri(_COL_MAJOR, b"U", p - last, at + 8 * (p + 1) * last, p))
+        _check(lapack.potri(_COL_MAJOR, b"U", p - last, at + 8 * (p + 1) * last, p))
         for k in range(len(s) - 3, -1, -1):
             a, m, e = s[k:k + 3]
             b, n = m - a, e - m
             linv, mm = self._s[:b], self._s[b:b + n]
             at_linv, at_mm, at_z = self._at
             np.copyto(linv, out[a:m, a:m], where=self._lower)
-            self._check(lapack.trtri(_COL_MAJOR, b"U", b"N", b, at_linv, b))
+            _check(lapack.trtri(_COL_MAJOR, b"U", b"N", b, at_linv, b))
             np.copyto(self._u[:b], linv)
             np.matmul(out[m:e, a:m], linv, out=mm)
             np.negative(mm, out=mm)
@@ -296,11 +295,6 @@ class BandWorkspace:
             np.matmul(self._s[:b + n].T, self._u[:b + n], out=out[a:m, a:m])
         return out
 
-    @staticmethod
-    def _check(info):
-        if info != 0:
-            raise NotPositiveDefinite("Cholesky factor is singular")
-
 
 def logdet_pd(m):
     """Log-determinant of a positive definite matrix via Cholesky.
@@ -309,12 +303,12 @@ def logdet_pd(m):
     ------
     NotPositiveDefinite
         If the factorization encounters a nonpositive pivot.
+    MalformedMatrix
+        If ``m`` does not hold numbers.
     """
-    a = np.asarray(m, dtype=float)
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix is not positive definite") from exc
+    chol = cholesky(as_floats(m, "matrix"))
+    if chol is None:
+        raise NotPositiveDefinite("matrix is not positive definite")
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
@@ -324,7 +318,7 @@ def inf_operator_norm(m):
     Accepts rectangular input. The empty convention keeps norms over an
     empty index partition well defined.
     """
-    a = np.asarray(m, dtype=float)
+    a = as_floats(m, "matrix")
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.size == 0:
@@ -354,15 +348,16 @@ def hessian_submatrix(sigma_m, rows, cols):
     DimensionMismatch
         If a mask is not p x p.
     """
-    s = np.asarray(sigma_m, dtype=float)
+    s = as_floats(sigma_m, "sigma_m")
     ri, rj = np.nonzero(shaped_like(rows, s, "rows", dtype=bool))
     ck, cl = np.nonzero(shaped_like(cols, s, "cols", dtype=bool))
     return s[np.ix_(ri, ck)] * s[np.ix_(rj, cl)]
 
 
 def shaped_like(a, ref, name, dtype=float):
-    """``a`` as an array of ``ref``'s shape; raises DimensionMismatch otherwise."""
-    a = np.asarray(a, dtype=dtype)
+    """``a`` as an array of ``ref``'s shape and of ``dtype``; raises
+    DimensionMismatch otherwise, and MalformedMatrix if it does not hold numbers."""
+    a = as_floats(a, name, dtype)
     if a.shape != ref.shape:
         raise DimensionMismatch("%s is %s, expected %s" % (name, a.shape, ref.shape))
     return a

@@ -298,7 +298,7 @@ def spearman(x, y):
     return float((rx * ry).sum() / np.sqrt((rx * rx).sum() * (ry * ry).sum()))
 
 
-def dense_lbp_run(m, max_iter, tol, damping=0.0):
+def dense_lbp_run(m, max_iter, tol):
     """Synchronous Gaussian belief propagation on dense p x p message arrays.
 
     ``d_j[i, k]`` and ``d_h[i, k]`` hold the message from i to k, zero off
@@ -330,9 +330,6 @@ def dense_lbp_run(m, max_iter, tol, damping=0.0):
             break
         new_j = np.where(mask, -j * j / np.where(mask, cavity_j, 1.0), 0.0)
         new_h = np.where(mask, -j * cavity_h / np.where(mask, cavity_j, 1.0), 0.0)
-        if damping > 0:
-            new_j = (1.0 - damping) * new_j + damping * d_j
-            new_h = (1.0 - damping) * new_h + damping * d_h
         delta = max(np.abs(new_j - d_j).max(), np.abs(new_h - d_h).max())
         d_j, d_h = new_j, new_h
         belief_j = j_diag + d_j.sum(axis=0)
@@ -416,6 +413,24 @@ def reference_grid_model(q, seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2)
         shrinks += 1
 
 
+def reference_inv_pd(a):
+    """The inverse of a positive definite ``a`` formed apart from
+    ``symmat.PdWorkspace``: LAPACK ``dpotri`` on ``np.linalg.cholesky``'s
+    lower factor in C order, which it reads column-major as L^T, and the
+    lower triangle mirrored onto the upper one. Without LAPACK, the
+    symmetrised ``np.linalg.inv``."""
+    from covdecomp import symmat
+
+    if symmat._lapack is None:
+        inv = np.linalg.inv(a)
+        return 0.5 * (inv + inv.T)
+    c = np.require(np.linalg.cholesky(a), requirements=["C", "W"])
+    p = c.shape[0]
+    assert symmat._lapack.potri(symmat._COL_MAJOR, b"U", p, c.ctypes.data, max(p, 1)) == 0
+    c += np.tril(c, -1).T
+    return c
+
+
 def _reference_certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None):
     # (kkt, z_gamma, residual, sign conflicts) as the solver formed them
     # before its loop took a workspace, symmetrisations included
@@ -477,7 +492,7 @@ def reference_prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
 
     chol = np.linalg.cholesky(j)
     history = [objective(j, chol)]
-    j_inv = inv_pd(j, chol)
+    j_inv = inv_pd(j)
     t = 1.0
     backtracks = not_pd = 0
     for it in range(1, cfg.max_iter + 1):
@@ -500,7 +515,7 @@ def reference_prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
             backtracks += 1
         else:
             raise AssertionError("no feasible step length")
-        cand_inv = inv_pd(cand, chol)
+        cand_inv = inv_pd(cand)
         sy = float(np.sum(step * (j_inv - cand_inv)))
         if sy > 0:
             t = ss / sy

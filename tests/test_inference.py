@@ -176,33 +176,11 @@ class TestLbpOnLoopyModels:
         assert not trace.converged
         assert trace.iterations_run < 1000
 
-    def test_damping_changes_trajectory_not_fixed_point(self):
-        j = np.eye(4)
-        for i in range(4):
-            k = (i + 1) % 4
-            j[i, k] = j[k, i] = 0.2
-        m = InfoModel(j, np.ones(4))
-        plain = cd.lbp_run(m, max_iter=2000, tol=1e-12)
-        damped = cd.lbp_run(m, max_iter=2000, tol=1e-12, damping=0.5)
-        assert plain.converged and damped.converged
-        assert damped.iterations_run != plain.iterations_run
-        assert abs(plain.mean_errors[-1] - damped.mean_errors[-1]) < 1e-9
-
 
 class TestLbpValidation:
     def test_max_iter_must_be_positive(self):
         with pytest.raises(ValueError, match="max_iter"):
             cd.lbp_run(InfoModel(np.eye(2), np.zeros(2)), max_iter=0, tol=1e-8)
-
-    @pytest.mark.parametrize("damping", [-0.1, 1.0, 1.5])
-    def test_damping_range(self, damping):
-        with pytest.raises(ValueError, match="damping"):
-            cd.lbp_run(
-                InfoModel(np.eye(2), np.zeros(2)),
-                max_iter=10,
-                tol=1e-8,
-                damping=damping,
-            )
 
     def test_nan_tol_rejected(self):
         with pytest.raises(PreconditionViolated, match="tol"):
@@ -240,10 +218,6 @@ class TestEdgeListMatchesDenseOracle:
     def test_grid_overall(self, grid6):
         assert_same_as_dense(grid6[1])
 
-    @pytest.mark.parametrize("which", [0, 1])
-    def test_grid_damped(self, grid6, which):
-        assert_same_as_dense(grid6[which], damping=0.5)
-
     def test_cavity_break(self):
         trace = assert_same_as_dense(frustrated_model())
         assert not trace.converged and trace.iterations_run < 1000
@@ -276,12 +250,11 @@ class TestEdgeListMatchesDenseOracle:
         density=st.floats(min_value=0.0, max_value=1.0),
         slack=st.floats(min_value=0.05, max_value=2.0),
         tol=st.sampled_from([0.0, 1e-12, 1e-6]),
-        damping=st.sampled_from([0.0, 0.3]),
     )
-    def test_random_sparse_spd(self, p, seed, density, slack, tol, damping):
+    def test_random_sparse_spd(self, p, seed, density, slack, tol):
         rng = np.random.default_rng(seed)
         a = np.triu(rng.uniform(-1.0, 1.0, (p, p)) * (rng.random((p, p)) < density), 1)
         a = a + a.T
         j = a + (slack - np.linalg.eigvalsh(a).min()) * np.eye(p)
         assert_same_as_dense(InfoModel(j, rng.standard_normal(p)),
-                             max_iter=60, tol=tol, damping=damping)
+                             max_iter=60, tol=tol)

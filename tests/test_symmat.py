@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covdecomp as cd
 from covdecomp import (
+    CovdecompError,
     DimensionMismatch,
     NotPositiveDefinite,
     hessian_submatrix,
@@ -14,7 +16,7 @@ from covdecomp import (
 )
 from covdecomp import symmat
 from covdecomp.symmat import inv_pd
-from oracles import kron_submatrix, naive_inf_operator_norm
+from oracles import kron_submatrix, naive_inf_operator_norm, reference_inv_pd
 
 
 def spd_matrices(max_dim=6):
@@ -66,29 +68,21 @@ class TestInvPd:
     @pytest.mark.parametrize("p", [1, 2, 100, 400])
     def test_matches_linalg_inv(self, p, inverse_path):
         a = _random_spd(p, seed=p)
-        got = inv_pd(a, np.linalg.cholesky(a))
+        got = inv_pd(a)
         expected = np.linalg.inv(a)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.array_equal(got, got.T)
-        np.testing.assert_array_equal(inv_pd(a), got)
 
     def test_fallback_is_symmetrized_inv_bit_for_bit(self, monkeypatch):
         monkeypatch.setattr(symmat, "_lapack", None)
         a = _random_spd(50, seed=5)
         inv = np.linalg.inv(a)
-        np.testing.assert_array_equal(inv_pd(a, np.linalg.cholesky(a)),
-                                      0.5 * (inv + inv.T))
+        np.testing.assert_array_equal(inv_pd(a), 0.5 * (inv + inv.T))
 
     def test_rejects_indefinite(self, inverse_path):
         # nonsingular, so an LU-based inverse alone would accept it
         with pytest.raises(NotPositiveDefinite):
             inv_pd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_singular_factor_rejected(self):
-        if symmat._lapack is None:
-            pytest.skip("numpy bundles no scipy_LAPACKE_dpotrf/dpotri_work64_")
-        with pytest.raises(NotPositiveDefinite):
-            inv_pd(np.eye(2), np.diag([1.0, 0.0]))
 
     def test_lapack_path_resolves_on_bundled_openblas(self):
         libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
@@ -109,10 +103,21 @@ class TestPdWorkspace:
         chol = np.linalg.cholesky(a)
         assert ws.factor(a).tobytes() == np.diag(chol).tobytes()
         out = np.empty((p, p))
-        assert ws.inverse(out).tobytes() == inv_pd(a, chol).tobytes()
+        got = ws.inverse(out).tobytes()
+        assert got == inv_pd(a).tobytes()
+        assert got == reference_inv_pd(a).tobytes()
 
     def test_indefinite_has_no_factor(self, inverse_path):
         assert symmat.PdWorkspace(2).factor(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
+
+
+class TestCholesky:
+    def test_indefinite_has_no_factor(self):
+        assert symmat.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
+
+    def test_pd_factor_is_linalg_cholesky_bit_for_bit(self):
+        a = _random_spd(50, seed=7)
+        assert symmat.cholesky(a).tobytes() == np.linalg.cholesky(a).tobytes()
 
 
 def _banded_spd(mask, seed):
@@ -231,3 +236,34 @@ class TestHessianSubmatrix:
     def test_pair_array_rejected(self):
         with pytest.raises(DimensionMismatch):
             hessian_submatrix(np.eye(3), np.array([[0, 1], [1, 0]]), pair_mask([], 3))
+
+
+WORDS = [["a", "b"], ["c", "d"]]
+EYE_MASK = np.eye(2, dtype=bool)
+NO_PAIRS = np.zeros((2, 2), dtype=bool)
+CFG = cd.SolverConfig(gamma=0.1, lambda_off=1.0)
+
+# outside input that numpy cannot turn into floats, or an empty matrix,
+# at each public entry point that converts it
+MALFORMED_INPUT = {
+    "info_model_h": lambda: cd.InfoModel(np.eye(2), ["a", "b"]),
+    "admm_solve": lambda: cd.admm_solve(WORDS, CFG),
+    "admm_solve_empty": lambda: cd.admm_solve(np.zeros((0, 0)), CFG),
+    "witness_solve": lambda: cd.witness_solve(WORDS, EYE_MASK, NO_PAIRS, np.zeros((2, 2)), CFG),
+    "witness_solve_signs": lambda: cd.witness_solve(np.eye(2), EYE_MASK, NO_PAIRS, WORDS, CFG),
+    "duality_gap": lambda: cd.duality_gap(None, WORDS, CFG),
+    "walk_summability": lambda: cd.walk_summability(WORDS),
+    "walk_summability_empty": lambda: cd.walk_summability(np.zeros((0, 0))),
+    "sample_covariance": lambda: cd.sample_covariance(WORDS),
+    "support_of": lambda: cd.support_of(WORDS),
+    "edit_distance": lambda: cd.edit_distance(WORDS, np.eye(2), 1e-6),
+    "hessian_submatrix": lambda: hessian_submatrix(WORDS, EYE_MASK, EYE_MASK),
+    "logdet_pd": lambda: logdet_pd(WORDS),
+    "soft_threshold_covariance": lambda: cd.soft_threshold_covariance(WORDS, 0.1),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_INPUT.values(), ids=MALFORMED_INPUT.keys())
+def test_malformed_input_raises_typed_error(call):
+    with pytest.raises(CovdecompError):
+        call()
