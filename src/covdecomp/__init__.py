@@ -25,7 +25,6 @@ from .metrics import (
     MetricsRecord,
     compare_to_truth,
     edit_distance,
-    normalized_edit_distance,
     sign_consistency,
     support_of,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "load_model",
     "load_samples",
     "logdet_pd",
-    "normalized_edit_distance",
     "partition_pairs",
     "sample_covariance",
     "sample_covariance_centered",

@@ -66,7 +66,6 @@ _SOLVER_KEYS = tuple(
 class ExperimentSpec:
     """Declarative description of one harness invocation."""
 
-    mode: str = "sweep"
     generator: str = "grid"
     grid_sizes: tuple = (5,)
     chain_rho: tuple = (0.05, 0.04, 0.03)
@@ -578,7 +577,6 @@ def main(argv=None):
     try:
         spec = spec_from_config(
             args.config,
-            mode=args.mode,
             out_dir=args.out,
             seed=args.seed,
             threads=args.threads,
@@ -587,7 +585,7 @@ def main(argv=None):
             data_path=args.data_path,
             trials=args.trials,
         )
-        return _COMMANDS[spec.mode](spec)
+        return _COMMANDS[args.mode](spec)
     except (CovdecompError, ValueError, OSError) as exc:
         logger.error("%s", exc)
         return 2

@@ -56,17 +56,6 @@ def edit_distance(a, b, threshold):
     return _edit(support_of(a_arr, threshold), support_of(b_arr, threshold))
 
 
-def normalized_edit_distance(est, truth, threshold):
-    """Edit distance divided by the truth's edge count.
-
-    May exceed 1 when the estimate carries many spurious edges.
-    """
-    denom = int(np.count_nonzero(support_of(truth, threshold)))
-    if denom == 0:
-        raise EmptyTruthSupport("truth matrix has no off-diagonal support")
-    return edit_distance(est, truth, threshold) / denom
-
-
 def sign_consistency(est, truth, threshold):
     """True iff supports match exactly and signs agree on that support."""
     est_arr = as_floats(est, "sign_consistency estimate")

@@ -30,10 +30,6 @@ from .symmat import (BandWorkspace, PdWorkspace, as_floats, checked_square, chol
 
 logger = logging.getLogger(__name__)
 
-# clip-detection band relative to the box: an off-diagonal entry with
-# |J_ij| >= lambda_off - CLIP_TIE * lambda_off counts as clipped
-CLIP_TIE = 1e-4
-
 # a candidate must beat the largest of this many recent objective values
 _HISTORY = 10
 # step halvings tried before no step length counts as feasible
@@ -116,16 +112,16 @@ class _Workspace:
     ``j`` and ``j_inv`` hold the iterate and its inverse, ``cand`` and
     ``cand_inv`` the trial point's; an accepted trial swaps the pairs.
     ``grad`` holds the gradient and ``step`` the step. ``tmp`` takes the
-    products that are summed, and ``zg``, ``r``, ``flags`` the certificate.
-    Every sum that steers the iterates is a pairwise np.sum over an
-    elementwise product: backtracking reacts to summation noise, so a
-    BLAS dot product in its place changes iteration counts.
+    products that are summed, and ``zg``, ``r``, ``flags`` the certificate,
+    whose residual lies on the box |J_ij| == lambda_off. Every sum that
+    steers the iterates is a pairwise np.sum over an elementwise product:
+    backtracking reacts to summation noise, so a BLAS dot product in its
+    place changes iteration counts.
     """
 
-    def __init__(self, sigma, cfg, clip_mask=None, kkt_mask=None, gap_tol=np.inf):
+    def __init__(self, sigma, cfg):
         p = sigma.shape[0]
-        self.sigma, self.cfg, self.gap_tol = sigma, cfg, gap_tol
-        self.clip_mask, self.kkt_mask = clip_mask, kkt_mask
+        self.sigma, self.cfg = sigma, cfg
         self.sigma_max = np.abs(sigma).max()
         self.sigma_diag = np.diag(sigma)
         self.pd = PdWorkspace(p)
@@ -181,13 +177,12 @@ class _Workspace:
 
     def certificate(self):
         return _certificate(self.j, self.j_inv, self.sigma, self.cfg,
-                            self.clip_mask, self.kkt_mask,
-                            (self.zg, self.r, self.tmp, self.grad, self.flags))
+                            scratch=(self.zg, self.r, self.tmp, self.grad, self.flags))
 
     def certified(self):
         """The iterate's certificate once its KKT residual is within
         eps_abs + eps_rel max(|Sigma|, |J|), a tenth of the documented
-        bound, and its gap within gap_tol; else None."""
+        bound, and its duality gap within 10 eps_abs; else None."""
         cfg = self.cfg
         stop = cfg.eps_abs + cfg.eps_rel * max(self.sigma_max, self.j.max(), -self.j.min())
         # the diagonal is part of every KKT residual and costs O(p)
@@ -195,7 +190,7 @@ class _Workspace:
             return None
         cert = self.certificate()
         if (cert[0] <= stop
-                and abs(_gap(self.j, self.sigma, cert[2], cfg, self.tmp)) <= self.gap_tol):
+                and abs(_gap(self.j, self.sigma, cert[2], cfg, self.tmp)) <= 10.0 * cfg.eps_abs):
             return cert
         return None
 
@@ -375,7 +370,7 @@ def _box_prox(cfg):
     return prox
 
 
-def _projected_newton(sigma, cfg, prox, j, gap_tol):
+def _projected_newton(sigma, cfg, prox, j):
     # Projected Newton steps (Bertsekas, SIAM J. Control Optim. 1982) on
     # the smooth gamma = 0 box program; prox is its box clamp. The
     # eps-active set A holds the pairs within eps of the box whose
@@ -391,8 +386,7 @@ def _projected_newton(sigma, cfg, prox, j, gap_tol):
     # iterate and the rest of max_iter go to _prox_gradient. Stops as
     # _prox_gradient does and returns what it does, iterations counting
     # Newton steps and then loop iterations.
-    ws = _Workspace(sigma, cfg, clip_mask=np.zeros(sigma.shape, dtype=bool),
-                    gap_tol=gap_tol)
+    ws = _Workspace(sigma, cfg)
     p = sigma.shape[0]
     lam = cfg.lambda_off
     f0 = ws.start(j)
@@ -450,10 +444,6 @@ def _projected_newton(sigma, cfg, prox, j, gap_tol):
             break
         ws.accept()
         f0 = f
-        # P(J + a D) puts the clipped entries exactly on the box, so the
-        # residual is read there; an interior optimum in the CLIP_TIE band
-        # would carry one of rounding noise and either sign
-        np.equal(np.abs(ws.j, out=ws.tmp), lam, out=ws.clip_mask)
         cert = ws.certified()
         if cert is not None:
             return ws.solved(it, True, cert)
@@ -461,15 +451,17 @@ def _projected_newton(sigma, cfg, prox, j, gap_tol):
         return ws.solved(cfg.max_iter, False, ws.certificate())
     rest = replace(cfg, max_iter=cfg.max_iter - it + 1)
     j_hat, j_inv, iterations, converged, cert = _prox_gradient(
-        _Workspace(sigma, rest, gap_tol=gap_tol), prox, ws.j)
+        _Workspace(sigma, rest), prox, ws.j)
     return j_hat, j_inv, it - 1 + iterations, converged, cert
 
 
 def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None,
                  scratch=None):
-    # (kkt, z_gamma, residual, sign conflicts) of one iterate; the KKT
-    # residual is read on kkt_mask only when one is given. The conflict
-    # mask is symmetric. scratch holds four p x p float buffers and one
+    # (kkt, z_gamma, residual, sign conflicts) of one iterate. The residual
+    # is read on clip_mask, by default the box |J_ij| == lambda_off, where
+    # the prox and the Newton projection put every clipped entry; the KKT
+    # residual on kkt_mask only when one is given. The conflict mask is
+    # symmetric. scratch holds four p x p float buffers and one
     # boolean one, the first two returned as z_gamma and the residual;
     # fresh ones are taken without it.
     # z_gamma is sign(J_ij) off the zero set; on exact zeros the
@@ -495,7 +487,7 @@ def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None,
     np.fill_diagonal(zg, 0.0)
     # the residual: J^-1 - Sigma - gamma z_gamma on the clip set
     if clip_mask is None:
-        clip_mask = _clip_mask(j_hat, cfg, tmp, flags)
+        clip_mask = np.equal(np.abs(j_hat, out=tmp), cfg.lambda_off, out=flags)
     np.subtract(j_inv, sigma, out=tmp)
     np.subtract(tmp, np.multiply(zg, cfg.gamma, out=tmp2), out=tmp)
     r.fill(0.0)
@@ -512,15 +504,6 @@ def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None,
     np.abs(stationarity, out=stationarity)
     kkt = stationarity.max(initial=0.0, where=True if kkt_mask is None else kkt_mask)
     return float(kkt), zg, r, conflicts
-
-
-def _clip_mask(j_hat, cfg, tmp, out):
-    # may include diagonal entries; _certificate zeroes the diagonal
-    if not np.isfinite(cfg.lambda_off):
-        out.fill(False)
-        return out
-    return np.greater_equal(np.abs(j_hat, out=tmp),
-                            cfg.lambda_off - CLIP_TIE * cfg.lambda_off, out=out)
 
 
 def _sym_mask(a, sigma, name):
@@ -631,6 +614,8 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         else max_iter ran out, and the last iterate is returned with a warning.
         With gamma = 0 ``iterations`` counts projected Newton steps, plus
         the loop's iterations after a hand-over, all within max_iter.
+        Whichever path found it, ``sigma_r_hat`` is read on the entries
+        exactly on the box, ``|J_ij| == lambda_off``.
 
     Raises
     ------
@@ -660,11 +645,10 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         if np.array_equal(boxed, warm):
             j = warm
 
-    gap_tol = 10.0 * cfg.eps_abs
     if cfg.gamma == 0:
-        solved = _projected_newton(sigma, cfg, prox, j, gap_tol)
+        solved = _projected_newton(sigma, cfg, prox, j)
     else:
-        solved = _prox_gradient(_Workspace(sigma, cfg, gap_tol=gap_tol), prox, j)
+        solved = _prox_gradient(_Workspace(sigma, cfg), prox, j)
     return _finalize(solved, sigma, cfg)
 
 

@@ -22,16 +22,22 @@ def certification_breaches(solves):
     """Messages naming each solve that breaks the certification bounds.
 
     ``solves`` holds ``(solver_name, result)`` pairs. Every result must
-    have run at least one iteration; a converged one must have a KKT
-    residual within ``CERTIFIED_KKT``, and a converged box-program
-    (``admm_solve``) one a duality gap within ``CERTIFIED_GAP``. The
-    witness program's gap is not certified, so it is not checked.
+    have run at least one iteration, and no residual entry may fight the
+    sign of its precision entry (``sigma_r_hat * j_hat < 0``): the
+    residual is a nonnegative multiplier times that sign. A converged
+    result must have a KKT residual within ``CERTIFIED_KKT``, and a
+    converged box-program (``admm_solve``) one a duality gap within
+    ``CERTIFIED_GAP``. The witness program's gap is not certified, so it
+    is not checked.
     """
     breaches = []
     for k, (name, res) in enumerate(solves):
         tag = "solve %d (%s)" % (k, name)
         if res.iterations < 1:
             breaches.append("%s ran %d iterations" % (tag, res.iterations))
+        fights = np.count_nonzero(np.asarray(res.sigma_r_hat) * np.asarray(res.j_hat) < 0)
+        if fights:
+            breaches.append("%s has %d residual entries against J's sign" % (tag, fights))
         if not res.converged:
             continue
         if not res.kkt_residual <= CERTIFIED_KKT:
@@ -441,10 +447,8 @@ def _reference_certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=No
     np.fill_diagonal(zg, 0.0)
     zg = 0.5 * (zg + zg.T)
     if clip_mask is None:
-        if np.isfinite(cfg.lambda_off):
-            clip_mask = np.abs(j_hat) >= cfg.lambda_off - 1e-4 * cfg.lambda_off
-        else:
-            clip_mask = np.zeros(j_hat.shape, dtype=bool)
+        # the entries exactly on the box; with no box, none
+        clip_mask = np.abs(j_hat) == cfg.lambda_off
     r = np.where(clip_mask, j_inv - sigma - cfg.gamma * zg, 0.0)
     np.fill_diagonal(r, 0.0)
     r = 0.5 * (r + r.T)

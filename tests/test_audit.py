@@ -53,3 +53,16 @@ def test_audit_skips_bounds_of_unconverged_results():
     assert certification_breaches([("admm_solve", res)]) == []
     res = dataclasses.replace(res, iterations=0)
     assert len(certification_breaches([("admm_solve", res)])) == 1
+
+
+def test_audit_flags_residual_against_the_sign_of_j():
+    cfg = cd.SolverConfig(gamma=0.0, lambda_off=0.1, **TIGHT)
+    res = cd.admm_solve(np.array([[1.0, 0.5], [0.5, 1.0]]), cfg)
+    assert res.sigma_r_hat[0, 1] != 0.0
+    assert certification_breaches([("admm_solve", res)]) == []
+    r = -res.sigma_r_hat
+    # converged or not, a residual that fights J's sign is flagged
+    for converged in (True, False):
+        tampered = dataclasses.replace(res, sigma_r_hat=r, converged=converged)
+        breaches = certification_breaches([("admm_solve", tampered)])
+        assert len(breaches) == 1 and "sign" in breaches[0]

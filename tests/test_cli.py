@@ -30,7 +30,6 @@ TIGHT_SOLVER = {"solver": dict(TIGHT)}
 
 def chain_sweep_spec(tmp_path, **overrides):
     base = dict(
-        mode="sweep",
         generator="chain",
         sample_sizes=[200, 400],
         trials=2,
@@ -45,7 +44,6 @@ def chain_sweep_spec(tmp_path, **overrides):
 class TestSpecFromConfig:
     def test_defaults(self):
         spec = spec_from_config()
-        assert spec.mode == "sweep"
         assert spec.generator == "grid"
         assert spec.sample_sizes == (1000, 2000, 4000)
         assert spec.lambda_policy == "lambda_star"
@@ -182,7 +180,6 @@ class TestRunSweep:
 
     def test_grid_generator_cell_layout(self, tmp_path):
         spec = spec_from_config(
-            mode="sweep",
             generator="grid",
             grid_sizes=[2],
             sample_sizes=[400],
@@ -202,7 +199,6 @@ class TestRunSweep:
 class TestExactDecomposition:
     def test_chain_family_recovers(self, tmp_path):
         spec = spec_from_config(
-            mode="exactdecomp",
             generator="chain",
             out_dir=str(tmp_path / "out"),
         )
@@ -214,7 +210,6 @@ class TestExactDecomposition:
 
     def test_oversized_box_cannot_recover_residual(self, tmp_path):
         spec = spec_from_config(
-            mode="exactdecomp",
             generator="chain",
             lambda_policy="fixed:0.5",
             exact_rho1=[0.05],
