@@ -47,19 +47,26 @@ logger = logging.getLogger(__name__)
 
 LAMBDA_POLICIES = ("fixed", "lambda_star", "inf", "near_zero", "inflated")
 NEAR_ZERO_LAMBDA = 1e-6
+# the grid family's edge magnitudes, and the chain family's partial
+# correlations and residual magnitude
+GRID_MAGNITUDES = {"clip_fraction": 0.2, "magnitude_range": (0.15, 0.2)}
+CHAIN_RHO = (0.05, 0.04, 0.03)
+CHAIN_RESIDUAL = 0.01
+# exactdecomp's chain instances (first correlation each) and pass level
+EXACT_RHO1 = (0.02, 0.03, 0.04, 0.05, 0.06)
+EXACT_TOLERANCE = 1e-6
+# belief propagation cap and stop level in the lbp study
+LBP_MAX_ITER = 1000
+LBP_TOL = 1e-10
 
 METRIC_FIELDS = [f.name for f in fields(MetricsRecord)]
-SWEEP_COLUMNS = (
-    ["p", "n", "n_over_logp", "trial", "c_gamma", "lambda"]
-    + METRIC_FIELDS
-    + ["iterations", "converged"]
-)
+# the per-cell columns that sweep_summary.json averages over trials
+_AVERAGED = METRIC_FIELDS + ["iterations", "converged"]
+SWEEP_COLUMNS = ["p", "n", "n_over_logp", "trial", "c_gamma", "lambda"] + _AVERAGED
 
 # settable through the config's "solver" object; the harness picks
 # gamma and lambda_off per cell
-_SOLVER_KEYS = tuple(
-    f.name for f in fields(SolverConfig) if f.name not in ("gamma", "lambda_off")
-)
+_SOLVER_KEYS = {f.name for f in fields(SolverConfig)} - {"gamma", "lambda_off"}
 
 
 @dataclass
@@ -68,10 +75,6 @@ class ExperimentSpec:
 
     generator: str = "grid"
     grid_sizes: tuple = (5,)
-    chain_rho: tuple = (0.05, 0.04, 0.03)
-    residual_value: float = 0.01
-    clip_fraction: float = 0.2
-    magnitude_range: tuple = (0.15, 0.2)
     diag_boost: float = None
     sample_sizes: tuple = (1000, 2000, 4000)
     c_gamma: tuple = (2.08,)
@@ -79,17 +82,10 @@ class ExperimentSpec:
     trials: int = 1
     seed: int = 0
     threads: int = 1
-    fresh_models: bool = False
-    support_threshold: float = DEFAULT_SUPPORT_THRESHOLD
     solver: dict = field(default_factory=dict)
     out_dir: str = "out"
     data_path: str = None
-    centered: bool = True
     lbp_models: int = 5
-    lbp_max_iter: int = 1000
-    lbp_tol: float = 1e-10
-    exact_rho1: tuple = (0.02, 0.03, 0.04, 0.05, 0.06)
-    exact_tolerance: float = 1e-6
 
     def validate(self):
         for f in fields(self):
@@ -105,20 +101,15 @@ class ExperimentSpec:
         parse_lambda_policy(self.lambda_policy)
         if not self.c_gamma:
             raise PreconditionViolated("c_gamma list must be nonempty")
-        unknown = set(self.solver) - set(_SOLVER_KEYS)
+        unknown = set(self.solver) - _SOLVER_KEYS
         if unknown:
             raise PreconditionViolated("unknown solver overrides: %s" % sorted(unknown))
         return self
 
-    def boost_policy(self):
-        if self.diag_boost is None:
-            return DiagBoostPolicy()
-        return DiagBoostPolicy(fixed=float(self.diag_boost))
-
 
 def _check_type(f, value):
     # value fits field f of ExperimentSpec: of its default's type (a float
-    # field takes an int, no number field a bool), a list or tuple of such
+    # field takes an int, no field a bool), a list or tuple of such
     # values for a tuple field, or None for a field whose default is None
     if value is None and f.default is None:
         return
@@ -130,7 +121,7 @@ def _check_type(f, value):
         kind, items, what = f.type, [value], "%s"
     abstract = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
     for v in items:
-        if not isinstance(v, abstract) or isinstance(v, bool) and kind is not bool:
+        if not isinstance(v, abstract) or isinstance(v, bool):
             raise PreconditionViolated(
                 "%s must be %s, got %r" % (f.name, what % kind.__name__, value))
 
@@ -205,65 +196,58 @@ def _solver_config(spec, gamma, lam):
     return SolverConfig(gamma=gamma, lambda_off=lam, **spec.solver)
 
 
+def _chain(rho):
+    # the chain precision entry J[0,1] has sign -sign(rho[0]); the residual
+    # on that pair matches it
+    return chain_model(rho, math.copysign(CHAIN_RESIDUAL, -rho[0]))
+
+
 def _build_model(spec, q, model_seed):
     if spec.generator == "chain":
-        # the chain precision entry J[0,1] has sign -sign(rho1); the config
-        # supplies a magnitude and the harness matches the required sign
-        value = math.copysign(spec.residual_value, -spec.chain_rho[0])
-        return chain_model(spec.chain_rho, value)
-    return grid_model(
-        q, model_seed, clip_fraction=spec.clip_fraction,
-        magnitude_range=spec.magnitude_range,
-        diag_boost_policy=spec.boost_policy(),
-    )
+        return _chain(CHAIN_RHO)
+    return grid_model(q, model_seed, diag_boost_policy=DiagBoostPolicy(fixed=spec.diag_boost),
+                      **GRID_MAGNITUDES)
 
 
 def _nan_metrics():
-    return MetricsRecord(
-        edit_distance_markov=-1, edit_distance_residual=-1,
-        normalized_edit_markov=float("nan"), normalized_edit_residual=float("nan"),
-        linf_error_j=float("nan"), linf_error_r=float("nan"),
-        linf_error_precision_overall=float("nan"),
-        spectral_error_sigma=float("nan"),
-        sign_consistent_r=False, sign_consistent_j=False,
-    )
+    # the metrics of a failed solve: counts -1, sign checks failed, errors NaN
+    return {f.name: {int: -1, bool: False}.get(f.type, math.nan)
+            for f in fields(MetricsRecord)}
+
+
+def _solve_cell(spec, model, q_index, trial, n, warm=None):
+    """Draw, estimate, solve and score sweep cell (q_index, trial) at n samples.
+
+    Returns (row, gamma, result): the cell's sweep.csv row, its penalty
+    level and its solve, or None if the solve raised, when the row holds
+    NaN metrics. A bad gamma, lambda or solver config raises before the
+    solve instead, and so aborts the run.
+    """
+    p = model.dim
+    cg = spec.c_gamma[q_index] if q_index < len(spec.c_gamma) else spec.c_gamma[0]
+    samples = draw_samples(model, n, derive_seed(spec.seed, q_index, trial, n, 1))
+    sigma_hat = sample_covariance(samples.data)
+    gamma = gamma_schedule(cg, p, n)
+    lam = resolve_lambda(spec.lambda_policy, model, p, n)
+    cfg = _solver_config(spec, gamma, lam)
+    row = {"p": p, "n": n, "n_over_logp": n / math.log(p), "trial": trial,
+           "c_gamma": cg, "lambda": lam}
+    try:
+        result = admm_solve(sigma_hat, cfg, warm_start=warm)
+        row.update(compare_to_truth(result, model, DEFAULT_SUPPORT_THRESHOLD).as_dict(),
+                   iterations=result.iterations, converged=result.converged)
+    except CovdecompError as exc:
+        logger.error("p=%d n=%d trial=%d failed: %s", p, n, trial, exc)
+        result = None
+        row.update(_nan_metrics(), iterations=0, converged=False)
+    return row, gamma, result
 
 
 def _sweep_task(spec, q_index, q, trial):
-    if spec.generator == "chain":
-        p = len(spec.chain_rho) + 1
-    else:
-        p = q * q
-    cg = spec.c_gamma[q_index] if q_index < len(spec.c_gamma) else spec.c_gamma[0]
-    rows = []
-    model = None
-    warm = None
-    if not spec.fresh_models:
-        model = _build_model(spec, q, derive_seed(spec.seed, q_index, trial))
+    model = _build_model(spec, q, derive_seed(spec.seed, q_index, trial))
+    rows, warm = [], None
     for n in sorted(spec.sample_sizes):
-        if spec.fresh_models:
-            model = _build_model(spec, q, derive_seed(spec.seed, q_index, trial, n))
-            warm = None
-        samples = draw_samples(model, n, derive_seed(spec.seed, q_index, trial, n, 1))
-        sigma_hat = sample_covariance(samples.data)
-        gamma = gamma_schedule(cg, p, n)
-        lam = resolve_lambda(spec.lambda_policy, model, p, n)
-        cfg = _solver_config(spec, gamma, lam)
-        row = {
-            "p": p, "n": n, "n_over_logp": n / math.log(p), "trial": trial,
-            "c_gamma": cg, "lambda": lam,
-        }
-        try:
-            result = admm_solve(sigma_hat, cfg, warm_start=warm)
-            warm = result
-            record = compare_to_truth(result, model, spec.support_threshold)
-            row.update(record.as_dict())
-            row.update(iterations=result.iterations, converged=result.converged)
-        except CovdecompError as exc:
-            logger.error("p=%d n=%d trial=%d failed: %s", p, n, trial, exc)
-            warm = None
-            row.update(_nan_metrics().as_dict())
-            row.update(iterations=0, converged=False)
+        row, _, warm = _solve_cell(spec, model, q_index, trial, n, warm)
         rows.append(row)
     return rows
 
@@ -279,11 +263,7 @@ def run_sweep(spec):
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sizes = spec.grid_sizes if spec.generator == "grid" else (0,)
-    tasks = [
-        (qi, q, trial)
-        for qi, q in enumerate(sizes)
-        for trial in range(spec.trials)
-    ]
+    tasks = [(qi, q, trial) for qi, q in enumerate(sizes) for trial in range(spec.trials)]
     if spec.threads > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
             chunks = list(pool.map(lambda t: _sweep_task(spec, *t), tasks))
@@ -301,19 +281,15 @@ def run_sweep(spec):
 
     summary = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
                "cells": []}
-    numeric = [f for f in METRIC_FIELDS if not f.startswith("sign_")]
     for key in sorted({(r["p"], r["n"]) for r in rows}):
         group = [r for r in rows if (r["p"], r["n"]) == key]
         cell = {"p": key[0], "n": key[1], "n_over_logp": key[1] / math.log(key[0]),
                 "trials": len(group)}
-        for name in numeric:
-            cell["mean_" + name] = float(np.mean([r[name] for r in group]))
-        cell["frac_sign_consistent_r"] = float(
-            np.mean([r["sign_consistent_r"] for r in group]))
-        cell["frac_sign_consistent_j"] = float(
-            np.mean([r["sign_consistent_j"] for r in group]))
-        cell["mean_iterations"] = float(np.mean([r["iterations"] for r in group]))
-        cell["frac_converged"] = float(np.mean([r["converged"] for r in group]))
+        for name in _AVERAGED:
+            values = [r[name] for r in group]
+            # a flag's mean is the fraction of trials that raise it
+            kind = "frac_" if isinstance(values[0], bool) else "mean_"
+            cell[kind + name] = float(np.mean(values))
         summary["cells"].append(cell)
     summary_path = out / "sweep_summary.json"
     write_json(summary_path, summary)
@@ -326,17 +302,15 @@ def run_exact_decomposition(spec):
     Uses the population covariance, gamma = 0, and the configured lambda
     policy (default the model's own bound); each instance reports
     max-norm errors of both components against the ground truth and a
-    pass/fail at ``spec.exact_tolerance``.
+    pass/fail at ``EXACT_TOLERANCE``.
     """
     solver = dict(spec.solver)
     solver.setdefault("eps_abs", 1e-10)
     solver.setdefault("eps_rel", 1e-9)
     instances = []
     if spec.generator == "chain":
-        cases = [("chain", {"rho1": r1}, chain_model(
-            (r1, 0.8 * r1, 0.6 * r1),
-            math.copysign(spec.residual_value, -r1)))
-            for r1 in spec.exact_rho1]
+        cases = [("chain", {"rho1": r1}, _chain((r1, 0.8 * r1, 0.6 * r1)))
+                 for r1 in EXACT_RHO1]
     else:
         cases = []
         for qi, q in enumerate(spec.grid_sizes):
@@ -355,26 +329,29 @@ def run_exact_decomposition(spec):
             "generator": name, "params": params, "p": p, "lambda": lam,
             "error_j": err_j, "error_r": err_r,
             "iterations": result.iterations, "converged": result.converged,
-            "passed": bool(err_j <= spec.exact_tolerance
-                           and err_r <= spec.exact_tolerance),
+            "passed": bool(err_j <= EXACT_TOLERANCE and err_r <= EXACT_TOLERANCE),
         })
     return {
         "schema_version": SCHEMA_VERSION,
-        "tolerance": spec.exact_tolerance,
+        "tolerance": EXACT_TOLERANCE,
         "instances": instances,
         "all_pass": all(i["passed"] for i in instances),
     }
 
 
-def ingest_csv(path, centered=True):
-    """Load a rectangular numeric CSV with a header row into a SampleSet."""
+def ingest_csv(path):
+    """Load a rectangular numeric CSV with a header row into a SampleSet.
+
+    The data are kept as read; ``fit`` estimates their covariance about
+    the column means.
+    """
     header, data = read_csv_table(path)
     logger.info("ingested %s: n=%d, p=%d, columns=%s",
                 path, data.shape[0], data.shape[1], header)
     return SampleSet(
         data=data, seed=None,
         model_meta={"kind": "ingested", "path": str(path), "columns": header,
-                    "centered": bool(centered)},
+                    "centered": True},
     )
 
 
@@ -406,10 +383,9 @@ def _cmd_generate(spec):
     model = _build_model(spec, spec.grid_sizes[0], derive_seed(spec.seed, 0, 0))
     meta = {"generator": spec.generator, "seed": spec.seed}
     if spec.generator == "grid":
-        meta.update(q=spec.grid_sizes[0], clip_fraction=spec.clip_fraction,
-                    magnitude_range=list(spec.magnitude_range))
+        meta.update(q=spec.grid_sizes[0], **GRID_MAGNITUDES)
     else:
-        meta.update(rho=list(spec.chain_rho), residual_value=spec.residual_value)
+        meta.update(rho=list(CHAIN_RHO), residual_value=CHAIN_RESIDUAL)
     path = save_model(model, out / "model", extra_meta=meta)
     logger.info("model written to %s (p=%d, lambda_star=%g)",
                 path, model.dim, model.lambda_star)
@@ -418,35 +394,30 @@ def _cmd_generate(spec):
 
 def _cmd_fit(spec):
     out = Path(spec.out_dir)
-    model = None
-    names = None
     if spec.data_path:
         # check the policy before the costliest step, parsing the data
         _require_model_free(parse_lambda_policy(spec.lambda_policy)[0])
-        samples = ingest_csv(spec.data_path, centered=spec.centered)
+        samples = ingest_csv(spec.data_path)
         names = samples.model_meta["columns"]
-        cov = sample_covariance_centered if spec.centered else sample_covariance
-        sigma_hat = cov(samples.data)
         n, p = samples.n, samples.p
+        gamma = gamma_schedule(spec.c_gamma[0], p, n)
+        lam = resolve_lambda(spec.lambda_policy, None, p, n)
+        result = admm_solve(sample_covariance_centered(samples.data),
+                            _solver_config(spec, gamma, lam))
+        extra = {"gamma": gamma, "lambda": lam, "n": n, "p": p}
     else:
-        q = spec.grid_sizes[0]
-        model = _build_model(spec, q, derive_seed(spec.seed, 0, 0))
-        n = max(spec.sample_sizes)
-        samples = draw_samples(model, n, derive_seed(spec.seed, 0, 0, n, 1))
-        sigma_hat = sample_covariance(samples.data)
-        p = samples.p
+        # the sweep's first cell at its largest sample size
+        model = _build_model(spec, spec.grid_sizes[0], derive_seed(spec.seed, 0, 0))
+        n, p = max(spec.sample_sizes), model.dim
+        row, gamma, result = _solve_cell(spec, model, 0, 0, n)
+        if result is None:
+            return 2
         names = ["x%d" % k for k in range(p)]
-    gamma = gamma_schedule(spec.c_gamma[0], p, n)
-    lam = resolve_lambda(spec.lambda_policy, model, p, n)
-    cfg = _solver_config(spec, gamma, lam)
-    result = admm_solve(sigma_hat, cfg)
-    extra = {"gamma": gamma, "lambda": lam, "n": n, "p": p}
-    if model is not None:
-        extra["metrics"] = compare_to_truth(
-            result, model, spec.support_threshold).as_dict()
+        extra = {"gamma": gamma, "lambda": row["lambda"], "n": n, "p": p,
+                 "metrics": {k: row[k] for k in METRIC_FIELDS}}
     save_result(result, out / "fit", extra_diagnostics=extra)
     write_json(out / "fit" / "graphs.json",
-                export_graphs(result, names, spec.support_threshold))
+                export_graphs(result, names, DEFAULT_SUPPORT_THRESHOLD))
     logger.info(
         "fit written to %s (iterations=%d, converged=%s, gap=%.3g)",
         out / "fit", result.iterations, result.converged, result.duality_gap,
@@ -472,7 +443,7 @@ def _cmd_lbp(spec):
         entry = {"model": k, "p": p}
         for tag, j in (("markov", model.j_markov), ("overall", model._overall[2])):
             info = InfoModel(j=j, h=h)
-            trace = lbp_run(info, spec.lbp_max_iter, spec.lbp_tol)
+            trace = lbp_run(info, LBP_MAX_ITER, LBP_TOL)
             write_trace_csv(trace, out / ("trace_%s_%d.csv" % (tag, k)))
             entry["walk_summability_" + tag] = walk_summability(j)
             entry["converged_" + tag] = trace.converged
@@ -490,13 +461,13 @@ def _cmd_ingest(spec):
     if not spec.data_path:
         raise PreconditionViolated("ingest needs --data PATH")
     out = Path(spec.out_dir)
-    samples = ingest_csv(spec.data_path, centered=spec.centered)
+    samples = ingest_csv(spec.data_path)
     save_samples(samples, out / "samples")
     write_json(out / "dataset_summary.json", {
         "schema_version": SCHEMA_VERSION,
         "n": samples.n, "p": samples.p,
         "columns": samples.model_meta["columns"],
-        "centered": spec.centered,
+        "centered": True,
     })
     logger.info("dataset written to %s (n=%d, p=%d)",
                 out / "samples", samples.n, samples.p)
@@ -524,10 +495,6 @@ _COMMANDS = {
 }
 
 
-def _float_list(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
 def build_parser():
     from . import __version__
 
@@ -540,11 +507,8 @@ def build_parser():
                         help="worker threads for sweep cells")
     shared.add_argument("--lambda", dest="lambda_policy", metavar="POLICY",
                         help="fixed:V | lambda_star | inf | near_zero | inflated:C")
-    shared.add_argument("--cgamma", type=_float_list, metavar="LIST",
-                        help="comma-separated c_gamma values, one per grid size")
     shared.add_argument("--data", dest="data_path", metavar="PATH",
                         help="input CSV (fit/ingest)")
-    shared.add_argument("--trials", type=int, metavar="N")
     shared.add_argument("-v", "--verbose", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -581,9 +545,7 @@ def main(argv=None):
             seed=args.seed,
             threads=args.threads,
             lambda_policy=args.lambda_policy,
-            c_gamma=args.cgamma,
             data_path=args.data_path,
-            trials=args.trials,
         )
         return _COMMANDS[args.mode](spec)
     except (CovdecompError, ValueError, OSError) as exc:

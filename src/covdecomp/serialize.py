@@ -139,7 +139,6 @@ def save_result(result, dirpath, extra_diagnostics=None):
         "iterations": result.iterations,
         "converged": result.converged,
         "overall_pd": result.overall_pd,
-        "min_eig_overall": result.min_eig_overall,
         "clip_pairs": _pair_list(np.triu(result.sigma_r_hat != 0.0, k=1)),
         "sign_conflicts": _pair_list(result.sign_conflicts),
     }

@@ -20,6 +20,8 @@ and for the box program also on the duality gap.
 """
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,15 +54,20 @@ class SolverConfig:
     eps_rel: float = 1e-6
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            kind = numbers.Integral if name == "max_iter" else numbers.Real
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise PreconditionViolated("%s must be %s, got %r" % (
+                    name, "an integer" if name == "max_iter" else "a number", value))
         # each test is written so that NaN fails it
-        if not self.gamma >= 0:
-            raise PreconditionViolated("gamma must be >= 0")
+        if not 0 <= self.gamma < math.inf:
+            raise PreconditionViolated("gamma must be finite and >= 0")
         if not self.lambda_off > 0:
             raise PreconditionViolated("lambda_off must be positive (possibly +inf)")
         if not self.max_iter >= 1:
             raise PreconditionViolated("max_iter must be >= 1")
-        if not (self.eps_abs > 0 and self.eps_rel > 0):
-            raise PreconditionViolated("eps_abs and eps_rel must be positive")
+        if not (0 < self.eps_abs < math.inf and 0 < self.eps_rel < math.inf):
+            raise PreconditionViolated("eps_abs and eps_rel must be finite and positive")
 
 
 @dataclass
@@ -83,7 +90,6 @@ class SolveResult:
     iterations: int
     converged: bool
     overall_pd: bool
-    min_eig_overall: float
     sign_conflicts: np.ndarray
 
 
@@ -571,10 +577,6 @@ def _finalize(solved, sigma, cfg):
     if conflicts.any():
         logger.warning("zeroed %d sign-conflicting residual entries",
                        np.count_nonzero(conflicts))
-    # spectral check of the overall covariance estimate Sigma_M - Sigma_R,
-    # exactly symmetric as J^-1 and the residual are
-    overall = j_inv - r
-    min_eig = float(np.linalg.eigvalsh(overall).min())
     # the solve's workspace goes with this call, so nothing else holds them
     for a in (j_hat, j_inv, r, zg):
         a.flags.writeable = False
@@ -587,8 +589,8 @@ def _finalize(solved, sigma, cfg):
         duality_gap=_gap(j_hat, sigma, r, cfg),
         iterations=iterations,
         converged=converged,
-        overall_pd=min_eig > 0,
-        min_eig_overall=min_eig,
+        # is the overall covariance estimate Sigma_M - Sigma_R PD?
+        overall_pd=cholesky(j_inv - r) is not None,
         sign_conflicts=conflicts,
     )
 

@@ -4,12 +4,16 @@ and determinism, CSV ingestion, graph export, and exit codes."""
 import csv
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import covdecomp as cd
 from covdecomp.cli import (
+    METRIC_FIELDS,
     NEAR_ZERO_LAMBDA,
     SWEEP_COLUMNS,
     ExperimentSpec,
@@ -26,6 +30,7 @@ from covdecomp.errors import MalformedCsv, NonNumericCell, PreconditionViolated
 from oracles import TIGHT
 
 TIGHT_SOLVER = {"solver": dict(TIGHT)}
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def chain_sweep_spec(tmp_path, **overrides):
@@ -102,7 +107,7 @@ class TestSpecFromConfig:
             {"trials": "3"},
             {"grid_sizes": 5},
             {"sample_sizes": (100.0,)},
-            {"fresh_models": 1},
+            {"trials": True},
             {"lambda_policy": "fixed:x"},
         ],
     )
@@ -212,7 +217,6 @@ class TestExactDecomposition:
         spec = spec_from_config(
             generator="chain",
             lambda_policy="fixed:0.5",
-            exact_rho1=[0.05],
             out_dir=str(tmp_path / "out"),
         )
         report = run_exact_decomposition(spec)
@@ -368,7 +372,7 @@ class TestMainEntry:
     def test_exactdecomp_exit_codes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "generator": "chain", "exact_rho1": [0.05],
+            "generator": "chain",
         }))
         out = tmp_path / "out"
         assert main(["exactdecomp", "--config", str(cfg), "--out", str(out)]) == 0
@@ -385,7 +389,6 @@ class TestMainEntry:
             "generator": "grid",
             "grid_sizes": [3],
             "lbp_models": 2,
-            "lbp_max_iter": 200,
         }))
         out = tmp_path / "out"
         assert main(["lbp", "--config", str(cfg), "--out", str(out)]) == 0
@@ -397,3 +400,52 @@ class TestMainEntry:
             k = entry["model"]
             assert (out / ("trace_markov_%d.csv" % k)).exists()
             assert (out / ("trace_overall_%d.csv" % k)).exists()
+
+    def test_fit_is_the_sweeps_first_cell(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_sizes": [3], "diag_boost": 1.0,
+                                   "sample_sizes": [800], **TIGHT_SOLVER}))
+        for mode in ("sweep", "fit"):
+            assert main([mode, "--config", str(cfg), "--seed", "6",
+                         "--out", str(tmp_path / "out")]) == 0
+        (row,) = csv.DictReader((tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:])
+        diag = json.loads((tmp_path / "out" / "fit" / "diagnostics.json").read_text())
+        # a CSV cell is the str of its value, and JSON keeps floats exactly
+        assert {k: str(v) for k, v in diag["metrics"].items()} == {
+            k: row[k] for k in METRIC_FIELDS}
+        assert str(diag["lambda"]) == row["lambda"]
+        assert diag["gamma"] == cd.gamma_schedule(float(row["c_gamma"]), 9, 800)
+
+    def test_removed_keys_and_flags_fail_cleanly(self, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        for key in ("fresh_models", "support_threshold", "centered", "chain_rho",
+                    "residual_value", "clip_fraction", "magnitude_range", "lbp_max_iter",
+                    "lbp_tol", "exact_rho1", "exact_tolerance"):
+            cfg.write_text(json.dumps({key: 1}))
+            caplog.clear()
+            with caplog.at_level("ERROR", logger="covdecomp.cli"):
+                assert main(["sweep", "--config", str(cfg),
+                             "--out", str(tmp_path / "out")]) == 2
+            assert len(caplog.messages) == 1
+        for flag in ("--cgamma", "--trials"):
+            with pytest.raises(SystemExit) as info:
+                main(["sweep", flag, "3"])
+            assert info.value.code == 2
+
+
+class TestReadme:
+    def test_config_table_lists_the_spec_fields(self):
+        section = README.split("### Configuration file")[1].split("###")[0]
+        keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+        assert sorted(keys) == sorted(f.name for f in fields(ExperimentSpec))
+
+    def test_usage_lists_the_parser_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        synopsis = README.split("## Command line")[1].split("```")[1]
+
+        def options(text):
+            return re.findall(r"\[(-[^\]]+)\]", text)
+
+        assert options(synopsis) == [o for o in options(usage) if o != "-h"]

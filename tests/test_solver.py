@@ -4,6 +4,7 @@ residual extraction, the soft-threshold limit, and the witness program."""
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +58,25 @@ class TestSolverConfig:
         with pytest.raises(PreconditionViolated):
             SolverConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"max_iter": 2.5},
+            {"max_iter": "10"},
+            {"max_iter": True},
+            {"gamma": math.inf},
+            {"gamma": "0.1"},
+            {"lambda_off": "x"},
+            {"eps_abs": "x"},
+            {"eps_abs": math.inf},
+            {"eps_rel": math.inf},
+        ],
+    )
+    def test_rejects_values_it_cannot_solve_with(self, kw):
+        # not a TypeError from a comparison, nor a solve that misreads them
+        with pytest.raises(PreconditionViolated):
+            SolverConfig(**{"gamma": 0.1, "lambda_off": 0.2, **kw})
+
     def test_infinite_lambda_allowed(self):
         cfg = SolverConfig(gamma=0.1, lambda_off=math.inf)
         assert cfg.lambda_off == math.inf
@@ -70,7 +90,6 @@ class TestClosedFormCases:
         assert np.abs(np.asarray(res.j_hat) - np.eye(5)).max() < 1e-8
         assert np.all(np.asarray(res.sigma_r_hat) == 0.0)
         assert res.overall_pd
-        assert res.min_eig_overall == pytest.approx(1.0, abs=1e-8)
 
     def test_diagonal_inverse(self):
         cfg = tight_config(gamma=0.0, lambda_off=math.inf)
@@ -460,7 +479,6 @@ class TestDualityGapErrors:
             iterations=1,
             converged=True,
             overall_pd=True,
-            min_eig_overall=1.0,
             sign_conflicts=np.zeros((2, 2), dtype=bool),
         )
         with pytest.raises(NotPositiveDefinite):
@@ -482,13 +500,30 @@ class TestPostCheckOverallPd:
         cfg = tight_config(gamma=0.0, lambda_off=math.inf)
         res = cd.admm_solve(np.eye(2), cfg)
         assert res.overall_pd is True
-        assert res.min_eig_overall == pytest.approx(1.0, abs=1e-8)
         # a residual that outweighs Sigma_M leaves Sigma_M - Sigma_R indefinite
         r = np.array([[0.0, 1.5], [1.5, 0.0]])
         cert = (0.0, np.zeros((2, 2)), r, np.zeros((2, 2), dtype=bool))
         res = solver._finalize((np.eye(2), np.eye(2), 1, True, cert), np.eye(2), cfg)
         assert res.overall_pd is False
-        assert res.min_eig_overall == pytest.approx(-0.5)
+
+
+class TestNoEigendecomposition:
+    def test_solves_decide_definiteness_by_cholesky(self, monkeypatch):
+        model = _fixed_boost_grid(5, 3)
+        sigma = np.asarray(cd.true_covariance(model))
+        sample = np.asarray(cd.sample_covariance(cd.draw_samples(model, 500, 8).data))
+        s_m, s_r, signs = _planted_witness(model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition in a solve")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        cfg = tight_config(gamma=0.0, lambda_off=model.lambda_star)
+        gamma = cd.gamma_schedule(2.08, 25, 500)
+        assert cd.admm_solve(sample, replace(cfg, gamma=gamma)).converged
+        assert cd.admm_solve(sigma, cfg).converged
+        assert cd.witness_solve(sigma, s_m, s_r, signs, cfg).converged
 
 
 class TestWitnessSolve:
