@@ -495,6 +495,12 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error raises, so that main logs it on one line and returns 2
+    def error(self, message):
+        raise PreconditionViolated("%s: %s (see %s --help)" % (self.prog, message, self.prog))
+
+
 def build_parser():
     from . import __version__
 
@@ -511,7 +517,7 @@ def build_parser():
                         help="input CSV (fit/ingest)")
     shared.add_argument("-v", "--verbose", action="store_true")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="covdecomp",
         description="Sparse Markov-plus-residual covariance decomposition "
                     "experiment harness",
@@ -533,12 +539,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = build_parser().parse_args(argv)
+        if args.verbose:
+            logging.getLogger().setLevel(logging.DEBUG)
         spec = spec_from_config(
             args.config,
             out_dir=args.out,

@@ -21,7 +21,8 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .symmat import as_floats, checked_square, checked_symmetric, cholesky
+from .symmat import (as_floats, checked_square, checked_symmetric, cholesky, eigenvalue,
+                     solve_and_inverse_diagonal)
 
 MESSAGE_NORM_LIMIT = 1e12
 
@@ -63,17 +64,12 @@ class LbpTrace:
 
 
 def exact_moments(m):
-    """Exact mean vector and marginal variances of an ``InfoModel``.
-
-    ``InfoModel`` has already proved ``j`` positive definite, so no
-    factor is formed here. The mean is an LU solve and the variances the
-    diagonal of the LU inverse, which is exact on a diagonal ``j``; an
-    inverse from the Cholesky factor would read ``(1/sqrt 3)^2`` for
-    ``1/3``.
+    """Exact mean vector and marginal variances of an ``InfoModel``, whose
+    ``j`` is proved positive definite, from one LDL^T factor of ``j``:
+    exact on a diagonal ``j``, where D = j and L = I, so each variance is
+    ``1 / j_ii``; a Cholesky inverse would read ``(1/sqrt 3)^2`` for ``1/3``.
     """
-    mean = np.linalg.solve(m.j, m.h)
-    cov = np.linalg.inv(m.j)
-    return mean, np.diag(cov).copy()
+    return solve_and_inverse_diagonal(m.j, m.h)
 
 
 def walk_summability(j):
@@ -81,7 +77,9 @@ def walk_summability(j):
 
     Values below 1 certify that loopy propagation of the means converges
     to the exact means. The quantity is invariant under positive
-    diagonal rescaling of j.
+    diagonal rescaling of j. The matrix is entrywise nonnegative, so by
+    Perron-Frobenius its spectral norm is its largest eigenvalue; on a
+    diagonal ``j`` that is +0.0, never the -0.0 that JSON would print.
 
     Raises
     ------
@@ -102,7 +100,7 @@ def walk_summability(j):
     scale = np.sqrt(np.outer(d, d))
     r_bar = np.abs(a) / scale
     np.fill_diagonal(r_bar, 0.0)
-    return float(np.abs(np.linalg.eigvalsh(r_bar)).max())
+    return eigenvalue(r_bar, a.shape[0] - 1) + 0.0
 
 
 def lbp_run(m, max_iter, tol):

@@ -13,7 +13,7 @@ from .errors import (
     PreconditionViolated,
     SingularSubmatrix,
 )
-from .symmat import (as_floats, checked_symmetric, cholesky, hessian_submatrix,
+from .symmat import (as_floats, checked_symmetric, cholesky, eigenvalue, hessian_submatrix,
                      inf_operator_norm, inv_pd)
 
 # Ground-truth models are constructed exactly, so ties are detected at
@@ -261,9 +261,9 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
                 "fixed diagonal boost %.3g misses the PD margin %.3g" % (c, _PD_MARGIN)
             )
     else:
-        # lambda_min(a + c I) = lambda_min(a) + c, so one eigendecomposition
+        # lambda_min(a + c I) = lambda_min(a) + c, so one eigenvalue
         # serves every doubling
-        lambda_min = np.linalg.eigvalsh(a).min()
+        lambda_min = eigenvalue(a, 0)
         c = _BOOST_START
         while lambda_min + c < _PD_MARGIN:
             c *= _BOOST_FACTOR
@@ -369,7 +369,7 @@ def incoherence_report(m, m_param, tau=2.0, n=1000, c6=1.0, c7=1.0):
     log_term = np.log(4.0) + tau * np.log(p)
     bound = c6 * d * np.sqrt(log_term / n) + c7 * d * d * log_term / n
     sigma_star = true_covariance(m)
-    a6_margin = float(np.linalg.eigvalsh(sigma_star).min() - bound)
+    a6_margin = eigenvalue(sigma_star, 0) - bound
     return IncoherenceReport(
         alpha=float(alpha),
         k_ss=float(k_ss),

@@ -11,11 +11,13 @@ Positive definiteness is decided here alone: ``cholesky`` tests it, and
 ``inv_pd`` is a one-shot ``PdWorkspace``, which factors and inverts in
 reused buffers so that the solver loop runs without allocating.
 ``BandWorkspace`` does the same for banded matrices in band storage,
-forming the inverse on the band alone. Only these two bind LAPACK
-``dpotri``, beside ``dpotrf``/``dpbtrf``, from the OpenBLAS that numpy's
-wheels bundle, through ``ctypes``; without it both fall back to
-``cholesky`` and the symmetrised ``np.linalg.inv``, and ``_lapack`` is
-the one switch.
+forming the inverse on the band alone. ``solve_and_inverse_diagonal``
+solves from one LDL^T factor and ``eigenvalue`` finds one eigenvalue.
+They bind LAPACK ``dpotrf``, ``dpotri``, ``dtrtri``, ``dpbtrf``,
+``dsytrf``, ``dsytrs``, ``dsytri``, ``dsyevr`` and CBLAS ``dsymm`` of the
+OpenBLAS in numpy's wheels, through ``ctypes``; without it they fall
+back to ``cholesky``, the symmetrised ``np.linalg.inv``, an LU solve and
+``eigvalsh``, and ``_lapack`` is the one switch.
 """
 
 import ctypes
@@ -75,24 +77,28 @@ def cholesky(a):
         return None
 
 
-_Lapack = namedtuple("_Lapack", "potrf potri trtri pbtrf symm")
+_Lapack = namedtuple("_Lapack", "potrf potri trtri pbtrf symm sytrf sytrs sytri syevr")
 
 
 def _load_lapack():
-    # LAPACKE dpotrf, dpotri, dtrtri and dpbtrf and CBLAS dsymm of the
-    # ILP64 OpenBLAS that numpy's wheels bundle; None when this numpy
-    # ships no such library
+    # the LAPACKE routines and CBLAS dsymm of the ILP64 OpenBLAS that
+    # numpy's wheels bundle; None when this numpy ships no such library.
+    # The dsy* entries allocate their own workspace
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    layout, uplo = ctypes.c_int, ctypes.c_char
+    i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    layout, char = ctypes.c_int, ctypes.c_char
     signatures = {
-        "scipy_LAPACKE_dpotrf_work64_": [layout, uplo, i64, ptr, i64],
-        "scipy_LAPACKE_dpotri_work64_": [layout, uplo, i64, ptr, i64],
-        "scipy_LAPACKE_dtrtri_work64_": [layout, uplo, ctypes.c_char, i64, ptr, i64],
-        "scipy_LAPACKE_dpbtrf_work64_": [layout, uplo, i64, i64, ptr, i64],
+        "scipy_LAPACKE_dpotrf_work64_": [layout, char, i64, ptr, i64],
+        "scipy_LAPACKE_dpotri_work64_": [layout, char, i64, ptr, i64],
+        "scipy_LAPACKE_dtrtri_work64_": [layout, char, char, i64, ptr, i64],
+        "scipy_LAPACKE_dpbtrf_work64_": [layout, char, i64, i64, ptr, i64],
         "scipy_cblas_dsymm64_": [layout, ctypes.c_int, ctypes.c_int, i64, i64,
-                                 ctypes.c_double, ptr, i64, ptr, i64,
-                                 ctypes.c_double, ptr, i64],
+                                 dbl, ptr, i64, ptr, i64, dbl, ptr, i64],
+        "scipy_LAPACKE_dsytrf64_": [layout, char, i64, ptr, i64, ptr],
+        "scipy_LAPACKE_dsytrs64_": [layout, char, i64, i64, ptr, i64, ptr, ptr, i64],
+        "scipy_LAPACKE_dsytri64_": [layout, char, i64, ptr, i64, ptr],
+        "scipy_LAPACKE_dsyevr64_": [layout, char, char, char, i64, ptr, i64, dbl, dbl,
+                                    i64, i64, dbl, ptr, ptr, ptr, i64, ptr],
     }
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
@@ -107,7 +113,7 @@ def _load_lapack():
     return None
 
 
-# the one switch between the LAPACK routes and numpy's cholesky and inv
+# the one switch between the LAPACK routes and their numpy fallbacks
 _lapack = _load_lapack()
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 # CblasRowMajor, CblasLeft and CblasLower of cblas_dsymm
@@ -191,6 +197,41 @@ def _check(info):
     # the status of dpotri or dtrtri on a factor; nonzero is a zero pivot
     if info != 0:
         raise NotPositiveDefinite("Cholesky factor is singular")
+
+
+def solve_and_inverse_diagonal(a, b):
+    """``a^-1 b`` and the diagonal of ``a^-1``, for a nonsingular symmetric
+    ``a``, from one Bunch-Kaufman LDL^T factor in about p^3 flops: exactly
+    ``1 / a_ii`` on a diagonal ``a``, where L = I and D = a. Without
+    LAPACK, an LU solve and the LU inverse's diagonal."""
+    if _lapack is None:
+        return np.linalg.solve(a, b), np.diag(np.linalg.inv(a)).copy()
+    p = a.shape[0]
+    # symmetric a read column-major is itself; its factor stays in place
+    fac, x, ipiv = np.array(a, dtype=float), np.array(b, dtype=float), np.empty(p, np.int64)
+    at, ld, piv = fac.ctypes.data, max(p, 1), ipiv.ctypes.data
+    if _lapack.sytrf(_COL_MAJOR, b"L", p, at, ld, piv) != 0:
+        raise NotPositiveDefinite("matrix is singular")
+    _lapack.sytrs(_COL_MAJOR, b"L", p, 1, at, ld, piv, x.ctypes.data, ld)
+    _lapack.sytri(_COL_MAJOR, b"L", p, at, ld, piv)
+    return x, fac.diagonal().copy()
+
+
+def eigenvalue(a, k):
+    """The k-th smallest eigenvalue, from 0, of the symmetric matrix on
+    ``a``'s lower triangle, as ``np.linalg.eigvalsh`` reads it, found alone
+    by ``dsyevr``'s bisection. Without LAPACK, ``eigvalsh(a)[k]``."""
+    if _lapack is None:
+        return float(np.linalg.eigvalsh(a)[k])
+    p = a.shape[0]
+    # C order's lower triangle is the column-major upper one. JOBZ='N'
+    # reads no Z or ISUPPZ; ABSTOL 2 * underflow bisects to full precision
+    work, w, m = np.array(a, dtype=float), np.empty(p), np.empty(1, np.int64)
+    if _lapack.syevr(_COL_MAJOR, b"N", b"I", b"U", p, work.ctypes.data, max(p, 1), 0.0, 0.0,
+                     k + 1, k + 1, 2 * np.finfo(float).tiny, m.ctypes.data, w.ctypes.data,
+                     None, 1, None) != 0:
+        raise MalformedMatrix("dsyevr found no eigenvalue %d" % k)
+    return float(w[0])
 
 
 def to_band(a, kd):

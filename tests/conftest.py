@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import covdecomp as cd
-from covdecomp import chain_model, cli, grid_model, solver
+from covdecomp import chain_model, cli, grid_model, solver, symmat
 from oracles import certification_breaches
 
 # the namespaces callers reach the solvers through
@@ -42,6 +42,17 @@ def _audit_solves(solve_record):
     breaches = certification_breaches(solve_record)
     solve_record.clear()
     assert not breaches, "; ".join(breaches)
+
+
+@pytest.fixture(params=["lapack", "fallback"])
+def lapack_route(request, monkeypatch):
+    """Runs a test on the LAPACK kernels of ``symmat`` and on their numpy
+    fallback, which ``symmat._lapack = None`` selects."""
+    if request.param == "lapack" and symmat._lapack is None:
+        pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
+    if request.param == "fallback":
+        monkeypatch.setattr(symmat, "_lapack", None)
+    return request.param
 
 
 @pytest.fixture

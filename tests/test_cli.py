@@ -428,9 +428,26 @@ class TestMainEntry:
                              "--out", str(tmp_path / "out")]) == 2
             assert len(caplog.messages) == 1
         for flag in ("--cgamma", "--trials"):
-            with pytest.raises(SystemExit) as info:
-                main(["sweep", flag, "3"])
-            assert info.value.code == 2
+            caplog.clear()
+            with caplog.at_level("ERROR", logger="covdecomp.cli"):
+                assert main(["sweep", flag, "3"]) == 2
+            assert len(caplog.messages) == 1
+            assert flag in caplog.messages[0]
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["sweep", "--seed", "x"]],
+                             ids=["no-subcommand", "unknown-subcommand", "bad-int"])
+    def test_usage_errors_log_one_line(self, argv, caplog, capsys):
+        with caplog.at_level("ERROR", logger="covdecomp.cli"):
+            assert main(argv) == 2
+        assert len(caplog.messages) == 1
+        assert "usage:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["lbp", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestReadme:

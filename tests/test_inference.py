@@ -1,6 +1,9 @@
 """Belief propagation tests: exact moments, walk-summability, tree
 exactness, and divergence handling on frustrated models."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from covdecomp import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
+from covdecomp import cli, symmat
 from covdecomp.inference import MESSAGE_NORM_LIMIT
 from oracles import dense_lbp_run, dense_moments, random_tree_info
 
@@ -87,10 +91,41 @@ class TestExactMoments:
         assert np.allclose(mean, ref_mean, atol=1e-12)
         assert np.allclose(var, ref_var, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [1, 7, 60, 225])
+    def test_random_spd_against_dense(self, p, lapack_route):
+        rng = np.random.default_rng(p)
+        x = rng.standard_normal((p, 2 * p))
+        j = x @ x.T / (2 * p) + 0.1 * np.eye(p)
+        h = rng.standard_normal(p)
+        mean, var = cd.exact_moments(InfoModel(j, h))
+        ref_mean, ref_var = dense_moments(j, h)
+        assert np.abs(mean - ref_mean).max() <= 1e-12 * np.abs(ref_mean).max()
+        assert np.abs(var - ref_var).max() <= 1e-12 * np.abs(ref_var).max()
+
+    def test_diagonal_variances_are_reciprocals(self, lapack_route):
+        d = np.array([3.0, 7.0, 0.1, 2.5, 1e-3, 6.0])
+        _, var = cd.exact_moments(InfoModel(np.diag(d), np.ones(6)))
+        assert var.tobytes() == (1.0 / d).tobytes()
+
 
 class TestWalkSummability:
     def test_diagonal_model_is_zero(self):
         assert cd.walk_summability(np.diag([2.0, 3.0, 4.0])) == 0.0
+
+    def test_diagonal_model_is_positive_zero(self, lapack_route):
+        value = cd.walk_summability(np.diag([2.0, 3.0, 4.0]))
+        assert math.copysign(1.0, value) == 1.0 and value == 0.0
+        assert json.dumps(value) == "0.0"
+
+    @pytest.mark.parametrize("q, seed", [(4, 0), (6, 11), (15, 3)])
+    def test_matches_full_spectrum(self, q, seed, lapack_route):
+        model = cd.grid_model(q, seed)
+        for j in (np.asarray(model.j_markov), np.asarray(model._overall[2])):
+            s = 1.0 / np.sqrt(np.diag(j))
+            r = np.abs(j) * np.outer(s, s)
+            np.fill_diagonal(r, 0.0)
+            expected = np.abs(np.linalg.eigvalsh(r)).max()
+            assert abs(cd.walk_summability(j) - expected) <= 1e-12 * expected
 
     def test_single_pair_value(self):
         j = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -258,3 +293,22 @@ class TestEdgeListMatchesDenseOracle:
         j = a + (slack - np.linalg.eigvalsh(a).min()) * np.eye(p)
         assert_same_as_dense(InfoModel(j, rng.standard_normal(p)),
                              max_iter=60, tol=tol)
+
+
+def test_lbp_study_takes_no_dense_lu_or_full_spectrum(tmp_path, monkeypatch):
+    """``covdecomp lbp`` on the LAPACK route calls no LU solve or inverse and
+    no full eigenvalue decomposition: moments come from one LDL^T factor,
+    walk-summability and the adaptive boost from one eigenvalue."""
+    if symmat._lapack is None:
+        pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense route taken")
+
+    for name in ("inv", "solve", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    config = tmp_path / "lbp.json"
+    config.write_text(json.dumps({"grid_sizes": [4]}))
+    assert cli.main(["lbp", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    models = json.loads((tmp_path / "out" / "lbp_summary.json").read_text())["models"]
+    assert len(models) == 5 and all(m["converged_markov"] for m in models)

@@ -16,7 +16,7 @@ from covdecomp import (
 )
 from covdecomp import symmat
 from covdecomp.symmat import inv_pd
-from oracles import kron_submatrix, naive_inf_operator_norm, reference_inv_pd
+from oracles import dense_moments, kron_submatrix, naive_inf_operator_norm, reference_inv_pd
 
 
 def spd_matrices(max_dim=6):
@@ -55,18 +55,9 @@ def _random_spd(p, seed):
     return x @ x.T / (2 * p) + 0.5 * np.eye(p)
 
 
-@pytest.fixture(params=["lapack", "fallback"])
-def inverse_path(request, monkeypatch):
-    if request.param == "lapack" and symmat._lapack is None:
-        pytest.skip("numpy bundles no scipy_LAPACKE_dpotrf/dpotri_work64_")
-    if request.param == "fallback":
-        monkeypatch.setattr(symmat, "_lapack", None)
-    return request.param
-
-
 class TestInvPd:
     @pytest.mark.parametrize("p", [1, 2, 100, 400])
-    def test_matches_linalg_inv(self, p, inverse_path):
+    def test_matches_linalg_inv(self, p, lapack_route):
         a = _random_spd(p, seed=p)
         got = inv_pd(a)
         expected = np.linalg.inv(a)
@@ -79,7 +70,7 @@ class TestInvPd:
         inv = np.linalg.inv(a)
         np.testing.assert_array_equal(inv_pd(a), 0.5 * (inv + inv.T))
 
-    def test_rejects_indefinite(self, inverse_path):
+    def test_rejects_indefinite(self, lapack_route):
         # nonsingular, so an LU-based inverse alone would accept it
         with pytest.raises(NotPositiveDefinite):
             inv_pd(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -96,7 +87,7 @@ class TestPdWorkspace:
     @pytest.mark.parametrize("a", [_random_spd(1, 1), _random_spd(100, 100),
                                    np.diag([1.0, 2.0, 4.0])],
                              ids=["p1", "p100", "diagonal"])
-    def test_cholesky_and_inv_pd_bit_for_bit(self, a, inverse_path):
+    def test_cholesky_and_inv_pd_bit_for_bit(self, a, lapack_route):
         # bytes, so that a negative zero off the diagonal counts too
         p = a.shape[0]
         ws = symmat.PdWorkspace(p)
@@ -107,7 +98,7 @@ class TestPdWorkspace:
         assert got == inv_pd(a).tobytes()
         assert got == reference_inv_pd(a).tobytes()
 
-    def test_indefinite_has_no_factor(self, inverse_path):
+    def test_indefinite_has_no_factor(self, lapack_route):
         assert symmat.PdWorkspace(2).factor(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
 
 
@@ -165,7 +156,7 @@ class TestBandWorkspace:
                                           (_grid_mask(6, _spanning_order(6, 0)), 35)],
                              ids=["chain", "grid", "permuted_grid"])
     @pytest.mark.parametrize("min_block", [1, symmat._MIN_BLOCK])
-    def test_selected_inverse_matches_inv(self, mask, kd, min_block, inverse_path,
+    def test_selected_inverse_matches_inv(self, mask, kd, min_block, lapack_route,
                                           monkeypatch):
         # blocks of kd rows and of the default size; the permuted grid's
         # band spans the matrix, which is then one block
@@ -181,13 +172,55 @@ class TestBandWorkspace:
         on = _block_tridiagonal_lower(p, kd)
         assert np.abs(got - expected)[on].max() <= 1e-13 * np.abs(expected).max()
 
-    def test_indefinite_band_has_no_factor(self, inverse_path):
+    def test_indefinite_band_has_no_factor(self, lapack_route):
         # tridiagonal with unit diagonal and -0.9 beside it: its least
         # eigenvalue is 1 - 1.8 cos(pi / 51) < 0
         a = np.where(_chain_mask(50), -0.9, 0.0)
         np.fill_diagonal(a, 1.0)
         assert np.linalg.eigvalsh(a).min() < 0
         assert symmat.BandWorkspace(50, 1).factor(symmat.to_band(a, 1)) is None
+
+
+def _bunch_kaufman_pivots(a):
+    # dsytrf's pivot indices, 1-based: row k + 1 swaps with row ipiv[k],
+    # and a negative pair marks a 2 x 2 block
+    f, p = np.array(a, dtype=float), len(a)
+    ipiv = np.empty(p, dtype=np.int64)
+    assert symmat._lapack.sytrf(symmat._COL_MAJOR, b"L", p, f.ctypes.data, p,
+                                ipiv.ctypes.data) == 0
+    return ipiv
+
+
+class TestSolveAndInverseDiagonal:
+    @pytest.mark.parametrize("a, ipiv", [
+        # positive definite: rows 1 and 2 swap, then 2 and 3. No 2 x 2 block
+        # can arise, since it needs a_kk a_rr < alpha^2 a_rk^2, alpha < 1
+        (np.array([[1.0, 2.0, 0.5], [2.0, 5.0, 0.1], [0.5, 0.1, 3.0]]), [2, 3, 3]),
+        # indefinite: a 2 x 2 block on rows 1 and 2
+        (np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 2.0]]), [-2, -2, 3]),
+    ], ids=["pd_swaps", "indefinite_2x2"])
+    def test_pivoted_factor_matches_dense(self, a, ipiv, lapack_route):
+        if lapack_route == "lapack":
+            assert _bunch_kaufman_pivots(a).tolist() == ipiv
+        b = np.array([1.0, -2.0, 0.5])
+        x, var = symmat.solve_and_inverse_diagonal(a, b)
+        ref_x, ref_var = dense_moments(a, b)
+        np.testing.assert_allclose(x, ref_x, rtol=1e-12)
+        np.testing.assert_allclose(var, ref_var, rtol=1e-12)
+
+
+class TestEigenvalue:
+    @pytest.mark.parametrize("a", [
+        _random_spd(1, 1), _random_spd(60, 2), _random_spd(225, 3),
+        _random_spd(40, 4) - np.eye(40),  # indefinite
+        np.where(_grid_mask(6), 0.3, 0.0),  # a symmetric spectrum
+        np.eye(5),
+    ], ids=["p1", "p60", "p225", "indefinite", "grid", "identity"])
+    def test_extremes_match_eigvalsh(self, a, lapack_route):
+        w = np.linalg.eigvalsh(a)
+        scale = np.abs(w).max()
+        for k in (0, len(a) - 1):
+            assert abs(symmat.eigenvalue(a, k) - w[k]) <= 1e-12 * scale
 
 
 class TestInfOperatorNorm:
