@@ -26,7 +26,7 @@ samples = cd.draw_samples(model, 4000, seed=6)
 data_path = workdir / "measurements.csv"
 with open(data_path, "w") as fh:
     fh.write(",".join("sensor%d" % k for k in range(9)) + "\n")
-    for row in samples.data:
+    for row in samples:
         fh.write(",".join("%.10g" % v for v in row) + "\n")
 print("wrote %s (n=4000, p=9)" % data_path)
 

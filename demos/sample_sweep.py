@@ -34,7 +34,7 @@ for ratio in ratios:
             diag_boost_policy=cd.DiagBoostPolicy(fixed=1.0),
         )
         samples = cd.draw_samples(model, n, cd.derive_seed(42, trial, n))
-        sigma_hat = cd.sample_covariance(samples.data)
+        sigma_hat = cd.sample_covariance(samples)
         gamma = cd.gamma_schedule(c_gamma, p, n)
         cfg = cd.SolverConfig(gamma=gamma, lambda_off=0.2,
                               eps_abs=1e-10, eps_rel=1e-9)

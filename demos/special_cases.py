@@ -19,7 +19,7 @@ rng = np.random.default_rng(3)
 p, n = 10, 400
 model = cd.grid_model(3, 11, diag_boost_policy=cd.DiagBoostPolicy(fixed=1.0))
 samples = cd.draw_samples(model, n, seed=8)
-sigma_hat = np.asarray(cd.sample_covariance(samples.data))
+sigma_hat = np.asarray(cd.sample_covariance(samples))
 p = sigma_hat.shape[0]
 gamma = cd.gamma_schedule(2.0, p, n)
 print("p = %d, n = %d, gamma = %.4f" % (p, n, gamma))

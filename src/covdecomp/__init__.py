@@ -40,7 +40,6 @@ from .model import (
     validate_model,
 )
 from .sampling import (
-    SampleSet,
     derive_seed,
     draw_samples,
     gamma_schedule,
@@ -85,7 +84,6 @@ __all__ = [
     "NotPositiveDefinite",
     "PreconditionViolated",
     "SCHEMA_VERSION",
-    "SampleSet",
     "SingularSubmatrix",
     "SolveResult",
     "SolverConfig",

@@ -25,7 +25,6 @@ from .inference import InfoModel, lbp_run, walk_summability
 from .metrics import DEFAULT_SUPPORT_THRESHOLD, MetricsRecord, compare_to_truth, support_of
 from .model import DiagBoostPolicy, chain_model, grid_model, true_covariance
 from .sampling import (
-    SampleSet,
     derive_seed,
     draw_samples,
     gamma_schedule,
@@ -225,8 +224,8 @@ def _solve_cell(spec, model, q_index, trial, n, warm=None):
     """
     p = model.dim
     cg = spec.c_gamma[q_index] if q_index < len(spec.c_gamma) else spec.c_gamma[0]
-    samples = draw_samples(model, n, derive_seed(spec.seed, q_index, trial, n, 1))
-    sigma_hat = sample_covariance(samples.data)
+    sigma_hat = sample_covariance(
+        draw_samples(model, n, derive_seed(spec.seed, q_index, trial, n, 1)))
     gamma = gamma_schedule(cg, p, n)
     lam = resolve_lambda(spec.lambda_policy, model, p, n)
     cfg = _solver_config(spec, gamma, lam)
@@ -340,19 +339,15 @@ def run_exact_decomposition(spec):
 
 
 def ingest_csv(path):
-    """Load a rectangular numeric CSV with a header row into a SampleSet.
+    """Load a rectangular numeric CSV with a header row as ``(columns, data)``.
 
     The data are kept as read; ``fit`` estimates their covariance about
     the column means.
     """
-    header, data = read_csv_table(path)
+    columns, data = read_csv_table(path)
     logger.info("ingested %s: n=%d, p=%d, columns=%s",
-                path, data.shape[0], data.shape[1], header)
-    return SampleSet(
-        data=data, seed=None,
-        model_meta={"kind": "ingested", "path": str(path), "columns": header,
-                    "centered": True},
-    )
+                path, data.shape[0], data.shape[1], columns)
+    return columns, data
 
 
 def export_graphs(result, names, threshold):
@@ -397,12 +392,11 @@ def _cmd_fit(spec):
     if spec.data_path:
         # check the policy before the costliest step, parsing the data
         _require_model_free(parse_lambda_policy(spec.lambda_policy)[0])
-        samples = ingest_csv(spec.data_path)
-        names = samples.model_meta["columns"]
-        n, p = samples.n, samples.p
+        names, data = ingest_csv(spec.data_path)
+        n, p = data.shape
         gamma = gamma_schedule(spec.c_gamma[0], p, n)
         lam = resolve_lambda(spec.lambda_policy, None, p, n)
-        result = admm_solve(sample_covariance_centered(samples.data),
+        result = admm_solve(sample_covariance_centered(data),
                             _solver_config(spec, gamma, lam))
         extra = {"gamma": gamma, "lambda": lam, "n": n, "p": p}
     else:
@@ -461,16 +455,14 @@ def _cmd_ingest(spec):
     if not spec.data_path:
         raise PreconditionViolated("ingest needs --data PATH")
     out = Path(spec.out_dir)
-    samples = ingest_csv(spec.data_path)
-    save_samples(samples, out / "samples")
+    columns, data = ingest_csv(spec.data_path)
+    save_samples(data, out / "samples", columns)
+    n, p = data.shape
     write_json(out / "dataset_summary.json", {
-        "schema_version": SCHEMA_VERSION,
-        "n": samples.n, "p": samples.p,
-        "columns": samples.model_meta["columns"],
+        "schema_version": SCHEMA_VERSION, "n": n, "p": p, "columns": columns,
         "centered": True,
     })
-    logger.info("dataset written to %s (n=%d, p=%d)",
-                out / "samples", samples.n, samples.p)
+    logger.info("dataset written to %s (n=%d, p=%d)", out / "samples", n, p)
     return 0
 
 

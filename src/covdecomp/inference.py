@@ -97,8 +97,9 @@ def walk_summability(j):
     d = np.diag(a)
     if np.any(d <= 0):
         raise NonPositiveDiagonal("information matrix diagonal must be positive")
-    scale = np.sqrt(np.outer(d, d))
-    r_bar = np.abs(a) / scale
+    # scaled on each side: sqrt(outer(d, d)) would underflow or overflow
+    s = 1.0 / np.sqrt(d)
+    r_bar = np.abs(a) * s[:, None] * s
     np.fill_diagonal(r_bar, 0.0)
     return eigenvalue(r_bar, a.shape[0] - 1) + 0.0
 

@@ -8,12 +8,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    MalformedMatrix,
     NotPositiveDefinite,
     PreconditionViolated,
     SingularSubmatrix,
 )
-from .symmat import (as_floats, checked_symmetric, cholesky, eigenvalue, hessian_submatrix,
+from .symmat import (checked_symmetric, cholesky, eigenvalue, hessian_submatrix,
                      inf_operator_norm, inv_pd)
 
 # Ground-truth models are constructed exactly, so ties are detected at
@@ -32,29 +31,22 @@ _MAX_SHRINKS = 50
 class DecompositionModel:
     """Ground-truth pair (J_M, Sigma_R) with lambda = max off-diagonal |J_M|.
 
-    The implied overall covariance is ``J_M^-1 - Sigma_R`` (see
-    :func:`true_covariance`). Keeps read-only copies of both matrices, as
-    ``checked_symmetric`` returns them, and of the finite length-p ``mean``.
+    The model is the zero-mean Gaussian with overall covariance
+    ``J_M^-1 - Sigma_R`` (see :func:`true_covariance`). Keeps read-only
+    copies of both matrices, as ``checked_symmetric`` returns them.
     """
 
     j_markov: np.ndarray
     sigma_residual: np.ndarray
     lambda_star: float
-    mean: np.ndarray = None
 
     def __post_init__(self):
         j = checked_symmetric(self.j_markov, "j_markov")
         r = checked_symmetric(self.sigma_residual, "sigma_residual")
         if j.shape != r.shape:
             raise DimensionMismatch("j_markov %s vs sigma_residual %s" % (j.shape, r.shape))
-        mean = np.zeros(len(j)) if self.mean is None else np.array(as_floats(self.mean, "mean"))
-        if mean.shape != (len(j),):
-            raise DimensionMismatch("mean has shape %s, expected (%d,)" % (mean.shape, len(j)))
-        if not np.isfinite(mean).all():
-            raise MalformedMatrix("mean entries must be finite")
-        mean.flags.writeable = False
-        for name, value in (("j_markov", j), ("sigma_residual", r), ("mean", mean)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "j_markov", j)
+        object.__setattr__(self, "sigma_residual", r)
 
     @property
     def dim(self):

@@ -3,7 +3,8 @@ and propagation traces.
 
 A model directory holds j_markov.csv, sigma_residual.csv, and meta.json
 (lambda_star plus any generator metadata). A result directory holds
-j_hat.csv, sigma_r.csv, and diagnostics.json. Matrices are headerless
+j_hat.csv, sigma_r.csv, and diagnostics.json; a sample directory holds
+data.csv, a header row over one sample per row. Matrices and samples are
 CSV at full repr precision, so save/load round-trips are exact. Every
 CSV reader here raises ``MalformedCsv`` naming the file for an empty,
 ragged or non-numeric file.
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, MalformedCsv, NonNumericCell, PreconditionViolated
 from .model import DecompositionModel, validate_model
-from .sampling import SampleSet
 
 SCHEMA_VERSION = 1
 
@@ -75,10 +75,13 @@ def read_matrix_csv(path):
     return 0.5 * (data + data.T)
 
 
-def write_matrix_csv(m, path):
-    """Write a matrix as full (not triangular) CSV with repr-precision floats."""
+def write_matrix_csv(m, path, header=None):
+    """Write a matrix as full (not triangular) CSV with repr-precision
+    floats, after the ``header`` row when one is given."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
         for row in np.asarray(m, dtype=float):
             writer.writerow([repr(float(x)) for x in row])
 
@@ -98,7 +101,6 @@ def save_model(m, dirpath, extra_meta=None):
         "schema_version": SCHEMA_VERSION,
         "dim": m.dim,
         "lambda_star": m.lambda_star,
-        "mean": [float(x) for x in m.mean],
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -107,13 +109,19 @@ def save_model(m, dirpath, extra_meta=None):
 
 
 def load_model(dirpath):
-    """Read a model directory back; revalidates the decomposition."""
+    """Read a model directory back; revalidates the decomposition.
+
+    Models are zero-mean: a legacy meta.json ``"mean"`` other than p
+    zeros raises ``PreconditionViolated``."""
     d = Path(dirpath)
     j = read_matrix_csv(d / "j_markov.csv")
     r = read_matrix_csv(d / "sigma_residual.csv")
     meta = _read_json(d / "meta.json")
+    if "mean" in meta and meta["mean"] != [0.0] * len(j):
+        raise PreconditionViolated(
+            "%s: meta.json has a mean other than p zeros; every model is zero-mean" % d)
     m = DecompositionModel(j_markov=j, sigma_residual=r,
-                           lambda_star=float(meta["lambda_star"]), mean=meta.get("mean"))
+                           lambda_star=float(meta["lambda_star"]))
     violations = validate_model(m)
     if violations:
         raise PreconditionViolated(
@@ -160,40 +168,22 @@ def read_csv_table(path):
     return [cell.strip() for cell in head[0]], data
 
 
-def save_samples(samples, dirpath):
-    """Write sample rows to data.csv plus meta.json.
+def save_samples(data, dirpath, columns=None):
+    """Write an (n, p) sample array to data.csv; returns the directory path.
 
-    The header is ``model_meta["columns"]`` when present (an ingested
-    file keeps its column names) and x0..x{p-1} otherwise.
+    The header is ``columns`` when given (an ingested file keeps its
+    column names) and x0..x{p-1} otherwise.
     """
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    data = np.asarray(samples.data)
-    header = samples.model_meta.get("columns") or [
-        "x%d" % k for k in range(data.shape[1])
-    ]
-    with open(d / "data.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in data:
-            writer.writerow([repr(float(v)) for v in row])
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "n": int(data.shape[0]),
-        "p": int(data.shape[1]),
-        "seed": samples.seed,
-        "model_meta": samples.model_meta,
-    }
-    write_json(d / "meta.json", meta)
+    p = np.shape(data)[1]
+    write_matrix_csv(data, d / "data.csv", columns or ["x%d" % k for k in range(p)])
     return d
 
 
 def load_samples(dirpath):
-    d = Path(dirpath)
-    meta = _read_json(d / "meta.json")
-    _, data = read_csv_table(d / "data.csv")
-    return SampleSet(data=data, seed=meta.get("seed"),
-                     model_meta=meta.get("model_meta", {}))
+    """Read a sample directory back as ``(columns, data)``."""
+    return read_csv_table(Path(dirpath) / "data.csv")
 
 
 def write_trace_csv(trace, path):

@@ -133,7 +133,7 @@ def test_c05_sample_complexity_collapse():
                 samples = cd.draw_samples(
                     model, n, cd.derive_seed(500, qi, trial, n, 1)
                 )
-                sigma_hat = cd.sample_covariance(samples.data)
+                sigma_hat = cd.sample_covariance(samples)
                 gamma = cd.gamma_schedule(c_gamma, p, n)
                 res = cd.admm_solve(
                     sigma_hat, tight_config(gamma=gamma, lambda_off=0.2),
@@ -165,7 +165,7 @@ def test_c06_overall_precision_dominance():
         )
         n = 3000
         samples = cd.draw_samples(model, n, cd.derive_seed(600, trial, n, 1))
-        sigma_hat = cd.sample_covariance(samples.data)
+        sigma_hat = cd.sample_covariance(samples)
         gamma = cd.gamma_schedule(2.08, 64, n)
         boxed = cd.admm_solve(
             sigma_hat, tight_config(gamma=gamma, lambda_off=model.lambda_star)
@@ -297,7 +297,7 @@ def test_c04_certification():
     model = cd.grid_model(4, cd.derive_seed(400, 1))
     samples = cd.draw_samples(model, 800, cd.derive_seed(400, 1, 800, 1))
     cfg = tight_config(gamma=cd.gamma_schedule(2.0, 16, 800), lambda_off=model.lambda_star)
-    solves.append(("admm_solve", cd.admm_solve(cd.sample_covariance(samples.data), cfg)))
+    solves.append(("admm_solve", cd.admm_solve(cd.sample_covariance(samples), cfg)))
     converged = sum(res.converged for _, res in solves)
     breaches = certification_breaches(solves)
     ok = converged == len(solves) and not breaches

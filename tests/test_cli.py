@@ -230,12 +230,9 @@ class TestIngestCsv:
     def test_valid_file(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1.0,2.0\n3.0,4.5\n")
-        samples = ingest_csv(path)
-        assert samples.n == 2 and samples.p == 2
-        assert np.array_equal(samples.data, [[1.0, 2.0], [3.0, 4.5]])
-        assert samples.model_meta["columns"] == ["a", "b"]
-        assert samples.model_meta["kind"] == "ingested"
-        assert samples.seed is None
+        columns, data = ingest_csv(path)
+        assert columns == ["a", "b"]
+        assert np.array_equal(data, [[1.0, 2.0], [3.0, 4.5]])
 
     def test_non_numeric_cell_coordinates(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -328,10 +325,9 @@ class TestMainEntry:
         assert main(["ingest", "--data", str(data), "--out", str(out)]) == 0
         summary = json.loads((out / "dataset_summary.json").read_text())
         assert summary["n"] == 3 and summary["p"] == 2
-        loaded = cd.load_samples(out / "samples")
-        assert loaded.data.shape == (3, 2)
-        header = (out / "samples" / "data.csv").read_text().splitlines()[0]
-        assert header == "a,b"
+        columns, loaded = cd.load_samples(out / "samples")
+        assert columns == ["a", "b"] and loaded.shape == (3, 2)
+        assert [f.name for f in (out / "samples").iterdir()] == ["data.csv"]
 
     def test_fit_data_checks_policy_before_parsing(self, tmp_path, caplog):
         data = tmp_path / "data.csv"

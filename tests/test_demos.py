@@ -1,6 +1,8 @@
 """Smoke tests of the public surface: every name the package exports
-resolves, and every demo script runs to completion in-process."""
+resolves, every demo script runs to completion in-process, and so do the
+README's Python examples."""
 
+import re
 import runpy
 import tempfile
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 import covdecomp as cd
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_every_export_resolves():
@@ -29,3 +32,17 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
     assert not list(tmp_path.glob("covdecomp_demo_*"))
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # the blocks build on each other, so they share one namespace
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {"__name__": "__main__"}
+    for k, block in enumerate(blocks):
+        exec(compile(block, "README.md python block %d" % k, "exec"), namespace)
+        results = [v for v in namespace.values() if isinstance(v, cd.SolveResult)]
+        assert all(r.converged for r in results)
+    assert capsys.readouterr().out.strip()

@@ -131,6 +131,12 @@ class TestWalkSummability:
         j = np.array([[1.0, 0.5], [0.5, 1.0]])
         assert cd.walk_summability(j) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200], ids=["underflow", "overflow"])
+    def test_scale_invariant_at_float_range_ends(self, scale, lapack_route):
+        # sqrt(d_i d_j) leaves the float range here, though d_i does not
+        j = scale * np.array([[1.0, 0.1], [0.1, 1.0]])
+        assert cd.walk_summability(j) == pytest.approx(0.1, rel=1e-12)
+
     def test_sign_of_coupling_irrelevant(self):
         j = np.array([[1.0, 0.5], [0.5, 1.0]])
         j_neg = np.array([[1.0, -0.5], [-0.5, 1.0]])

@@ -257,7 +257,7 @@ class TestCompareToTruth:
     def test_overall_error_matches_direct_computation(self):
         model = cd.grid_model(4, 3)
         samples = cd.draw_samples(model, 400, 5)
-        sigma = np.asarray(cd.sample_covariance(samples.data))
+        sigma = np.asarray(cd.sample_covariance(samples))
         cfg = SolverConfig(
             gamma=cd.gamma_schedule(2.0, 16, 400), lambda_off=model.lambda_star
         )

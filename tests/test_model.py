@@ -226,30 +226,27 @@ class TestValidateModel:
 
 
 class TestDecompositionModel:
-    @pytest.mark.parametrize("j, r, mean, error", [
-        (np.zeros((2, 3)), np.zeros((2, 2)), None, DimensionMismatch),
-        (np.ones(4), np.zeros((2, 2)), None, DimensionMismatch),
-        (np.zeros((0, 0)), np.zeros((0, 0)), None, MalformedMatrix),
-        (np.eye(2), [[0.0, np.inf], [np.inf, 0.0]], None, MalformedMatrix),
-        ([[1.0, 2.0], [0.0, 1.0]], np.zeros((2, 2)), None, MalformedMatrix),
-        (np.eye(4), np.zeros((3, 3)), None, DimensionMismatch),
-        (np.eye(4), np.zeros((4, 4)), np.zeros(3), DimensionMismatch),
-        (np.eye(2), np.zeros((2, 2)), [np.nan, 0.0], MalformedMatrix),
-        (np.eye(2), np.zeros((2, 2)), "ab", MalformedMatrix),
-        ([["a", "b"], ["b", "a"]], np.zeros((2, 2)), None, MalformedMatrix),
+    @pytest.mark.parametrize("j, r, error", [
+        (np.zeros((2, 3)), np.zeros((2, 2)), DimensionMismatch),
+        (np.ones(4), np.zeros((2, 2)), DimensionMismatch),
+        (np.zeros((0, 0)), np.zeros((0, 0)), MalformedMatrix),
+        (np.eye(2), [[0.0, np.inf], [np.inf, 0.0]], MalformedMatrix),
+        ([[1.0, 2.0], [0.0, 1.0]], np.zeros((2, 2)), MalformedMatrix),
+        (np.eye(4), np.zeros((3, 3)), DimensionMismatch),
+        ([["a", "b"], ["b", "a"]], np.zeros((2, 2)), MalformedMatrix),
     ], ids=["non-square", "vector", "empty", "non-finite", "asymmetric",
-            "shapes-differ", "short-mean", "nan-mean", "string-mean", "non-numeric"])
-    def test_rejects_malformed_input(self, j, r, mean, error):
+            "shapes-differ", "non-numeric"])
+    def test_rejects_malformed_input(self, j, r, error):
         with pytest.raises(error) as info:
-            DecompositionModel(j_markov=j, sigma_residual=r, lambda_star=1.0, mean=mean)
+            DecompositionModel(j_markov=j, sigma_residual=r, lambda_star=1.0)
         assert isinstance(info.value, CovdecompError)
 
     def test_keeps_read_only_copies(self):
-        j, r, mean = np.eye(2), np.zeros((2, 2)), np.ones(2)
-        m = DecompositionModel(j_markov=j, sigma_residual=r, lambda_star=1.0, mean=mean)
-        j[0, 0] = r[0, 0] = mean[0] = 7.0
-        assert m.j_markov[0, 0] == 1.0 and m.sigma_residual[0, 0] == 0.0 and m.mean[0] == 1.0
-        for a in (m.j_markov, m.sigma_residual, m.mean):
+        j, r = np.eye(2), np.zeros((2, 2))
+        m = DecompositionModel(j_markov=j, sigma_residual=r, lambda_star=1.0)
+        j[0, 0] = r[0, 0] = 7.0
+        assert m.j_markov[0, 0] == 1.0 and m.sigma_residual[0, 0] == 0.0
+        for a in (m.j_markov, m.sigma_residual):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 5.0
         assert m.dim == 2

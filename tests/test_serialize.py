@@ -29,7 +29,6 @@ class TestModelRoundTrip:
             np.asarray(loaded.sigma_residual), np.asarray(chain.sigma_residual)
         )
         assert loaded.lambda_star == chain.lambda_star
-        assert np.array_equal(loaded.mean, chain.mean)
 
     def test_meta_contents(self, chain, tmp_path):
         d = cd.save_model(chain, tmp_path / "model", extra_meta={"kind": "chain"})
@@ -38,6 +37,7 @@ class TestModelRoundTrip:
         assert meta["dim"] == 4
         assert meta["lambda_star"] == chain.lambda_star
         assert meta["kind"] == "chain"
+        assert "mean" not in meta
 
     def test_tampered_model_rejected(self, chain, tmp_path):
         d = cd.save_model(chain, tmp_path / "model")
@@ -50,16 +50,30 @@ class TestModelRoundTrip:
         with pytest.raises(PreconditionViolated, match="validation"):
             cd.load_model(d)
 
-    def test_nonzero_mean_preserved(self, chain, tmp_path):
-        model = cd.DecompositionModel(
-            j_markov=chain.j_markov,
-            sigma_residual=chain.sigma_residual,
-            lambda_star=chain.lambda_star,
-            mean=np.arange(4.0),
-        )
-        d = cd.save_model(model, tmp_path / "model")
+    @staticmethod
+    def _legacy_model(chain, path, mean):
+        # a model directory as older versions wrote it, with a "mean" key
+        d = cd.save_model(chain, path)
+        meta = json.loads((d / "meta.json").read_text())
+        meta["mean"] = mean
+        (d / "meta.json").write_text(json.dumps(meta))
+        return d
+
+    def test_legacy_zero_mean_loads(self, chain, tmp_path):
+        d = self._legacy_model(chain, tmp_path / "model", [0.0, -0.0, 0, 0.0])
         loaded = cd.load_model(d)
-        assert np.array_equal(loaded.mean, np.arange(4.0))
+        assert np.array_equal(loaded.j_markov, chain.j_markov)
+        assert not hasattr(loaded, "mean")
+
+    @pytest.mark.parametrize("mean", [
+        [0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0], "0000", None,
+        [[0.0, 0.0], [0.0, 0.0]],
+    ], ids=["nonzero", "short", "nan", "string", "null", "nested"])
+    def test_legacy_mean_rejected(self, chain, tmp_path, mean):
+        d = self._legacy_model(chain, tmp_path / "model", mean)
+        with pytest.raises(PreconditionViolated, match="zero-mean") as info:
+            cd.load_model(d)
+        assert str(d) in str(info.value)
 
 
 @pytest.fixture(scope="module")
@@ -125,20 +139,17 @@ class TestResultRoundTrip:
 class TestSamplesRoundTrip:
     def test_exact_round_trip(self, chain, tmp_path):
         samples = cd.draw_samples(chain, 50, seed=13)
-        d = cd.save_samples(samples, tmp_path / "samples")
-        loaded = cd.load_samples(d)
-        assert np.array_equal(loaded.data, samples.data)
-        assert loaded.seed == 13
-        assert loaded.model_meta == samples.model_meta
+        d = cd.save_samples(samples, tmp_path / "samples", ["a", "b", "c", "d"])
+        columns, loaded = cd.load_samples(d)
+        assert np.array_equal(loaded, samples)
+        assert columns == ["a", "b", "c", "d"]
 
-    def test_meta_dimensions(self, chain, tmp_path):
-        samples = cd.draw_samples(chain, 7, seed=1)
-        d = cd.save_samples(samples, tmp_path / "samples")
-        meta = json.loads((d / "meta.json").read_text())
-        assert meta["n"] == 7
-        assert meta["p"] == 4
-        header = (d / "data.csv").read_text().splitlines()[0]
-        assert header == "x0,x1,x2,x3"
+    def test_writes_data_csv_only(self, chain, tmp_path):
+        d = cd.save_samples(cd.draw_samples(chain, 7, seed=1), tmp_path / "samples")
+        assert [f.name for f in d.iterdir()] == ["data.csv"]
+        columns, loaded = cd.load_samples(d)
+        assert columns == ["x0", "x1", "x2", "x3"]
+        assert loaded.shape == (7, 4)
 
     def test_ragged_data_file_rejected(self, chain, tmp_path):
         d = cd.save_samples(cd.draw_samples(chain, 3, seed=1), tmp_path / "samples")
@@ -150,7 +161,7 @@ class TestSamplesRoundTrip:
     def test_sample_covariance_unchanged(self, chain, tmp_path):
         samples = cd.draw_samples(chain, 200, seed=2)
         d = cd.save_samples(samples, tmp_path / "samples")
-        loaded = cd.load_samples(d)
+        _, loaded = cd.load_samples(d)
         before = np.asarray(cd.sample_covariance(samples))
         after = np.asarray(cd.sample_covariance(loaded))
         assert np.array_equal(before, after)

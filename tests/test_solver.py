@@ -252,7 +252,7 @@ class TestConvergedVerdict:
         # it uncertified, so the solver must stop at a point meeting it
         model = cd.grid_model(10, cd.derive_seed(0, 0, 0))
         samples = cd.draw_samples(model, 2000, cd.derive_seed(0, 0, 0, 2000, 1))
-        sigma = np.asarray(cd.sample_covariance(samples.data))
+        sigma = np.asarray(cd.sample_covariance(samples))
         cfg = SolverConfig(
             gamma=cd.gamma_schedule(2.08, 100, 2000), lambda_off=model.lambda_star
         )
@@ -511,7 +511,7 @@ class TestNoEigendecomposition:
     def test_solves_decide_definiteness_by_cholesky(self, monkeypatch):
         model = _fixed_boost_grid(5, 3)
         sigma = np.asarray(cd.true_covariance(model))
-        sample = np.asarray(cd.sample_covariance(cd.draw_samples(model, 500, 8).data))
+        sample = np.asarray(cd.sample_covariance(cd.draw_samples(model, 500, 8)))
         s_m, s_r, signs = _planted_witness(model)
 
         def refuse(*args, **kwargs):
@@ -627,7 +627,7 @@ def _default_cell(seed, n):
     # one cell of the default {"grid_sizes": [10]} sweep
     model = cd.grid_model(10, cd.derive_seed(seed, 0, 0))
     samples = cd.draw_samples(model, n, cd.derive_seed(seed, 0, 0, n, 1))
-    sigma = np.asarray(cd.sample_covariance(samples.data))
+    sigma = np.asarray(cd.sample_covariance(samples))
     return sigma, model.lambda_star, cd.gamma_schedule(2.08, 100, n)
 
 
@@ -659,7 +659,7 @@ class TestAgainstReferenceLoop:
         warm, ref_warm = None, None
         for n in (250, 500, 1000, 2000):
             samples = cd.draw_samples(model, n, 100 + n)
-            sigma = np.asarray(cd.sample_covariance(samples.data))
+            sigma = np.asarray(cd.sample_covariance(samples))
             cfg = SolverConfig(gamma=cd.gamma_schedule(2.08, 100, n),
                                lambda_off=model.lambda_star)
             warm = cd.admm_solve(sigma, cfg, warm_start=warm)
@@ -766,7 +766,7 @@ def _witness_case(name):
     if name.startswith("n"):
         n = int(name[1:])
         samples = cd.draw_samples(model, n, 100 + n)
-        sigma = np.asarray(cd.sample_covariance(samples.data))
+        sigma = np.asarray(cd.sample_covariance(samples))
         gamma = cd.gamma_schedule(2.08, sigma.shape[0], n)
     return sigma, model, tight_config(gamma=gamma, lambda_off=model.lambda_star)
 
@@ -966,7 +966,7 @@ class TestResidualOnTheBox:
         warm = None
         for n in (250, 500, 1000):
             samples = cd.draw_samples(model, n, cd.derive_seed(1005, 0, 0, n, 1))
-            sigma = np.asarray(cd.sample_covariance(samples.data))
+            sigma = np.asarray(cd.sample_covariance(samples))
             cfg = SolverConfig(gamma=cd.gamma_schedule(2.08, 100, n),
                                lambda_off=model.lambda_star)
             warm = cd.admm_solve(sigma, cfg, warm_start=warm)
