@@ -41,6 +41,7 @@ from .model import (
 )
 from .sampling import (
     derive_seed,
+    draw_sample_covariance,
     draw_samples,
     gamma_schedule,
     sample_covariance,
@@ -91,6 +92,7 @@ __all__ = [
     "chain_model",
     "compare_to_truth",
     "derive_seed",
+    "draw_sample_covariance",
     "draw_samples",
     "duality_gap",
     "edit_distance",

@@ -26,9 +26,8 @@ from .metrics import DEFAULT_SUPPORT_THRESHOLD, MetricsRecord, compare_to_truth,
 from .model import DiagBoostPolicy, chain_model, grid_model, true_covariance
 from .sampling import (
     derive_seed,
-    draw_samples,
+    draw_sample_covariance,
     gamma_schedule,
-    sample_covariance,
     sample_covariance_centered,
 )
 from .serialize import (
@@ -215,7 +214,8 @@ def _nan_metrics():
 
 
 def _solve_cell(spec, model, q_index, trial, n, warm=None):
-    """Draw, estimate, solve and score sweep cell (q_index, trial) at n samples.
+    """Draw the sample covariance of sweep cell (q_index, trial) at n
+    samples, then solve and score it.
 
     Returns (row, gamma, result): the cell's sweep.csv row, its penalty
     level and its solve, or None if the solve raised, when the row holds
@@ -224,8 +224,8 @@ def _solve_cell(spec, model, q_index, trial, n, warm=None):
     """
     p = model.dim
     cg = spec.c_gamma[q_index] if q_index < len(spec.c_gamma) else spec.c_gamma[0]
-    sigma_hat = sample_covariance(
-        draw_samples(model, n, derive_seed(spec.seed, q_index, trial, n, 1)))
+    sigma_hat = draw_sample_covariance(
+        model, n, derive_seed(spec.seed, q_index, trial, n, 1))
     gamma = gamma_schedule(cg, p, n)
     lam = resolve_lambda(spec.lambda_policy, model, p, n)
     cfg = _solver_config(spec, gamma, lam)

@@ -1,6 +1,7 @@
 """Gaussian sampling from the zero-mean decomposition models into plain
-(n, p) arrays, one observation per row, sample-covariance formation, and
-the penalty schedule used by the experiments."""
+(n, p) arrays, one observation per row, the direct Wishart draw of a
+sample covariance, sample-covariance formation, and the penalty
+schedule used by the experiments."""
 
 import numpy as np
 
@@ -35,6 +36,35 @@ def draw_samples(m, n, seed):
         raise PreconditionViolated("n must be >= 1")
     _, chol, _ = m._overall
     return np.random.default_rng(seed).standard_normal((n, chol.shape[0])) @ chol.T
+
+
+def draw_sample_covariance(m, n, seed):
+    """Draw the sample covariance X^T X / n of n rows from N(0, Sigma),
+    without drawing the rows.
+
+    X^T X is Wishart(n, Sigma), which Bartlett's decomposition draws as
+    ``(L B)(L B)^T``: L is the lower Cholesky factor of the overall
+    covariance, and B is p x min(n, p) lower triangular, with
+    ``sqrt(chi2(n - j))`` at (j, j) and standard normals below the
+    diagonal, drawn in that order from a PCG64 generator. The min(n, p)
+    columns give the singular law when n < p. Costs O(p^3) time and
+    O(p^2) memory whatever n is. Identical (model, n, seed) inputs give
+    bitwise-identical matrices; the law is that of
+    ``sample_covariance(draw_samples(m, n, seed))``, the random stream
+    is not.
+    """
+    if n < 1:
+        raise PreconditionViolated("n must be >= 1")
+    _, chol, _ = m._overall
+    p = chol.shape[0]
+    k = min(n, p)
+    rng = np.random.default_rng(seed)
+    b = np.zeros((p, k))
+    b[np.diag_indices(k)] = np.sqrt(rng.chisquare(n - np.arange(k)))
+    below = np.tril_indices(p, -1, k)
+    b[below] = rng.standard_normal(below[0].size)
+    lb = chol @ b
+    return lb @ lb.T / n
 
 
 def sample_covariance(data):

@@ -44,7 +44,8 @@ class SolverConfig:
 
     ``lambda_off`` is the off-diagonal linf cap (may be +inf, which
     removes the box). ``eps_abs`` and ``eps_rel`` set the KKT bound a
-    converged result meets and the duality gap the box program stops at.
+    converged result meets, :meth:`kkt_bound`, and ``eps_abs`` the
+    duality gap the box program stops at.
     """
 
     gamma: float
@@ -68,6 +69,11 @@ class SolverConfig:
             raise PreconditionViolated("max_iter must be >= 1")
         if not (0 < self.eps_abs < math.inf and 0 < self.eps_rel < math.inf):
             raise PreconditionViolated("eps_abs and eps_rel must be finite and positive")
+
+    def kkt_bound(self, scale):
+        """The KKT residual a converged solve meets: eps_abs + eps_rel
+        scale, with scale = max(|Sigma|, |J|), and never above eps_rel."""
+        return min(self.eps_abs + self.eps_rel * scale, self.eps_rel)
 
 
 @dataclass
@@ -187,10 +193,9 @@ class _Workspace:
 
     def certified(self):
         """The iterate's certificate once its KKT residual is within
-        eps_abs + eps_rel max(|Sigma|, |J|), a tenth of the documented
-        bound, and its duality gap within 10 eps_abs; else None."""
+        cfg.kkt_bound and its duality gap within 10 eps_abs; else None."""
         cfg = self.cfg
-        stop = cfg.eps_abs + cfg.eps_rel * max(self.sigma_max, self.j.max(), -self.j.min())
+        stop = cfg.kkt_bound(max(self.sigma_max, self.j.max(), -self.j.min()))
         # the diagonal is part of every KKT residual and costs O(p)
         if np.abs(self.sigma_diag - self.j_inv.diagonal()).max() > stop:
             return None
@@ -308,8 +313,7 @@ class _FreeWorkspace:
         # the KKT residual on F is |Sigma - J^-1 + gamma z_gamma|, with
         # z_gamma formed as _certificate forms it
         cfg, p = self.cfg, self.p
-        stop = cfg.eps_abs + cfg.eps_rel * max(self.sigma_max, self.j.max(), -self.j.min(),
-                                               self.pinned_max)
+        stop = cfg.kkt_bound(max(self.sigma_max, self.j.max(), -self.j.min(), self.pinned_max))
         r = np.subtract(self.sigma_f, self.j_inv, out=self.tmp)
         if np.abs(r[:p]).max() > stop:
             return None
@@ -611,9 +615,9 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
     Returns
     -------
     SolveResult
-        ``converged`` is True when the KKT residual is within 10 (eps_abs
-        + eps_rel max(|Sigma|, |J|)) and the duality gap within 10 eps_abs;
-        else max_iter ran out, and the last iterate is returned with a warning.
+        ``converged`` is True when the KKT residual is within
+        ``cfg.kkt_bound`` and the duality gap within 10 eps_abs; else
+        max_iter ran out, and the last iterate is returned with a warning.
         With gamma = 0 ``iterations`` counts projected Newton steps, plus
         the loop's iterations after a hand-over, all within max_iter.
         Whichever path found it, ``sigma_r_hat`` is read on the entries

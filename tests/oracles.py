@@ -525,7 +525,8 @@ def reference_prox_gradient(sigma, cfg, prox, j, clip_mask=None, kkt_mask=None,
             t = ss / sy
         j, j_inv = cand, cand_inv
         history = (history + [f])[-10:]
-        stop = cfg.eps_abs + cfg.eps_rel * max(np.abs(sigma).max(), np.abs(j).max())
+        stop = min(cfg.eps_abs + cfg.eps_rel * max(np.abs(sigma).max(), np.abs(j).max()),
+                   cfg.eps_rel)
         if np.abs(np.diag(sigma) - np.diag(j_inv)).max() > stop:
             continue
         kkt, _, r, _ = _reference_certificate(j, j_inv, sigma, cfg, clip_mask, kkt_mask)

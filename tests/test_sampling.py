@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covdecomp import (
+    DiagBoostPolicy,
     MalformedMatrix,
     PreconditionViolated,
     derive_seed,
+    draw_sample_covariance,
     draw_samples,
     gamma_schedule,
+    grid_model,
     sample_covariance,
     sample_covariance_centered,
     true_covariance,
@@ -48,6 +52,45 @@ class TestDrawSamples:
     def test_rejects_nonpositive_n(self, chain):
         with pytest.raises(ValueError):
             draw_samples(chain, 0, seed=1)
+
+
+class TestDrawSampleCovariance:
+    @pytest.mark.parametrize("n", [4, 40], ids=["n<p", "n>p"])
+    def test_matches_wishart_moments(self, small_grid, n):
+        # W = n * draw is Wishart(n, Sigma): E W = n Sigma and
+        # Var W_ij = n (Sigma_ij^2 + Sigma_ii Sigma_jj); each sample
+        # moment must sit within 5 of its standard errors
+        sigma = np.asarray(true_covariance(small_grid))
+        reps = 4000
+        w = np.array([n * draw_sample_covariance(small_grid, n, seed)
+                      for seed in range(reps)])
+        var = n * (sigma ** 2 + np.outer(np.diag(sigma), np.diag(sigma)))
+        assert np.all(np.abs(w.mean(axis=0) - n * sigma) <= 5 * np.sqrt(var / reps))
+        dev = w - w.mean(axis=0)
+        m2, m4 = (dev ** 2).mean(axis=0), (dev ** 4).mean(axis=0)
+        assert np.all(np.abs(m2 - var) <= 5 * np.sqrt((m4 - m2 ** 2) / reps))
+
+    def test_singular_below_p(self, small_grid):
+        assert np.linalg.matrix_rank(draw_sample_covariance(small_grid, 4, 1)) == 4
+
+    def test_repeatable_per_seed(self, chain):
+        w1 = draw_sample_covariance(chain, 50, seed=3)
+        assert type(w1) is np.ndarray and w1.dtype == float and w1.shape == (4, 4)
+        assert w1.tobytes() == draw_sample_covariance(chain, 50, seed=3).tobytes()
+        assert np.array_equal(w1, w1.T)
+        assert np.any(w1 != draw_sample_covariance(chain, 50, seed=4))
+
+    def test_memory_does_not_grow_with_n(self):
+        model = grid_model(10, 1, diag_boost_policy=DiagBoostPolicy(fixed=1.0))
+        model._overall  # form the model's cached factor before tracing
+        peaks = []
+        for n in (250, 10 ** 5):
+            tracemalloc.start()
+            draw_sample_covariance(model, n, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # an n x p sample array at n = 10^5 alone would take 80 MB
+        assert peaks[1] <= 1.05 * peaks[0] < 10 ** 6
 
 
 class TestSampleCovariance:

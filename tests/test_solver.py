@@ -37,6 +37,11 @@ class TestSolverConfig:
         assert cfg.eps_abs == 1e-8
         assert cfg.eps_rel == 1e-6
 
+    def test_kkt_bound_is_relative_and_never_above_eps_rel(self):
+        cfg = SolverConfig(gamma=0.1, lambda_off=0.2)
+        assert cfg.kkt_bound(0.5) == 1e-8 + 0.5e-6
+        assert cfg.kkt_bound(5.0) == cfg.eps_rel == 1e-6
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -624,7 +629,9 @@ def _fixed_boost_grid(q, seed):
 
 
 def _default_cell(seed, n):
-    # one cell of the default {"grid_sizes": [10]} sweep
+    # one cell of the default {"grid_sizes": [10]} sweep as the sweep drew
+    # it from per-sample data, before it drew Wishart covariances; the
+    # tests below pin that draw
     model = cd.grid_model(10, cd.derive_seed(seed, 0, 0))
     samples = cd.draw_samples(model, n, cd.derive_seed(seed, 0, 0, n, 1))
     sigma = np.asarray(cd.sample_covariance(samples))
@@ -958,10 +965,11 @@ class TestProjectedNewton:
 
 class TestResidualOnTheBox:
     def test_warm_started_loop_reads_residual_on_the_box(self):
-        # the benchmark sweep's q = 10 cell at seed 1005: at n = 1000 the
-        # loop's optimum has J_(26,36) = -0.1999868, 1.3e-5 inside the box
-        # of 0.2, where a residual read within 1e-4 of the box is 7.5e-9,
-        # against J's sign
+        # the benchmark sweep's q = 10 cell at seed 1005, drawn from
+        # per-sample data as the sweep drew it before it drew Wishart
+        # covariances: at n = 1000 the loop's optimum has
+        # J_(26,36) = -0.1999868, 1.3e-5 inside the box of 0.2, where a
+        # residual read within 1e-4 of the box is 7.5e-9, against J's sign
         model = _fixed_boost_grid(10, cd.derive_seed(1005, 0, 0))
         warm = None
         for n in (250, 500, 1000):
@@ -975,18 +983,34 @@ class TestResidualOnTheBox:
             assert np.all(r * j >= 0.0)
 
 
+class TestKktBoundAtLargeScale:
+    def test_default_cells_certify_within_eps_rel(self, lapack_route):
+        # the default sweep's adaptive-boost cells have max |Sigma_hat|
+        # near 5, where eps_abs + eps_rel max(|Sigma|, |J|) alone would
+        # stop at 5e-6; on the fallback route the n = 2000 solve of seed 0
+        # stopped at a KKT residual of 1.6e-6 under that rule
+        warm = None
+        for n in (1000, 2000, 4000):
+            sigma, lam, gamma = _default_cell(0, n)
+            assert np.abs(sigma).max() > 5.0
+            cfg = SolverConfig(gamma=gamma, lambda_off=lam)
+            warm = cd.admm_solve(sigma, cfg, warm_start=warm)
+            assert warm.converged and warm.kkt_residual <= cfg.eps_rel
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: cd.soft_threshold_covariance(np.eye(2), -0.1),
         lambda: cd.draw_samples(cd.chain_model((0.05, 0.04, 0.03), -0.01), 0, 1),
+        lambda: cd.draw_sample_covariance(cd.chain_model((0.05, 0.04, 0.03), -0.01), 0, 1),
         lambda: cd.gamma_schedule(2.0, 1, 100),
         lambda: cd.gamma_schedule(2.0, 4, 0),
         lambda: cd.gamma_schedule(0.0, 4, 100),
         lambda: cd.support_of(np.eye(2), threshold=-1.0),
     ],
-    ids=["soft_threshold_gamma", "draw_samples_n", "gamma_schedule_p",
-         "gamma_schedule_n", "gamma_schedule_c", "support_threshold"],
+    ids=["soft_threshold_gamma", "draw_samples_n", "draw_sample_covariance_n",
+         "gamma_schedule_p", "gamma_schedule_n", "gamma_schedule_c", "support_threshold"],
 )
 def test_bad_argument_raises_precondition_violated(call):
     with pytest.raises(PreconditionViolated):
