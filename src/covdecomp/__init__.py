@@ -50,10 +50,8 @@ from .sampling import (
 from .serialize import (
     SCHEMA_VERSION,
     load_model,
-    load_samples,
     save_model,
     save_result,
-    save_samples,
     write_trace_csv,
 )
 from .solver import (
@@ -104,14 +102,12 @@ __all__ = [
     "inf_operator_norm",
     "lbp_run",
     "load_model",
-    "load_samples",
     "logdet_pd",
     "partition_pairs",
     "sample_covariance",
     "sample_covariance_centered",
     "save_model",
     "save_result",
-    "save_samples",
     "sign_consistency",
     "soft_threshold_covariance",
     "support_of",

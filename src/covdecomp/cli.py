@@ -1,5 +1,6 @@
-"""Experiment harness: model generation, single fits, sample-complexity
-sweeps, propagation studies, CSV ingestion, and exact-recovery reports.
+"""Experiment harness: model generation, single fits (of a generated
+model or of a data CSV), sample-complexity sweeps, propagation studies,
+and exact-recovery reports.
 
 Everything is driven by an ExperimentSpec, built from defaults, an
 optional JSON config file, and command-line overrides (in that order).
@@ -35,7 +36,6 @@ from .serialize import (
     read_csv_table,
     save_model,
     save_result,
-    save_samples,
     write_json,
     write_trace_csv,
 )
@@ -338,18 +338,6 @@ def run_exact_decomposition(spec):
     }
 
 
-def ingest_csv(path):
-    """Load a rectangular numeric CSV with a header row as ``(columns, data)``.
-
-    The data are kept as read; ``fit`` estimates their covariance about
-    the column means.
-    """
-    columns, data = read_csv_table(path)
-    logger.info("ingested %s: n=%d, p=%d, columns=%s",
-                path, data.shape[0], data.shape[1], columns)
-    return columns, data
-
-
 def export_graphs(result, names, threshold):
     """Edge lists of the estimated Markov and residual graphs."""
     p = result.j_hat.shape[0]
@@ -392,7 +380,7 @@ def _cmd_fit(spec):
     if spec.data_path:
         # check the policy before the costliest step, parsing the data
         _require_model_free(parse_lambda_policy(spec.lambda_policy)[0])
-        names, data = ingest_csv(spec.data_path)
+        names, data = read_csv_table(spec.data_path)
         n, p = data.shape
         gamma = gamma_schedule(spec.c_gamma[0], p, n)
         lam = resolve_lambda(spec.lambda_policy, None, p, n)
@@ -451,21 +439,6 @@ def _cmd_lbp(spec):
     return 0
 
 
-def _cmd_ingest(spec):
-    if not spec.data_path:
-        raise PreconditionViolated("ingest needs --data PATH")
-    out = Path(spec.out_dir)
-    columns, data = ingest_csv(spec.data_path)
-    save_samples(data, out / "samples", columns)
-    n, p = data.shape
-    write_json(out / "dataset_summary.json", {
-        "schema_version": SCHEMA_VERSION, "n": n, "p": p, "columns": columns,
-        "centered": True,
-    })
-    logger.info("dataset written to %s (n=%d, p=%d)", out / "samples", n, p)
-    return 0
-
-
 def _cmd_exactdecomp(spec):
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -482,7 +455,6 @@ _COMMANDS = {
     "fit": _cmd_fit,
     "sweep": _cmd_sweep,
     "lbp": _cmd_lbp,
-    "ingest": _cmd_ingest,
     "exactdecomp": _cmd_exactdecomp,
 }
 
@@ -506,7 +478,7 @@ def build_parser():
     shared.add_argument("--lambda", dest="lambda_policy", metavar="POLICY",
                         help="fixed:V | lambda_star | inf | near_zero | inflated:C")
     shared.add_argument("--data", dest="data_path", metavar="PATH",
-                        help="input CSV (fit/ingest)")
+                        help="input CSV with a header row (fit)")
     shared.add_argument("-v", "--verbose", action="store_true")
 
     parser = _Parser(
@@ -519,10 +491,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="mode", required=True)
     helps = {
         "generate": "generate and store a synthetic ground-truth model",
-        "fit": "solve one instance (synthetic or ingested CSV)",
+        "fit": "solve one instance (synthetic, or a CSV via --data)",
         "sweep": "run a (p, n, trial) sweep and emit CSV + summary",
         "lbp": "belief propagation study on generated models",
-        "ingest": "validate and store a raw data CSV",
         "exactdecomp": "exact-statistics recovery report",
     }
     for name in _COMMANDS:

@@ -81,7 +81,7 @@ def sample_covariance_centered(data):
     """Covariance of mean-subtracted data with 1/n normalization.
 
     The 1/n (not 1/(n-1)) factor keeps the centered and uncentered
-    estimators on the same scale; intended for ingested real data.
+    estimators on the same scale; ``fit --data`` applies it to a data CSV.
     """
     return _second_moment(data, centered=True)
 

@@ -1,12 +1,12 @@
-"""Directory-based persistence for models, solver results, sample sets,
-and propagation traces.
+"""Directory-based persistence for models and solver results, the data
+CSV reader, and propagation traces.
 
 A model directory holds j_markov.csv, sigma_residual.csv, and meta.json
 (lambda_star plus any generator metadata). A result directory holds
-j_hat.csv, sigma_r.csv, and diagnostics.json; a sample directory holds
-data.csv, a header row over one sample per row. Matrices and samples are
-CSV at full repr precision, so save/load round-trips are exact. Every
-CSV reader here raises ``MalformedCsv`` naming the file for an empty,
+j_hat.csv, sigma_r.csv, and diagnostics.json. Matrices are CSV at full
+repr precision, so save/load round-trips are exact. A data file is a
+header row over one sample per row (``read_csv_table``). Every CSV
+reader here raises ``MalformedCsv`` naming the file for an empty,
 ragged or non-numeric file.
 """
 
@@ -75,13 +75,10 @@ def read_matrix_csv(path):
     return 0.5 * (data + data.T)
 
 
-def write_matrix_csv(m, path, header=None):
-    """Write a matrix as full (not triangular) CSV with repr-precision
-    floats, after the ``header`` row when one is given."""
+def write_matrix_csv(m, path):
+    """Write a matrix as full (not triangular) CSV with repr-precision floats."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(header)
         for row in np.asarray(m, dtype=float):
             writer.writerow([repr(float(x)) for x in row])
 
@@ -166,24 +163,6 @@ def read_csv_table(path):
     """
     head, data = _read_numeric_csv(path, 1)
     return [cell.strip() for cell in head[0]], data
-
-
-def save_samples(data, dirpath, columns=None):
-    """Write an (n, p) sample array to data.csv; returns the directory path.
-
-    The header is ``columns`` when given (an ingested file keeps its
-    column names) and x0..x{p-1} otherwise.
-    """
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    p = np.shape(data)[1]
-    write_matrix_csv(data, d / "data.csv", columns or ["x%d" % k for k in range(p)])
-    return d
-
-
-def load_samples(dirpath):
-    """Read a sample directory back as ``(columns, data)``."""
-    return read_csv_table(Path(dirpath) / "data.csv")
 
 
 def write_trace_csv(trace, path):

@@ -1,5 +1,5 @@
 """Harness tests: config merging, lambda policies, sweep output format
-and determinism, CSV ingestion, graph export, and exit codes."""
+and determinism, graph export, exit codes, and the README's CLI tables."""
 
 import csv
 import json
@@ -18,7 +18,6 @@ from covdecomp.cli import (
     SWEEP_COLUMNS,
     ExperimentSpec,
     export_graphs,
-    ingest_csv,
     main,
     parse_lambda_policy,
     resolve_lambda,
@@ -26,7 +25,7 @@ from covdecomp.cli import (
     run_sweep,
     spec_from_config,
 )
-from covdecomp.errors import MalformedCsv, NonNumericCell, PreconditionViolated
+from covdecomp.errors import PreconditionViolated
 from oracles import TIGHT
 
 TIGHT_SOLVER = {"solver": dict(TIGHT)}
@@ -226,43 +225,6 @@ class TestExactDecomposition:
         assert inst["error_r"] == pytest.approx(0.01, abs=1e-6)
 
 
-class TestIngestCsv:
-    def test_valid_file(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b\n1.0,2.0\n3.0,4.5\n")
-        columns, data = ingest_csv(path)
-        assert columns == ["a", "b"]
-        assert np.array_equal(data, [[1.0, 2.0], [3.0, 4.5]])
-
-    def test_non_numeric_cell_coordinates(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b\n1.0,2.0\n3.0,oops\n")
-        with pytest.raises(NonNumericCell) as info:
-            ingest_csv(path)
-        assert info.value.row == 1
-        assert info.value.col == 1
-        assert info.value.value == "oops"
-        assert "file row 3" in str(info.value)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("")
-        with pytest.raises(MalformedCsv, match="empty"):
-            ingest_csv(path)
-
-    def test_header_only_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b\n")
-        with pytest.raises(MalformedCsv, match="no data"):
-            ingest_csv(path)
-
-    def test_ragged_row_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b,c\n1.0,2.0,3.0\n4.0,5.0\n")
-        with pytest.raises(MalformedCsv, match="row 3 has 2 cells"):
-            ingest_csv(path)
-
-
 @pytest.fixture(scope="module")
 def chain_result():
     model = cd.chain_model((0.05, 0.04, 0.03), -0.01)
@@ -306,7 +268,7 @@ class TestMainEntry:
         assert diag["converged"] is True
         assert (out / "fit" / "graphs.json").exists()
 
-    def test_default_grid_sweep_certifies_every_row(self, tmp_path):
+    def test_default_grid_sweep_certifies_every_row(self, tmp_path, lapack_route):
         # the default (adaptive) diagonal boost gives ill-conditioned
         # cells; each one must still stop at a certified point
         cfg = tmp_path / "cfg.json"
@@ -318,17 +280,6 @@ class TestMainEntry:
         assert len(rows) == 3
         assert all(r["converged"] == "True" for r in rows)
 
-    def test_ingest_round_trip(self, tmp_path):
-        data = tmp_path / "data.csv"
-        data.write_text("a,b\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        out = tmp_path / "out"
-        assert main(["ingest", "--data", str(data), "--out", str(out)]) == 0
-        summary = json.loads((out / "dataset_summary.json").read_text())
-        assert summary["n"] == 3 and summary["p"] == 2
-        columns, loaded = cd.load_samples(out / "samples")
-        assert columns == ["a", "b"] and loaded.shape == (3, 2)
-        assert [f.name for f in (out / "samples").iterdir()] == ["data.csv"]
-
     def test_fit_data_checks_policy_before_parsing(self, tmp_path, caplog):
         data = tmp_path / "data.csv"
         data.write_text("a,b\n1.0,oops\n")
@@ -339,15 +290,13 @@ class TestMainEntry:
         assert any("--lambda fixed:V" in m for m in caplog.messages)
         assert not any("oops" in m for m in caplog.messages)
 
-    def test_ingest_requires_data(self, tmp_path):
-        assert main(["ingest", "--out", str(tmp_path / "out")]) == 2
-
     def test_missing_data_file_fails_cleanly(self, tmp_path):
         code = main([
-            "ingest", "--data", str(tmp_path / "nope.csv"),
+            "fit", "--data", str(tmp_path / "nope.csv"), "--lambda", "fixed:0.1",
             "--out", str(tmp_path / "out"),
         ])
         assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_key_fails_cleanly(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -429,6 +378,12 @@ class TestMainEntry:
                 assert main(["sweep", flag, "3"]) == 2
             assert len(caplog.messages) == 1
             assert flag in caplog.messages[0]
+        # a removed subcommand fails the same way
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="covdecomp.cli"):
+            assert main(["ingest", "--data", "data.csv"]) == 2
+        assert len(caplog.messages) == 1
+        assert "ingest" in caplog.messages[0]
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["sweep", "--seed", "x"]],
                              ids=["no-subcommand", "unknown-subcommand", "bad-int"])
@@ -451,6 +406,14 @@ class TestReadme:
         section = README.split("### Configuration file")[1].split("###")[0]
         keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
         assert sorted(keys) == sorted(f.name for f in fields(ExperimentSpec))
+
+    def test_command_table_lists_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        (choices,) = re.findall(r"\{([\w,]+)\}", capsys.readouterr().out.split("\n\n")[0])
+        section = README.split("## Command line")[1].split("###")[0]
+        modes = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+        assert sorted(modes) == sorted(choices.split(","))
 
     def test_usage_lists_the_parser_flags(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,5 +1,5 @@
-"""Round-trip tests for the directory formats: models, solve results,
-sample sets, and propagation traces."""
+"""Round-trip tests for the directory formats (models, solve results and
+propagation traces) and tests of the data CSV reader."""
 
 import csv
 import dataclasses
@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import covdecomp as cd
-from covdecomp import (DimensionMismatch, InfoModel, MalformedCsv, PreconditionViolated,
-                       SolverConfig)
-from covdecomp.serialize import read_matrix_csv, write_matrix_csv
+from covdecomp import (DimensionMismatch, InfoModel, MalformedCsv, NonNumericCell,
+                       PreconditionViolated, SolverConfig)
+from covdecomp.serialize import read_csv_table, read_matrix_csv, write_matrix_csv
 
 
 def _csv_rows(path):
@@ -136,35 +136,41 @@ class TestResultRoundTrip:
             read_matrix_csv(d / "sigma_r.csv")
 
 
-class TestSamplesRoundTrip:
-    def test_exact_round_trip(self, chain, tmp_path):
-        samples = cd.draw_samples(chain, 50, seed=13)
-        d = cd.save_samples(samples, tmp_path / "samples", ["a", "b", "c", "d"])
-        columns, loaded = cd.load_samples(d)
-        assert np.array_equal(loaded, samples)
-        assert columns == ["a", "b", "c", "d"]
+class TestReadCsvTable:
+    def test_valid_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0,4.5\n")
+        columns, data = read_csv_table(path)
+        assert columns == ["a", "b"]
+        assert np.array_equal(data, [[1.0, 2.0], [3.0, 4.5]])
 
-    def test_writes_data_csv_only(self, chain, tmp_path):
-        d = cd.save_samples(cd.draw_samples(chain, 7, seed=1), tmp_path / "samples")
-        assert [f.name for f in d.iterdir()] == ["data.csv"]
-        columns, loaded = cd.load_samples(d)
-        assert columns == ["x0", "x1", "x2", "x3"]
-        assert loaded.shape == (7, 4)
+    def test_non_numeric_cell_coordinates(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0,oops\n")
+        with pytest.raises(NonNumericCell) as info:
+            read_csv_table(path)
+        assert info.value.row == 1
+        assert info.value.col == 1
+        assert info.value.value == "oops"
+        assert "file row 3" in str(info.value)
 
-    def test_ragged_data_file_rejected(self, chain, tmp_path):
-        d = cd.save_samples(cd.draw_samples(chain, 3, seed=1), tmp_path / "samples")
-        with open(d / "data.csv", "a", encoding="utf-8") as fh:
-            fh.write("1.0,2.0\n")
-        with pytest.raises(MalformedCsv, match="row 5 has 2 cells"):
-            cd.load_samples(d)
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("")
+        with pytest.raises(MalformedCsv, match="empty"):
+            read_csv_table(path)
 
-    def test_sample_covariance_unchanged(self, chain, tmp_path):
-        samples = cd.draw_samples(chain, 200, seed=2)
-        d = cd.save_samples(samples, tmp_path / "samples")
-        _, loaded = cd.load_samples(d)
-        before = np.asarray(cd.sample_covariance(samples))
-        after = np.asarray(cd.sample_covariance(loaded))
-        assert np.array_equal(before, after)
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(MalformedCsv, match="no data"):
+            read_csv_table(path)
+
+    def test_ragged_row_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,c\n1.0,2.0,3.0\n4.0,5.0\n")
+        with pytest.raises(MalformedCsv, match="row 3 has 2 cells"):
+            read_csv_table(path)
 
 
 class TestTraceCsv:

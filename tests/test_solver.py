@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import covdecomp as cd
@@ -382,7 +382,10 @@ def _random_spd(p, seed, decades=4.0):
 
 
 class TestHonestVerdict:
-    @settings(max_examples=50, deadline=None)
+    # lapack_route's patch holds for every example of a run, which is
+    # what these tests need
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         p=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
@@ -390,7 +393,7 @@ class TestHonestVerdict:
         lambda_off=st.one_of(st.floats(1e-3, 2.0), st.just(math.inf)),
         max_iter=st.sampled_from([1, 2, 10, 100, 1000]),
     )
-    def test_certifies_or_raises(self, p, seed, gamma, lambda_off, max_iter):
+    def test_certifies_or_raises(self, p, seed, gamma, lambda_off, max_iter, lapack_route):
         # a solve either raises a typed error, stops certified, or says it
         # ran out of iterations; a converged verdict is checked afresh
         sigma = _random_spd(p, seed)
@@ -411,7 +414,8 @@ class TestHonestVerdict:
         assert np.all(np.abs(j[r != 0.0]) == lambda_off)
         assert np.all(r * j >= 0.0)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         p=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
@@ -421,7 +425,7 @@ class TestHonestVerdict:
         max_iter=st.sampled_from([1, 2, 10, 100, 1000]),
     )
     def test_witness_certifies_or_raises(self, p, seed, density, gamma, lambda_off,
-                                         max_iter):
+                                         max_iter, lapack_route):
         # the same three outcomes for the witness program on random masks
         rng = np.random.default_rng(seed)
         sigma = _random_spd(p, seed)
