@@ -49,8 +49,6 @@ from .sampling import (
 )
 from .serialize import (
     SCHEMA_VERSION,
-    load_model,
-    save_model,
     save_result,
     write_trace_csv,
 )
@@ -101,12 +99,10 @@ __all__ = [
     "incoherence_report",
     "inf_operator_norm",
     "lbp_run",
-    "load_model",
     "logdet_pd",
     "partition_pairs",
     "sample_covariance",
     "sample_covariance_centered",
-    "save_model",
     "save_result",
     "sign_consistency",
     "soft_threshold_covariance",

@@ -1,6 +1,6 @@
-"""Experiment harness: model generation, single fits (of a generated
-model or of a data CSV), sample-complexity sweeps, propagation studies,
-and exact-recovery reports.
+"""Experiment harness: single fits (of a generated model or of a data
+CSV), sample-complexity sweeps, propagation studies, and exact-recovery
+reports.
 
 Everything is driven by an ExperimentSpec, built from defaults, an
 optional JSON config file, and command-line overrides (in that order).
@@ -34,7 +34,6 @@ from .sampling import (
 from .serialize import (
     SCHEMA_VERSION,
     read_csv_table,
-    save_model,
     save_result,
     write_json,
     write_trace_csv,
@@ -361,20 +360,6 @@ def export_graphs(result, names, threshold):
     }
 
 
-def _cmd_generate(spec):
-    out = Path(spec.out_dir)
-    model = _build_model(spec, spec.grid_sizes[0], derive_seed(spec.seed, 0, 0))
-    meta = {"generator": spec.generator, "seed": spec.seed}
-    if spec.generator == "grid":
-        meta.update(q=spec.grid_sizes[0], **GRID_MAGNITUDES)
-    else:
-        meta.update(rho=list(CHAIN_RHO), residual_value=CHAIN_RESIDUAL)
-    path = save_model(model, out / "model", extra_meta=meta)
-    logger.info("model written to %s (p=%d, lambda_star=%g)",
-                path, model.dim, model.lambda_star)
-    return 0
-
-
 def _cmd_fit(spec):
     out = Path(spec.out_dir)
     if spec.data_path:
@@ -451,7 +436,6 @@ def _cmd_exactdecomp(spec):
 
 
 _COMMANDS = {
-    "generate": _cmd_generate,
     "fit": _cmd_fit,
     "sweep": _cmd_sweep,
     "lbp": _cmd_lbp,
@@ -490,7 +474,6 @@ def build_parser():
                         version="covdecomp %s" % __version__)
     sub = parser.add_subparsers(dest="mode", required=True)
     helps = {
-        "generate": "generate and store a synthetic ground-truth model",
         "fit": "solve one instance (synthetic, or a CSV via --data)",
         "sweep": "run a (p, n, trial) sweep and emit CSV + summary",
         "lbp": "belief propagation study on generated models",

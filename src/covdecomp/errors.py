@@ -43,18 +43,17 @@ class MalformedCsv(CovdecompError):
 
 
 class NonNumericCell(MalformedCsv):
-    """A CSV data cell failed numeric conversion.
+    """A data cell of a CSV file with a header row failed numeric conversion.
 
-    Coordinates in the message are 1-based file coordinates counting the
-    ``header_rows`` above the data; ``row`` and ``col`` attributes hold
-    the 0-based data-matrix indices.
+    The message gives 1-based file coordinates, counting the header row;
+    ``row`` and ``col`` attributes hold the 0-based data-matrix indices.
     """
 
-    def __init__(self, path, row, col, value, header_rows):
+    def __init__(self, path, row, col, value):
         self.row = row
         self.col = col
         self.value = value
         super().__init__(
             "%s: non-numeric cell %r at file row %d, column %d"
-            % (path, value, row + header_rows + 1, col + 1)
+            % (path, value, row + 2, col + 1)
         )

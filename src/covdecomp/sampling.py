@@ -82,6 +82,7 @@ def sample_covariance_centered(data):
 
     The 1/n (not 1/(n-1)) factor keeps the centered and uncentered
     estimators on the same scale; ``fit --data`` applies it to a data CSV.
+    Needs at least 2 rows, since one row's centered covariance is zero.
     """
     return _second_moment(data, centered=True)
 
@@ -92,9 +93,14 @@ def _second_moment(data, centered):
     if x.ndim != 2 or min(x.shape) < 1:
         raise PreconditionViolated(
             "data must be an n x p array with n, p >= 1, got shape %s" % (x.shape,))
-    if centered:
-        x = x - x.mean(axis=0)
-    c = x.T @ x / x.shape[0]
+    if centered and x.shape[0] < 2:
+        raise PreconditionViolated(
+            "a centered covariance needs at least 2 rows of data, got 1")
+    # an overflow shows as a non-finite entry, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if centered:
+            x = x - x.mean(axis=0)
+        c = x.T @ x / x.shape[0]
     if not np.isfinite(c).all():
         raise MalformedMatrix("sample covariance entries must be finite")
     return 0.5 * (c + c.T)

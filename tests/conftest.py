@@ -1,11 +1,13 @@
 """Shared fixtures, and the certification audit of every solve.
 
 Every call to ``admm_solve`` or ``witness_solve`` made while a test runs,
-including those of the module fixtures it sets up, is recorded; the
-test's teardown checks the results against the certification bounds in
-``oracles.certification_breaches`` and clears the record. The audit
-therefore holds for any selection or order of tests.
+including those of the module fixtures it sets up, is recorded with its
+config; the test's teardown checks each result against the bounds its
+config promises, in ``oracles.certification_breaches``, and clears the
+record. The audit therefore holds for any selection or order of tests.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -20,13 +22,15 @@ SOLVER_NAMESPACES = (cd, solver, cli)
 
 @pytest.fixture(scope="session", autouse=True)
 def solve_record():
-    """``(solver_name, result)`` of each solve since the last teardown."""
+    """``(solver_name, cfg, result)`` of each solve since the last
+    teardown, with the ``SolverConfig`` the solve was called with."""
     record = []
     patch = pytest.MonkeyPatch()
     for name in ("admm_solve", "witness_solve"):
         def recorded(*args, _solve=getattr(solver, name), _name=name, **kwargs):
+            cfg = inspect.signature(_solve).bind(*args, **kwargs).arguments["cfg"]
             result = _solve(*args, **kwargs)
-            record.append((_name, result))
+            record.append((_name, cfg, result))
             return result
 
         for namespace in SOLVER_NAMESPACES:

@@ -9,29 +9,25 @@ the package against itself.
 
 import numpy as np
 
-# solver tolerances used throughout the suite; tight enough that every
-# converged solve certifies gap and KKT at 1e-6
+# solver tolerances used throughout the suite
 TIGHT = {"eps_abs": 1e-10, "eps_rel": 1e-9}
-
-# certification bounds every converged solve in the suite must meet
-CERTIFIED_KKT = 1e-6
-CERTIFIED_GAP = 1e-6
 
 
 def certification_breaches(solves):
     """Messages naming each solve that breaks the certification bounds.
 
-    ``solves`` holds ``(solver_name, result)`` pairs. Every result must
-    have run at least one iteration, and no residual entry may fight the
-    sign of its precision entry (``sigma_r_hat * j_hat < 0``): the
-    residual is a nonnegative multiplier times that sign. A converged
-    result must have a KKT residual within ``CERTIFIED_KKT``, and a
+    ``solves`` holds ``(solver_name, cfg, result)`` triples, ``cfg`` the
+    ``SolverConfig`` of the solve. Every result must have run at least
+    one iteration, and no residual entry may fight the sign of its
+    precision entry (``sigma_r_hat * j_hat < 0``): the residual is a
+    nonnegative multiplier times that sign. A converged result must have
+    the KKT residual its config promises, at most ``cfg.eps_rel``, and a
     converged box-program (``admm_solve``) one a duality gap within
-    ``CERTIFIED_GAP``. The witness program's gap is not certified, so it
-    is not checked.
+    ``10 * cfg.eps_abs``. The witness program's gap is not certified, so
+    it is not checked.
     """
     breaches = []
-    for k, (name, res) in enumerate(solves):
+    for k, (name, cfg, res) in enumerate(solves):
         tag = "solve %d (%s)" % (k, name)
         if res.iterations < 1:
             breaches.append("%s ran %d iterations" % (tag, res.iterations))
@@ -40,10 +36,12 @@ def certification_breaches(solves):
             breaches.append("%s has %d residual entries against J's sign" % (tag, fights))
         if not res.converged:
             continue
-        if not res.kkt_residual <= CERTIFIED_KKT:
-            breaches.append("%s converged with KKT %.3g" % (tag, res.kkt_residual))
-        if name == "admm_solve" and not abs(res.duality_gap) <= CERTIFIED_GAP:
-            breaches.append("%s converged with gap %.3g" % (tag, res.duality_gap))
+        if not res.kkt_residual <= cfg.eps_rel:
+            breaches.append("%s converged with KKT %.3g above eps_rel %.3g"
+                            % (tag, res.kkt_residual, cfg.eps_rel))
+        if name == "admm_solve" and not abs(res.duality_gap) <= 10.0 * cfg.eps_abs:
+            breaches.append("%s converged with gap %.3g above 10 eps_abs %.3g"
+                            % (tag, res.duality_gap, 10.0 * cfg.eps_abs))
     return breaches
 
 

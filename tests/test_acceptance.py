@@ -292,13 +292,13 @@ def test_c04_certification():
         s_m, s_r, _, _ = cd.partition_pairs(model)
         signs = np.sign(np.asarray(model.j_markov))
         cfg = tight_config(gamma=0.0, lambda_off=model.lambda_star)
-        solves.append(("admm_solve", cd.admm_solve(sigma, cfg)))
-        solves.append(("witness_solve", cd.witness_solve(sigma, s_m, s_r, signs, cfg)))
+        solves.append(("admm_solve", cfg, cd.admm_solve(sigma, cfg)))
+        solves.append(("witness_solve", cfg, cd.witness_solve(sigma, s_m, s_r, signs, cfg)))
     model = cd.grid_model(4, cd.derive_seed(400, 1))
     samples = cd.draw_samples(model, 800, cd.derive_seed(400, 1, 800, 1))
     cfg = tight_config(gamma=cd.gamma_schedule(2.0, 16, 800), lambda_off=model.lambda_star)
-    solves.append(("admm_solve", cd.admm_solve(cd.sample_covariance(samples), cfg)))
-    converged = sum(res.converged for _, res in solves)
+    solves.append(("admm_solve", cfg, cd.admm_solve(cd.sample_covariance(samples), cfg)))
+    converged = sum(res.converged for _, _, res in solves)
     breaches = certification_breaches(solves)
     ok = converged == len(solves) and not breaches
     _verdict(

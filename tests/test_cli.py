@@ -261,8 +261,6 @@ class TestMainEntry:
             "solver": dict(TIGHT),
         }))
         out = tmp_path / "out"
-        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "model" / "j_markov.csv").exists()
         assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
         diag = json.loads((out / "fit" / "diagnostics.json").read_text())
         assert diag["converged"] is True
@@ -297,6 +295,16 @@ class TestMainEntry:
         ])
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_one_row_data_file_fails_cleanly(self, tmp_path, caplog):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b\n1,2\n")
+        with caplog.at_level("ERROR", logger="covdecomp.cli"):
+            code = main(["fit", "--data", str(data), "--lambda", "fixed:0.1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert len(caplog.messages) == 1
+        assert "at least 2 rows" in caplog.messages[0]
 
     def test_bad_config_key_fails_cleanly(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -379,11 +387,13 @@ class TestMainEntry:
             assert len(caplog.messages) == 1
             assert flag in caplog.messages[0]
         # a removed subcommand fails the same way
-        caplog.clear()
-        with caplog.at_level("ERROR", logger="covdecomp.cli"):
-            assert main(["ingest", "--data", "data.csv"]) == 2
-        assert len(caplog.messages) == 1
-        assert "ingest" in caplog.messages[0]
+        for mode in ("ingest", "generate"):
+            caplog.clear()
+            with caplog.at_level("ERROR", logger="covdecomp.cli"):
+                assert main([mode, "--out", str(tmp_path / "out")]) == 2
+            assert len(caplog.messages) == 1
+            assert mode in caplog.messages[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["sweep", "--seed", "x"]],
                              ids=["no-subcommand", "unknown-subcommand", "bad-int"])

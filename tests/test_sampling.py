@@ -127,6 +127,17 @@ class TestSampleCovariance:
         with pytest.raises(MalformedMatrix, match="finite"):
             sample_covariance([[np.nan, 1.0]])
 
+    @pytest.mark.parametrize("cov", [sample_covariance, sample_covariance_centered])
+    def test_overflow_raises_without_a_warning(self, cov):
+        # the suite turns a RuntimeWarning into an error, so numpy's
+        # overflow warning would surface before the typed error
+        with pytest.raises(MalformedMatrix, match="finite"):
+            cov([[1e308, 1.0], [1e308, 2.0]])
+
+    def test_centered_needs_two_rows(self):
+        with pytest.raises(PreconditionViolated, match="at least 2 rows"):
+            sample_covariance_centered([[1.0, 2.0]])
+
     def test_converges_to_truth(self, chain):
         sigma_star = np.asarray(true_covariance(chain))
         errs = []
