@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CovdecompError, DimensionMismatch, PreconditionViolated
 from .inference import InfoModel, lbp_run, walk_summability
 from .metrics import DEFAULT_SUPPORT_THRESHOLD, MetricsRecord, compare_to_truth, support_of
-from .model import DiagBoostPolicy, chain_model, grid_model, true_covariance
+from .model import DiagBoostPolicy, grid_model, true_covariance
 from .sampling import (
     derive_seed,
     draw_sample_covariance,
@@ -42,15 +42,8 @@ from .solver import SolverConfig, admm_solve
 
 logger = logging.getLogger(__name__)
 
-LAMBDA_POLICIES = ("fixed", "lambda_star", "inf", "near_zero", "inflated")
-NEAR_ZERO_LAMBDA = 1e-6
-# the grid family's edge magnitudes, and the chain family's partial
-# correlations and residual magnitude
-GRID_MAGNITUDES = {"clip_fraction": 0.2, "magnitude_range": (0.15, 0.2)}
-CHAIN_RHO = (0.05, 0.04, 0.03)
-CHAIN_RESIDUAL = 0.01
-# exactdecomp's chain instances (first correlation each) and pass level
-EXACT_RHO1 = (0.02, 0.03, 0.04, 0.05, 0.06)
+LAMBDA_POLICIES = ("fixed", "lambda_star", "inf", "inflated")
+# exactdecomp's pass level
 EXACT_TOLERANCE = 1e-6
 # belief propagation cap and stop level in the lbp study
 LBP_MAX_ITER = 1000
@@ -64,13 +57,15 @@ SWEEP_COLUMNS = ["p", "n", "n_over_logp", "trial", "c_gamma", "lambda"] + _AVERA
 # settable through the config's "solver" object; the harness picks
 # gamma and lambda_off per cell
 _SOLVER_KEYS = {f.name for f in fields(SolverConfig)} - {"gamma", "lambda_off"}
+# the least value of an integer field of ExperimentSpec, or of each of its items
+_LEAST = {"grid_sizes": 2, "sample_sizes": 1, "trials": 1, "threads": 1, "lbp_models": 1,
+          "seed": 0}
 
 
 @dataclass
 class ExperimentSpec:
     """Declarative description of one harness invocation."""
 
-    generator: str = "grid"
     grid_sizes: tuple = (5,)
     diag_boost: float = None
     sample_sizes: tuple = (1000, 2000, 4000)
@@ -85,22 +80,23 @@ class ExperimentSpec:
     lbp_models: int = 5
 
     def validate(self):
+        # every bad value fails here, before a command starts; NaN fails each test
         for f in fields(self):
-            _check_type(f, getattr(self, f.name))
-        if self.trials < 1:
-            raise PreconditionViolated("trials must be >= 1")
-        if any(n < 1 for n in self.sample_sizes):
-            raise PreconditionViolated("sample sizes must be >= 1")
-        if self.threads < 1:
-            raise PreconditionViolated("threads must be >= 1")
-        if self.generator not in ("grid", "chain"):
-            raise PreconditionViolated("generator must be 'grid' or 'chain'")
+            value = getattr(self, f.name)
+            _check_type(f, value)
+            items = value if f.type is tuple else [value]
+            if not items:
+                raise PreconditionViolated("%s must be a nonempty list" % f.name)
+            if f.name in _LEAST and min(items) < _LEAST[f.name]:
+                raise PreconditionViolated("%s must be >= %d" % (f.name, _LEAST[f.name]))
+            if f.name in ("c_gamma", "diag_boost") and not all(
+                    0 < v < math.inf for v in items if v is not None):
+                raise PreconditionViolated("%s must be finite and > 0" % f.name)
         parse_lambda_policy(self.lambda_policy)
-        if not self.c_gamma:
-            raise PreconditionViolated("c_gamma list must be nonempty")
         unknown = set(self.solver) - _SOLVER_KEYS
         if unknown:
             raise PreconditionViolated("unknown solver overrides: %s" % sorted(unknown))
+        _solver_config(self, 0.0, math.inf)
         return self
 
 
@@ -148,7 +144,7 @@ def spec_from_config(path=None, **overrides):
 
 
 def parse_lambda_policy(text):
-    """Parse 'fixed:V', 'lambda_star', 'inf', 'near_zero', 'inflated:C'."""
+    """Parse 'fixed:V' (V > 0), 'lambda_star', 'inf', 'inflated:C' (0 <= C < inf)."""
     name, _, arg = str(text).partition(":")
     if name not in LAMBDA_POLICIES:
         raise PreconditionViolated(
@@ -156,10 +152,15 @@ def parse_lambda_policy(text):
         )
     if name in ("fixed", "inflated"):
         try:
-            return name, float(arg)
+            value = float(arg)
         except ValueError:
             raise PreconditionViolated(
                 "policy %r needs a number, e.g. '%s:0.2'" % (name, name)) from None
+        if name == "fixed" and not value > 0:
+            raise PreconditionViolated("%r needs V > 0" % text)
+        if name == "inflated" and not 0 <= value < math.inf:
+            raise PreconditionViolated("%r needs a finite C >= 0" % text)
+        return name, value
     if arg:
         raise PreconditionViolated("policy %r takes no value" % name)
     return name, None
@@ -182,8 +183,6 @@ def resolve_lambda(policy, model, p, n):
         return value
     if name == "inf":
         return math.inf
-    if name == "near_zero":
-        return NEAR_ZERO_LAMBDA
     if name == "lambda_star":
         return model.lambda_star
     return model.lambda_star + value * math.sqrt(math.log(p) / n)
@@ -193,17 +192,8 @@ def _solver_config(spec, gamma, lam):
     return SolverConfig(gamma=gamma, lambda_off=lam, **spec.solver)
 
 
-def _chain(rho):
-    # the chain precision entry J[0,1] has sign -sign(rho[0]); the residual
-    # on that pair matches it
-    return chain_model(rho, math.copysign(CHAIN_RESIDUAL, -rho[0]))
-
-
 def _build_model(spec, q, model_seed):
-    if spec.generator == "chain":
-        return _chain(CHAIN_RHO)
-    return grid_model(q, model_seed, diag_boost_policy=DiagBoostPolicy(fixed=spec.diag_boost),
-                      **GRID_MAGNITUDES)
+    return grid_model(q, model_seed, diag_boost_policy=DiagBoostPolicy(fixed=spec.diag_boost))
 
 
 def _nan_metrics():
@@ -260,8 +250,7 @@ def run_sweep(spec):
 
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sizes = spec.grid_sizes if spec.generator == "grid" else (0,)
-    tasks = [(qi, q, trial) for qi, q in enumerate(sizes) for trial in range(spec.trials)]
+    tasks = [(qi, q, trial) for qi, q in enumerate(spec.grid_sizes) for trial in range(spec.trials)]
     if spec.threads > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
             chunks = list(pool.map(lambda t: _sweep_task(spec, *t), tasks))
@@ -306,29 +295,22 @@ def run_exact_decomposition(spec):
     solver.setdefault("eps_abs", 1e-10)
     solver.setdefault("eps_rel", 1e-9)
     instances = []
-    if spec.generator == "chain":
-        cases = [("chain", {"rho1": r1}, _chain((r1, 0.8 * r1, 0.6 * r1)))
-                 for r1 in EXACT_RHO1]
-    else:
-        cases = []
-        for qi, q in enumerate(spec.grid_sizes):
-            for trial in range(spec.trials):
-                m = _build_model(spec, q, derive_seed(spec.seed, qi, trial))
-                cases.append(("grid", {"q": q, "trial": trial}, m))
-    for name, params, model in cases:
-        sigma_star = true_covariance(model)
-        p = sigma_star.shape[0]
-        lam = resolve_lambda(spec.lambda_policy, model, p, max(spec.sample_sizes))
-        cfg = SolverConfig(gamma=0.0, lambda_off=lam, **solver)
-        result = admm_solve(sigma_star, cfg)
-        err_j = float(np.abs(result.j_hat - model.j_markov).max())
-        err_r = float(np.abs(result.sigma_r_hat - model.sigma_residual).max())
-        instances.append({
-            "generator": name, "params": params, "p": p, "lambda": lam,
-            "error_j": err_j, "error_r": err_r,
-            "iterations": result.iterations, "converged": result.converged,
-            "passed": bool(err_j <= EXACT_TOLERANCE and err_r <= EXACT_TOLERANCE),
-        })
+    for qi, q in enumerate(spec.grid_sizes):
+        for trial in range(spec.trials):
+            model = _build_model(spec, q, derive_seed(spec.seed, qi, trial))
+            sigma_star = true_covariance(model)
+            p = sigma_star.shape[0]
+            lam = resolve_lambda(spec.lambda_policy, model, p, max(spec.sample_sizes))
+            cfg = SolverConfig(gamma=0.0, lambda_off=lam, **solver)
+            result = admm_solve(sigma_star, cfg)
+            err_j = float(np.abs(result.j_hat - model.j_markov).max())
+            err_r = float(np.abs(result.sigma_r_hat - model.sigma_residual).max())
+            instances.append({
+                "params": {"q": q, "trial": trial}, "p": p, "lambda": lam,
+                "error_j": err_j, "error_r": err_r,
+                "iterations": result.iterations, "converged": result.converged,
+                "passed": bool(err_j <= EXACT_TOLERANCE and err_r <= EXACT_TOLERANCE),
+            })
     return {
         "schema_version": SCHEMA_VERSION,
         "tolerance": EXACT_TOLERANCE,
@@ -460,7 +442,7 @@ def build_parser():
     shared.add_argument("--threads", type=int, metavar="N",
                         help="worker threads for sweep cells")
     shared.add_argument("--lambda", dest="lambda_policy", metavar="POLICY",
-                        help="fixed:V | lambda_star | inf | near_zero | inflated:C")
+                        help="fixed:V | lambda_star | inf | inflated:C")
     shared.add_argument("--data", dest="data_path", metavar="PATH",
                         help="input CSV with a header row (fit)")
     shared.add_argument("-v", "--verbose", action="store_true")

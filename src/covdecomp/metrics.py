@@ -44,7 +44,7 @@ def support_of(m, threshold=DEFAULT_SUPPORT_THRESHOLD):
 
     Returns a p x p boolean array, true only strictly above the diagonal.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise PreconditionViolated("threshold must be >= 0")
     return np.triu(np.abs(as_floats(m, "matrix")) > threshold, k=1)
 

@@ -1,5 +1,5 @@
 """Ground-truth decomposition models, their identifiability conditions, and
-the synthetic generators (chain, grid) used throughout the experiments."""
+the synthetic model families (chain, grid) used throughout the experiments."""
 
 from dataclasses import dataclass
 from functools import cached_property

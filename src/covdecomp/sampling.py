@@ -25,7 +25,7 @@ def draw_samples(m, n, seed):
     """Draw n i.i.d. rows from N(0, Sigma) for a model's covariance.
 
     Rows are ``L z`` with L the lower Cholesky factor of the overall
-    covariance and z standard normal from a PCG64 generator, so
+    covariance and z standard normal from ``default_rng(seed)`` (PCG64), so
     identical (model, n, seed) inputs give bitwise-identical data.
 
     Returns
@@ -46,7 +46,7 @@ def draw_sample_covariance(m, n, seed):
     ``(L B)(L B)^T``: L is the lower Cholesky factor of the overall
     covariance, and B is p x min(n, p) lower triangular, with
     ``sqrt(chi2(n - j))`` at (j, j) and standard normals below the
-    diagonal, drawn in that order from a PCG64 generator. The min(n, p)
+    diagonal, drawn in that order from ``default_rng(seed)``. The min(n, p)
     columns give the singular law when n < p. Costs O(p^3) time and
     O(p^2) memory whatever n is. Identical (model, n, seed) inputs give
     bitwise-identical matrices; the law is that of
@@ -108,10 +108,11 @@ def _second_moment(data, centered):
 
 def gamma_schedule(c_gamma, p, n):
     """Penalty level c_gamma * sqrt(ln(p) / n) (natural log)."""
-    if p < 2:
+    # each test is written so that NaN fails it
+    if not p >= 2:
         raise PreconditionViolated("p must be >= 2")
-    if n < 1:
+    if not n >= 1:
         raise PreconditionViolated("n must be >= 1")
-    if c_gamma <= 0:
+    if not c_gamma > 0:
         raise PreconditionViolated("c_gamma must be positive")
     return float(c_gamma * np.sqrt(np.log(p) / n))

@@ -533,7 +533,7 @@ def soft_threshold_covariance(sigma_hat, gamma):
         Off-diagonal entries sign(-x)(|x| - gamma)_+ of Sigma_hat,
         zero diagonal; satisfies sigma_estimate_off == -sigma_r_off.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise PreconditionViolated("gamma must be >= 0")
     s = as_floats(sigma_hat, "sigma_hat")
     shrunk = np.sign(s) * np.maximum(np.abs(s) - gamma, 0.0)

@@ -372,8 +372,8 @@ def reference_grid_model(q, seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2)
     """``(j_markov, sigma_residual, shrinks)`` of ``grid_model``'s protocol.
 
     Signs come from ``rng.choice``, ``J_M^-1`` from an LU inverse, and
-    every PD margin from a full ``eigvalsh``. Returns None where the
-    generator must refuse: a ``fixed`` boost below the margin, or an
+    every PD margin from a full ``eigvalsh``. Returns None where
+    ``grid_model`` must refuse: a ``fixed`` boost below the margin, or an
     overall margin still missed after 50 residual shrinks.
     """
     lo, hi = magnitude_range

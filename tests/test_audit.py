@@ -19,7 +19,7 @@ def test_audit_records_every_solve_route(solve_record, tmp_path):
     witness = cd.witness_solve(np.diag([1.0, 2.0]), np.eye(2, dtype=bool),
                                np.zeros((2, 2), dtype=bool), np.zeros((2, 2)), cfg)
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"generator": "chain", "sample_sizes": [500],
+    config.write_text(json.dumps({"grid_sizes": [2], "sample_sizes": [500],
                                   "solver": dict(TIGHT)}))
     assert cli.main(["fit", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert [name for name, _, _ in solve_record] == ["admm_solve", "witness_solve",

@@ -14,7 +14,6 @@ import pytest
 import covdecomp as cd
 from covdecomp.cli import (
     METRIC_FIELDS,
-    NEAR_ZERO_LAMBDA,
     SWEEP_COLUMNS,
     ExperimentSpec,
     export_graphs,
@@ -31,10 +30,32 @@ from oracles import TIGHT
 TIGHT_SOLVER = {"solver": dict(TIGHT)}
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
+# values that spec_from_config rejects, so that no command starts with them
+BAD_CONFIGS = {
+    "empty-grid-sizes": {"grid_sizes": []},
+    "empty-sample-sizes": {"sample_sizes": []},
+    "grid-size-1": {"grid_sizes": [6, 1]},
+    "negative-c-gamma": {"c_gamma": [-1.0]},
+    "nan-c-gamma": {"c_gamma": [math.nan]},
+    "infinite-c-gamma": {"c_gamma": [math.inf]},
+    "negative-diag-boost": {"diag_boost": -5.0},
+    "nan-diag-boost": {"diag_boost": math.nan},
+    "no-lbp-models": {"lbp_models": 0},
+    "negative-seed": {"seed": -1},
+    "negative-fixed-lambda": {"lambda_policy": "fixed:-1"},
+    "nan-fixed-lambda": {"lambda_policy": "fixed:nan"},
+    "nan-inflation": {"lambda_policy": "inflated:nan"},
+    "negative-inflation": {"lambda_policy": "inflated:-1"},
+    "negative-eps-abs": {"solver": {"eps_abs": -1.0}},
+    "nan-eps-rel": {"solver": {"eps_rel": math.nan}},
+    "zero-max-iter": {"solver": {"max_iter": 0}},
+}
 
-def chain_sweep_spec(tmp_path, **overrides):
+
+def small_grid_sweep_spec(tmp_path, **overrides):
+    # q = 2: p = 4 with one residual pair
     base = dict(
-        generator="chain",
+        grid_sizes=[2],
         sample_sizes=[200, 400],
         trials=2,
         seed=5,
@@ -48,15 +69,15 @@ def chain_sweep_spec(tmp_path, **overrides):
 class TestSpecFromConfig:
     def test_defaults(self):
         spec = spec_from_config()
-        assert spec.generator == "grid"
+        assert spec.grid_sizes == (5,)
         assert spec.sample_sizes == (1000, 2000, 4000)
         assert spec.lambda_policy == "lambda_star"
 
     def test_config_file_and_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"generator": "chain", "trials": 3, "seed": 9}))
+        cfg.write_text(json.dumps({"grid_sizes": [2], "trials": 3, "seed": 9}))
         spec = spec_from_config(cfg, trials=5)
-        assert spec.generator == "chain"
+        assert spec.grid_sizes == (2,)
         assert spec.trials == 5
         assert spec.seed == 9
 
@@ -100,7 +121,7 @@ class TestSpecFromConfig:
             {"trials": 0},
             {"threads": 0},
             {"sample_sizes": (0,)},
-            {"generator": "lattice"},
+            {"grid_sizes": (1,)},
             {"lambda_policy": "soft"},
             {"c_gamma": ()},
             {"trials": "3"},
@@ -108,6 +129,7 @@ class TestSpecFromConfig:
             {"sample_sizes": (100.0,)},
             {"trials": True},
             {"lambda_policy": "fixed:x"},
+            *BAD_CONFIGS.values(),
         ],
     )
     def test_validation_failures(self, kw):
@@ -120,10 +142,11 @@ class TestLambdaPolicies:
         assert parse_lambda_policy("fixed:0.3") == ("fixed", 0.3)
         assert parse_lambda_policy("lambda_star") == ("lambda_star", None)
         assert parse_lambda_policy("inf") == ("inf", None)
-        assert parse_lambda_policy("near_zero") == ("near_zero", None)
         assert parse_lambda_policy("inflated:1.5") == ("inflated", 1.5)
 
-    @pytest.mark.parametrize("text", ["fixed", "inflated", "soft:1", "lambda_star:2"])
+    @pytest.mark.parametrize("text", ["fixed", "inflated", "soft:1", "lambda_star:2",
+                                      "near_zero", "fixed:0", "fixed:-1", "fixed:nan",
+                                      "inflated:-1", "inflated:inf", "inflated:nan"])
     def test_parse_rejections(self, text):
         with pytest.raises(ValueError):
             parse_lambda_policy(text)
@@ -131,7 +154,6 @@ class TestLambdaPolicies:
     def test_resolution(self, chain):
         assert resolve_lambda("fixed:0.3", None, 10, 100) == 0.3
         assert resolve_lambda("inf", None, 10, 100) == math.inf
-        assert resolve_lambda("near_zero", None, 10, 100) == NEAR_ZERO_LAMBDA
         assert resolve_lambda("lambda_star", chain, 4, 100) == chain.lambda_star
         inflated = resolve_lambda("inflated:2.0", chain, 4, 100)
         assert inflated == pytest.approx(
@@ -145,7 +167,7 @@ class TestLambdaPolicies:
 
 class TestRunSweep:
     def test_row_count_and_columns(self, tmp_path):
-        spec = chain_sweep_spec(tmp_path)
+        spec = small_grid_sweep_spec(tmp_path)
         csv_path, summary_path = run_sweep(spec)
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("# covdecomp ")
@@ -158,16 +180,16 @@ class TestRunSweep:
         assert all(c["frac_converged"] == 1.0 for c in summary["cells"])
 
     def test_rows_sorted_by_p_n_trial(self, tmp_path):
-        spec = chain_sweep_spec(tmp_path)
+        spec = small_grid_sweep_spec(tmp_path)
         csv_path, _ = run_sweep(spec)
         rows = list(csv.DictReader(csv_path.read_text().splitlines()[1:]))
         keys = [(int(r["p"]), int(r["n"]), int(r["trial"])) for r in rows]
         assert keys == sorted(keys)
 
     def test_deterministic_across_runs_and_threads(self, tmp_path):
-        spec_a = chain_sweep_spec(tmp_path / "a")
-        spec_b = chain_sweep_spec(tmp_path / "b")
-        spec_c = chain_sweep_spec(tmp_path / "c", threads=3)
+        spec_a = small_grid_sweep_spec(tmp_path / "a")
+        spec_b = small_grid_sweep_spec(tmp_path / "b")
+        spec_c = small_grid_sweep_spec(tmp_path / "c", threads=3)
         path_a, _ = run_sweep(spec_a)
         path_b, _ = run_sweep(spec_b)
         path_c, _ = run_sweep(spec_c)
@@ -175,16 +197,15 @@ class TestRunSweep:
         assert path_a.read_bytes() == path_c.read_bytes()
 
     def test_infinite_lambda_misses_residual_support(self, tmp_path):
-        spec = chain_sweep_spec(tmp_path, lambda_policy="inf", trials=1)
+        spec = small_grid_sweep_spec(tmp_path, lambda_policy="inf", trials=1)
         csv_path, _ = run_sweep(spec)
         rows = list(csv.DictReader(csv_path.read_text().splitlines()[1:]))
         # sigma_r is forced to zero, so each row misses the one true pair
         assert all(r["edit_distance_residual"] == "1" for r in rows)
         assert all(r["sign_consistent_r"] == "False" for r in rows)
 
-    def test_grid_generator_cell_layout(self, tmp_path):
+    def test_grid_cell_layout(self, tmp_path):
         spec = spec_from_config(
-            generator="grid",
             grid_sizes=[2],
             sample_sizes=[400],
             trials=2,
@@ -201,28 +222,27 @@ class TestRunSweep:
 
 
 class TestExactDecomposition:
-    def test_chain_family_recovers(self, tmp_path):
-        spec = spec_from_config(
-            generator="chain",
-            out_dir=str(tmp_path / "out"),
-        )
+    def test_small_grid_family_recovers(self, tmp_path):
+        spec = spec_from_config(grid_sizes=[2], trials=5, out_dir=str(tmp_path / "out"))
         report = run_exact_decomposition(spec)
         assert report["all_pass"] is True
-        assert len(report["instances"]) == 5
+        assert [i["params"] for i in report["instances"]] == [
+            {"q": 2, "trial": t} for t in range(5)]
         assert all(i["error_j"] <= 1e-6 for i in report["instances"])
         assert all(i["error_r"] <= 1e-6 for i in report["instances"])
 
     def test_oversized_box_cannot_recover_residual(self, tmp_path):
         spec = spec_from_config(
-            generator="chain",
+            grid_sizes=[2],
             lambda_policy="fixed:0.5",
             out_dir=str(tmp_path / "out"),
         )
         report = run_exact_decomposition(spec)
         assert report["all_pass"] is False
         inst = report["instances"][0]
+        model = cd.grid_model(2, cd.derive_seed(spec.seed, 0, 0))
         # nothing clips, so the extracted residual is empty
-        assert inst["error_r"] == pytest.approx(0.01, abs=1e-6)
+        assert inst["error_r"] == pytest.approx(np.abs(model.sigma_residual).max(), abs=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -253,10 +273,10 @@ class TestExportGraphs:
 
 
 class TestMainEntry:
-    def test_generate_and_fit_chain(self, tmp_path):
+    def test_fit_small_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "generator": "chain",
+            "grid_sizes": [2],
             "sample_sizes": [500],
             "solver": dict(TIGHT),
         }))
@@ -324,13 +344,12 @@ class TestMainEntry:
 
     def test_exactdecomp_exit_codes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "generator": "chain",
-        }))
+        cfg.write_text(json.dumps({"grid_sizes": [2], "trials": 5}))
         out = tmp_path / "out"
         assert main(["exactdecomp", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "exact_decomposition.json").read_text())
         assert report["all_pass"] is True
+        assert len(report["instances"]) == 5
         assert main([
             "exactdecomp", "--config", str(cfg), "--out", str(out),
             "--lambda", "fixed:0.5",
@@ -339,7 +358,6 @@ class TestMainEntry:
     def test_lbp_study_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "generator": "grid",
             "grid_sizes": [3],
             "lbp_models": 2,
         }))
@@ -371,7 +389,7 @@ class TestMainEntry:
 
     def test_removed_keys_and_flags_fail_cleanly(self, tmp_path, caplog):
         cfg = tmp_path / "cfg.json"
-        for key in ("fresh_models", "support_threshold", "centered", "chain_rho",
+        for key in ("generator", "fresh_models", "support_threshold", "centered", "chain_rho",
                     "residual_value", "clip_fraction", "magnitude_range", "lbp_max_iter",
                     "lbp_tol", "exact_rho1", "exact_tolerance"):
             cfg.write_text(json.dumps({key: 1}))
@@ -393,6 +411,18 @@ class TestMainEntry:
                 assert main([mode, "--out", str(tmp_path / "out")]) == 2
             assert len(caplog.messages) == 1
             assert mode in caplog.messages[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["fit", "sweep", "lbp", "exactdecomp"])
+    @pytest.mark.parametrize("config", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_bad_value_stops_every_command_before_it_runs(self, tmp_path, caplog,
+                                                          solve_record, mode, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with caplog.at_level("ERROR", logger="covdecomp.cli"):
+            assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert len(caplog.messages) == 1
+        assert solve_record == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["sweep", "--seed", "x"]],

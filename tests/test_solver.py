@@ -19,7 +19,7 @@ from covdecomp import (
     PreconditionViolated,
     SolverConfig,
 )
-from covdecomp import cli, solver, symmat
+from covdecomp import solver, symmat
 from oracles import (TIGHT, gista, kkt_residual, reference_box_solve,
                      reference_witness_solve, sample_cov_instance, witness_kkt_residual)
 
@@ -148,7 +148,7 @@ class TestClosedFormCases:
         with pytest.raises(DimensionMismatch):
             cd.admm_solve(np.eye(5), cfg, warm_start=small)
 
-    def test_gap_near_zero_at_optimum(self):
+    def test_gap_vanishes_at_optimum(self):
         cfg = tight_config(gamma=0.0, lambda_off=math.inf)
         res = cd.admm_solve(np.eye(4), cfg)
         assert abs(res.duality_gap) < 1e-9
@@ -938,11 +938,9 @@ class TestProjectedNewton:
             assert res.iterations <= 15
 
     def test_wide_active_set_hands_over_to_the_loop(self, monkeypatch):
-        # near_zero clips every pair, so after one step |A| = 120 > 4p = 64
-        model = cd.grid_model(4, 0)
-        sigma = np.asarray(cd.true_covariance(model))
-        cfg = SolverConfig(gamma=0.0,
-                           lambda_off=cli.resolve_lambda("near_zero", model, 16, 1000))
+        # a box of 1e-6 clips every pair, so after one step |A| = 120 > 4p = 64
+        sigma = np.asarray(cd.true_covariance(cd.grid_model(4, 0)))
+        cfg = SolverConfig(gamma=0.0, lambda_off=1e-6)
         loop, budgets = solver._prox_gradient, []
 
         def counted(ws, *args):
@@ -1012,9 +1010,17 @@ class TestKktBoundAtLargeScale:
         lambda: cd.gamma_schedule(2.0, 4, 0),
         lambda: cd.gamma_schedule(0.0, 4, 100),
         lambda: cd.support_of(np.eye(2), threshold=-1.0),
+        lambda: cd.soft_threshold_covariance(np.eye(2), math.nan),
+        lambda: cd.gamma_schedule(2.0, math.nan, 100),
+        lambda: cd.gamma_schedule(2.0, 4, math.nan),
+        lambda: cd.gamma_schedule(math.nan, 4, 100),
+        lambda: cd.support_of(np.eye(2), threshold=math.nan),
+        lambda: cd.edit_distance(np.eye(2), np.eye(2), math.nan),
     ],
     ids=["soft_threshold_gamma", "draw_samples_n", "draw_sample_covariance_n",
-         "gamma_schedule_p", "gamma_schedule_n", "gamma_schedule_c", "support_threshold"],
+         "gamma_schedule_p", "gamma_schedule_n", "gamma_schedule_c", "support_threshold",
+         "soft_threshold_gamma_nan", "gamma_schedule_p_nan", "gamma_schedule_n_nan",
+         "gamma_schedule_c_nan", "support_threshold_nan", "edit_distance_threshold_nan"],
 )
 def test_bad_argument_raises_precondition_violated(call):
     with pytest.raises(PreconditionViolated):
