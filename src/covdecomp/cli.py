@@ -92,6 +92,8 @@ class ExperimentSpec:
             if f.name in ("c_gamma", "diag_boost") and not all(
                     0 < v < math.inf for v in items if v is not None):
                 raise PreconditionViolated("%s must be finite and > 0" % f.name)
+        if self.data_path == "":
+            raise PreconditionViolated("data_path must name a file")
         parse_lambda_policy(self.lambda_policy)
         unknown = set(self.solver) - _SOLVER_KEYS
         if unknown:

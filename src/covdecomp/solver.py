@@ -11,9 +11,12 @@ The primal program solved here is
 Both programs share one loop (G-ISTA, Guillot et al. 2012): a gradient
 step with a Barzilai-Borwein length, then an entrywise prox, halving the
 length until the candidate has a Cholesky factor and passes a
-nonmonotone sufficient-decrease test. The box program runs it on every
-entry of J; the witness program, whose pinned entries never move, on its
-free entries alone. With gamma = 0 the box program is smooth, and it
+nonmonotone sufficient-decrease test. It runs on a set of free entries
+alone, factored in their band: the witness program's, whose pinned
+entries never move, or the box program's working set, in reverse
+Cuthill-McKee order, which grows until the whole matrix certifies (QUIC,
+Hsieh et al. 2011); a working set too wide for a band takes every entry
+of J. With gamma = 0 the box program is smooth, and it
 takes projected Newton steps (Bertsekas 1982) instead, handing over to
 the loop when they cannot go on. Both stop on the certified KKT residual,
 and for the box program also on the duality gap.
@@ -27,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleConstraints, NotPositiveDefinite, PreconditionViolated
-from .symmat import (BandWorkspace, PdWorkspace, as_floats, checked_square, cholesky, inv_pd,
-                     logdet_pd, shaped_like, to_band)
+from .symmat import (BandWorkspace, PdWorkspace, as_floats, checked_square, cholesky, logdet_pd,
+                     shaped_like, to_band)
 
 logger = logging.getLogger(__name__)
 
@@ -211,50 +214,62 @@ class _Workspace:
 
 
 class _FreeWorkspace:
-    """The witness program's loop state over its free entries F alone: the
-    diagonal, then the free pairs of the upper triangle, as vectors named
-    as in _Workspace. Its methods are _Workspace's, for _prox_gradient.
+    """The loop state over a set F of free entries alone: the diagonal,
+    then the free pairs of the upper triangle, as vectors named as in
+    _Workspace, whose methods it has. It runs the witness program, whose
+    pinned entries (``clip_mask``) never move, and without a clip_mask the
+    box program on a working set F, pinned at zero off F.
 
-    Every iterate has the support of s_m, so it lies in the band of s_m's
-    half-bandwidth kd, and is factored there. The pinned entries never
-    move: ``band`` takes them once from the start and, for each trial, the
-    trial vector, and BandWorkspace factors it. An accepted trial gathers
-    its inverse on F from the lower triangle of the selected inverse that
-    BandWorkspace writes into ``full_inv``, since F lies inside the band.
-    The whole J and J^-1 are formed only for _certificate. Sums over F
-    weigh each pair twice, once per triangle, and add the pinned entries'
-    share, constant from the start. The witness program certifies no
-    duality gap. No iteration allocates a p x p array.
+    In the order ``order``, the caller's for the witness and F's reverse
+    Cuthill-McKee order for the box program, every iterate lies in the
+    band of half-bandwidth kd of F and the clip set. ``band`` takes the
+    pinned entries from the start and each trial vector, and BandWorkspace
+    factors it. An accepted trial gathers its inverse on F from the
+    selected inverse in ``full_inv``. The whole J and J^-1, the latter from
+    the band factor, are formed only for _certificate. Sums over F weigh
+    each pair twice, once per triangle, and add the pinned entries' share,
+    constant from the start. No iteration allocates a p x p array, but one
+    in which the box program's F grows (see certified).
     """
 
-    def __init__(self, sigma, cfg, free, clip_mask):
-        # free is the symmetric mask of F, clip_mask that of the residual
+    def __init__(self, sigma, cfg, free, clip_mask=None):
+        # free is the symmetric mask of F, clip_mask that of the witness's residual
         p = sigma.shape[0]
-        self.sigma, self.cfg, self.p = sigma, cfg, p
-        self.clip_mask, self.kkt_mask = clip_mask, free
-        rows, cols = np.nonzero(free | clip_mask)
-        self.kd = int(np.max(cols - rows, initial=0))
-        rows, cols = np.nonzero(np.triu(free, 1))
-        rows = np.concatenate([np.arange(p), rows])
-        cols = np.concatenate([np.arange(p), cols])
-        # flat indices of F in the upper and in the lower triangle, and in
-        # band storage, which holds (cols, rows) at [rows, cols - rows]
-        self.upper, self.lower = rows * p + cols, cols * p + rows
-        self.banded = rows * (self.kd + 1) + cols - rows
-        self.weight = np.where(rows == cols, 1.0, 2.0)
-        self.sigma_f = np.take(sigma, self.upper)
-        self.weighted_sigma = self.weight * self.sigma_f
+        self.sigma, self.cfg, self.p, self.clip_mask = sigma, cfg, p, clip_mask
         self.sigma_max = np.abs(sigma).max()
-        self.pd = BandWorkspace(p, self.kd)
+        self.tri = np.tri(p, dtype=bool)
         self.full, self.full_inv = np.empty((p, p)), np.empty((p, p))
+        # _certificate's: z_gamma, the residual, two floats and the flags
+        self.scratch = [np.empty((p, p)) for _ in range(4)] + [np.empty((p, p), dtype=bool)]
+        self._set_free(free)
+
+    def _set_free(self, free):
+        p = self.p
+        self.free, self.kkt_mask = free, None if self.clip_mask is None else free
+        self.order = np.arange(p) if self.clip_mask is not None else _rcm(free)
+        self.position = np.argsort(self.order)
+        rows, cols = np.nonzero(free if self.clip_mask is None else free | self.clip_mask)
+        self.kd = int(np.max(np.abs(self.position[rows] - self.position[cols]), initial=0))
+        diag = np.arange(p)
+        rows, cols = (np.concatenate([diag, a]) for a in np.nonzero(np.triu(free, 1)))
+        # flat indices of F in the upper and in the lower triangle; reordered,
+        # (hi, lo) with hi >= lo in band storage, at [lo, hi - lo], and in
+        # the selected inverse's lower triangle
+        self.upper, self.lower = rows * p + cols, cols * p + rows
+        lo, hi = np.sort(self.position[np.stack([rows, cols])], axis=0)
+        self.banded, self.gathered = lo * (self.kd + 1) + hi - lo, hi * p + lo
+        self.weight = np.where(rows == cols, 1.0, 2.0)
+        self.sigma_f = np.take(self.sigma, self.upper)
+        self.weighted_sigma = self.weight * self.sigma_f
+        self.pd = BandWorkspace(p, self.kd)
         (self.j, self.j_inv, self.cand, self.cand_inv, self.grad, self.step,
          self.tmp, self.zg) = (np.empty(rows.size) for _ in range(8))
 
     def start(self, j):
         np.copyto(self.full, j)
-        self.band = to_band(j, self.kd)
+        self.band = to_band(j[np.ix_(self.order, self.order)], self.kd)
         np.take(j, self.upper, out=self.j)
-        pinned = ~self.kkt_mask
+        pinned = ~self.free
         self.pinned_sigma = float(np.sum(self.sigma * j, where=pinned))
         self.pinned_l1 = float(np.abs(j).sum(where=pinned))
         self.pinned_max = float(np.abs(j).max(initial=0.0, where=pinned))
@@ -299,20 +314,30 @@ class _FreeWorkspace:
     def _gather_inverse(self, out):
         # J^-1 on F of the point last factored
         self.full_inv = self.pd.selected_inverse(self.full_inv)
-        np.take(self.full_inv, self.lower, out=out)
+        np.take(self.full_inv, self.gathered, out=out)
 
     def certificate(self):
         np.put(self.full, self.upper, self.j)
         np.put(self.full, self.lower, self.j)
-        self.full_inv = inv_pd(self.full)
+        # J^-1 from the band factor: its lower triangle onto both, unpermuted
+        tmp, tmp2 = self.scratch[2:4]
+        inv = self.pd.selected_inverse(tmp, whole=True)
+        np.copyto(tmp2, inv.T)
+        np.copyto(tmp2, inv, where=self.tri)
+        np.take(tmp2, self.position, axis=0, out=tmp, mode="clip")
+        np.take(tmp, self.position, axis=1, out=self.full_inv, mode="clip")
         return _certificate(self.full, self.full_inv, self.sigma, self.cfg,
-                            self.clip_mask, self.kkt_mask)
+                            self.clip_mask, self.kkt_mask, self.scratch)
 
     def certified(self):
-        # _Workspace's stop rule; off the clip mask the residual is zero, so
-        # the KKT residual on F is |Sigma - J^-1 + gamma z_gamma|, with
-        # z_gamma formed as _certificate forms it
-        cfg, p = self.cfg, self.p
+        # _Workspace's stop rule, read on F before the whole certificate.
+        # Off the clip set the residual is zero, so on F the KKT residual is
+        # |Sigma - J^-1 + gamma z_gamma|, z_gamma formed as _certificate
+        # forms it; in the box program an entry on the box holds a
+        # multiplier that cancels it, unless its sign fights J's. The
+        # witness program certifies no gap. When the box program's whole
+        # certificate fails, F grows and the loop goes on from the iterate
+        cfg, p, box = self.cfg, self.p, self.clip_mask is None
         stop = cfg.kkt_bound(max(self.sigma_max, self.j.max(), -self.j.min(), self.pinned_max))
         r = np.subtract(self.sigma_f, self.j_inv, out=self.tmp)
         if np.abs(r[:p]).max() > stop:
@@ -324,14 +349,59 @@ class _FreeWorkspace:
             np.copyto(zg, np.sign(self.j), where=np.abs(self.j) > 1e-8)
             zg[:p] = 0.0
             r += np.multiply(zg, cfg.gamma, out=zg)
+        if box:
+            x, off = self.j[p:], r[p:]
+            held = (np.abs(x) == cfg.lambda_off) & (off * np.sign(x) <= 1e-8)
+            r_l1 = 2.0 * float(np.abs(off).sum(where=held))
+            off[held] = 0.0
         if np.abs(r, out=r).max() > stop:
             return None
+        # the gap <Sigma, J> - p + lambda |R|_1,off + gamma |J|_1,off on F
+        if box and abs(float(np.sum(self.weighted_sigma * self.j)) - p
+                       + (cfg.lambda_off * r_l1 if r_l1 > 0 else 0.0)
+                       + 2.0 * cfg.gamma * float(np.abs(x).sum())) > 10.0 * cfg.eps_abs:
+            return None
         cert = self.certificate()
-        return cert if cert[0] <= stop else None
+        if not box:
+            return cert if cert[0] <= stop else None
+        gap = _gap(self.full, self.sigma, cert[2], cfg, self.scratch[2])
+        if cert[0] <= stop and abs(gap) <= 10.0 * cfg.eps_abs:
+            return cert
+        # the pairs off F with |Sigma - J^-1|_ij > gamma join it
+        tmp, grow = self.scratch[2], self.scratch[4]
+        np.abs(np.subtract(self.sigma, self.full_inv, out=tmp), out=tmp)
+        np.greater(np.greater(tmp, cfg.gamma, out=grow), self.free, out=grow)
+        if grow.any():
+            self._set_free(self.free | grow)
+            self.start(self.full)
+        return None
 
     def solved(self, iterations, converged, cert):
         # cert is certificate()'s, which formed J and J^-1
         return self.full, self.full_inv, iterations, converged, cert
+
+
+def _rcm(mask):
+    # the reverse Cuthill-McKee order (Cuthill & McKee 1969) of the graph of
+    # the symmetric mask, which holds the diagonal: breadth first from a
+    # least-degree node of each component, new neighbours by degree, ties
+    # by index
+    rows, cols = np.nonzero(mask)
+    degree = np.bincount(rows)
+    by_degree = cols[np.lexsort((cols, degree[cols], rows))].tolist()
+    starts = np.concatenate([[0], np.cumsum(degree)]).tolist()
+    order, seen, k = [], [False] * degree.size, 0
+    for root in np.argsort(degree, kind="stable").tolist():
+        if not seen[root]:
+            seen[root] = True
+            order.append(root)
+        while k < len(order):
+            for v in by_degree[starts[order[k]]:starts[order[k] + 1]]:
+                if not seen[v]:
+                    seen[v] = True
+                    order.append(v)
+            k += 1
+    return np.array(order[::-1])
 
 
 def _prox_gradient(ws, prox, j):
@@ -369,13 +439,13 @@ def _prox_gradient(ws, prox, j):
     return ws.solved(ws.cfg.max_iter, False, ws.certificate())
 
 
-def _box_prox(cfg):
-    # admm_solve's prox(m, t, out): soft threshold at gamma t, then the
-    # clamp to the box; the diagonal passes through
+def _box_prox(gamma, lam, diagonal):
+    # prox(m, t, out): soft threshold at gamma t, then the clamp to
+    # [-lam, lam]; the entries at the flat indices diagonal pass through
     def prox(m, t, out):
-        shrunk = _soft_threshold(m, cfg.gamma * t, out) if cfg.gamma > 0 else m
-        np.clip(shrunk, -cfg.lambda_off, cfg.lambda_off, out=out)
-        np.fill_diagonal(out, m.diagonal())
+        shrunk = _soft_threshold(m, gamma * t, out) if gamma > 0 else m
+        np.clip(shrunk, -lam, lam, out=out)
+        out.flat[diagonal] = m.flat[diagonal]
 
     return prox
 
@@ -618,8 +688,9 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         ``converged`` is True when the KKT residual is within
         ``cfg.kkt_bound`` and the duality gap within 10 eps_abs; else
         max_iter ran out, and the last iterate is returned with a warning.
-        With gamma = 0 ``iterations`` counts projected Newton steps, plus
-        the loop's iterations after a hand-over, all within max_iter.
+        ``iterations`` counts the loop's iterations over every pass of its
+        working set, or with gamma = 0 projected Newton steps plus the
+        loop's iterations after a hand-over, all within max_iter.
         Whichever path found it, ``sigma_r_hat`` is read on the entries
         exactly on the box, ``|J_ij| == lambda_off``.
 
@@ -641,21 +712,35 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
                 "gamma = 0 with no box is unbounded unless sigma_hat is "
                 "positive definite")
 
-    prox = _box_prox(cfg)
-    j = np.diag(1.0 / np.diag(sigma))
+    p = sigma.shape[0]
+    prox = _box_prox(cfg.gamma, cfg.lambda_off, slice(None, None, p + 1))
+    # the start and its inverse off the diagonal, 0 for diag(1 / Sigma_ii)
+    j, w = np.diag(1.0 / np.diag(sigma)), 0.0
     if warm_start is not None:
         warm = shaped_like(warm_start.j_hat, sigma, "warm start")
         # a warm start outside this box (from a wider one) restarts cold
         boxed = np.empty_like(warm)
         prox(warm, 0.0, boxed)
         if np.array_equal(boxed, warm):
-            j = warm
+            j, w = warm, shaped_like(warm_start.sigma_m_hat, sigma, "warm start")
 
     if cfg.gamma == 0:
         solved = _projected_newton(sigma, cfg, prox, j)
     else:
-        solved = _prox_gradient(_Workspace(sigma, cfg), prox, j)
+        solved = _working_set(sigma, cfg, prox, j, w)
     return _finalize(solved, sigma, cfg)
+
+
+def _working_set(sigma, cfg, prox, j, w):
+    # The gamma > 0 box program on the working set F: the diagonal, the
+    # support of the start j and the pairs with |Sigma - W|_ij > gamma, W
+    # j's inverse off the diagonal, so the pairs off F meet their KKT
+    # conditions at j. A band of F wider than p / 2, factored as one block,
+    # saves too little over the dense loop, which then runs instead.
+    ws = _FreeWorkspace(sigma, cfg, (j != 0) | (np.abs(sigma - w) > cfg.gamma))
+    if ws.kd > ws.p // 2:
+        return _prox_gradient(_Workspace(sigma, cfg), prox, j)
+    return _prox_gradient(ws, _box_prox(cfg.gamma, cfg.lambda_off, slice(ws.p)), j)
 
 
 def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
@@ -690,16 +775,8 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
     """
     sigma = _checked_sigma(sigma_hat)
     mask_r, free, start = _witness_pattern(sigma, s_m, s_r, signs_on_sr, cfg)
-    p = sigma.shape[0]
-
-    def prox(m, t, out):
-        # on _FreeWorkspace's vectors, the p diagonal entries first
-        if cfg.gamma > 0:
-            _soft_threshold(m[p:], cfg.gamma * t, out[p:])
-            out[:p] = m[:p]
-        else:
-            np.copyto(out, m)
-
+    # on _FreeWorkspace's vectors, the p diagonal entries first; no box
+    prox = _box_prox(cfg.gamma, math.inf, slice(sigma.shape[0]))
     solved = _prox_gradient(_FreeWorkspace(sigma, cfg, free, mask_r), prox, start)
     return _finalize(solved, sigma, cfg)
 

@@ -302,14 +302,15 @@ class BandWorkspace:
             return None
         return self._fac[:, 0]
 
-    def selected_inverse(self, out):
+    def selected_inverse(self, out, whole=False):
         """Inverse of the last matrix factored on the lower triangle of its
         block tridiagonal part, written into the C-order p x p ``out`` when
         LAPACK is bound (and returned); out's other entries are scratch.
-        Without LAPACK, the whole inverse in a new array."""
+        With ``whole``, on the whole lower triangle, as one block, and zero
+        above it. Without LAPACK, the whole inverse in a new array."""
         if self._lapack is None:
             return self._dense.inverse(out)
-        lapack, p, s = self._lapack, self._p, self._starts
+        lapack, p, s = self._lapack, self._p, [0, self._p] if whole else self._starts
         # L on the blocks the recursion reads, zero off the band
         for a, m, e in zip(s, s[1:], s[2:] + [p]):
             out[a:e, a:m] = 0.0

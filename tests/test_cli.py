@@ -49,6 +49,7 @@ BAD_CONFIGS = {
     "negative-eps-abs": {"solver": {"eps_abs": -1.0}},
     "nan-eps-rel": {"solver": {"eps_rel": math.nan}},
     "zero-max-iter": {"solver": {"max_iter": 0}},
+    "empty-data-path": {"data_path": ""},
 }
 
 
@@ -314,6 +315,18 @@ class TestMainEntry:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_data_path_fails_before_the_synthetic_fit(self, tmp_path, caplog,
+                                                            solve_record):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_sizes": [2], "sample_sizes": [100]}))
+        with caplog.at_level("ERROR", logger="covdecomp.cli"):
+            code = main(["fit", "--config", str(cfg), "--data", "",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert len(caplog.messages) == 1
+        assert solve_record == []
         assert not (tmp_path / "out").exists()
 
     def test_one_row_data_file_fails_cleanly(self, tmp_path, caplog):

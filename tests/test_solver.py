@@ -20,6 +20,7 @@ from covdecomp import (
     SolverConfig,
 )
 from covdecomp import solver, symmat
+from covdecomp.model import grid_edges
 from oracles import (TIGHT, gista, kkt_residual, reference_box_solve,
                      reference_witness_solve, sample_cov_instance, witness_kkt_residual)
 
@@ -652,12 +653,14 @@ def _assert_bitwise(res, ref):
         assert np.float64(getattr(res, name)).tobytes() == np.float64(ref[name]).tobytes()
 
 
-def _box_loop(sigma, cfg):
-    # the box program on the prox-gradient loop, which admm_solve runs for
-    # gamma > 0 and hands a gamma = 0 solve to only as its fallback
-    start = np.diag(1.0 / np.diag(sigma))
+def _box_loop(sigma, cfg, start=None):
+    # the box program on the dense prox-gradient loop, from start or cold;
+    # admm_solve runs it when a gamma > 0 working set's band is wider than
+    # p / 2, and for gamma = 0 when the projected Newton steps hand over
+    start = np.diag(1.0 / np.diag(sigma)) if start is None else start
     ws = solver._Workspace(sigma, cfg)
-    solved = solver._prox_gradient(ws, solver._box_prox(cfg), start)
+    prox = solver._box_prox(cfg.gamma, cfg.lambda_off, slice(None, None, sigma.shape[0] + 1))
+    solved = solver._prox_gradient(ws, prox, start)
     return solver._finalize(solved, sigma, cfg)
 
 
@@ -673,7 +676,7 @@ class TestAgainstReferenceLoop:
             sigma = np.asarray(cd.sample_covariance(samples))
             cfg = SolverConfig(gamma=cd.gamma_schedule(2.08, 100, n),
                                lambda_off=model.lambda_star)
-            warm = cd.admm_solve(sigma, cfg, warm_start=warm)
+            warm = _box_loop(sigma, cfg, None if warm is None else warm.j_hat)
             ref = reference_box_solve(sigma, cfg, ref_warm)
             ref_warm = ref["j_hat"]
             _assert_bitwise(warm, ref)
@@ -692,7 +695,7 @@ class TestAgainstReferenceLoop:
         cfg = SolverConfig(gamma=gamma, lambda_off=lam)
         ref = reference_box_solve(sigma, cfg)
         assert ref["iterations"] >= 300
-        _assert_bitwise(cd.admm_solve(sigma, cfg), ref)
+        _assert_bitwise(_box_loop(sigma, cfg), ref)
 
     def test_backtracking_solve(self):
         sigma, lam, gamma = _default_cell(2, 250)
@@ -700,19 +703,21 @@ class TestAgainstReferenceLoop:
         ref = reference_box_solve(sigma, cfg)
         # halvings both for a missing factor and for too little decrease
         assert 0 < ref["not_pd"] < ref["backtracks"]
-        _assert_bitwise(cd.admm_solve(sigma, cfg), ref)
+        _assert_bitwise(_box_loop(sigma, cfg), ref)
 
     def test_solve_that_hits_max_iter(self):
         sigma, lam, gamma = _default_cell(0, 2000)
         cfg = SolverConfig(gamma=gamma, lambda_off=lam, max_iter=40)
         ref = reference_box_solve(sigma, cfg)
         assert not ref["converged"]
-        _assert_bitwise(cd.admm_solve(sigma, cfg), ref)
+        _assert_bitwise(_box_loop(sigma, cfg), ref)
 
 
 def _allocation_rises(monkeypatch, solves):
     # the rise of the peak traced memory between two prox calls, one
-    # iteration or one backtrack, over every loop that solves() runs
+    # iteration or one backtrack, over every loop that solves() runs; a
+    # pass's set-up (ws.start), which a growing working set repeats within
+    # the loop, is no iteration
     if symmat._lapack is None:
         pytest.skip("numpy bundles no scipy_LAPACKE_dpotrf/dpotri_work64_")
     rises = []
@@ -720,6 +725,13 @@ def _allocation_rises(monkeypatch, solves):
 
     def watched_loop(ws, prox, j):
         base = []
+        start = ws.start
+
+        def set_up(j):
+            base.clear()
+            return start(j)
+
+        ws.start = set_up
 
         def watched(m, t, out):
             if base:
@@ -861,6 +873,121 @@ class TestFreeEntryWitness:
         assert not np.asarray(res.sigma_r_hat).any()
         _assert_matches_reference(
             res, reference_witness_solve(sigma, s_m, none, np.zeros(sigma.shape), cfg))
+
+
+def _working_set_passes(monkeypatch):
+    # the half-bandwidth of every pass of the working-set solves that follow
+    kds, set_free = [], solver._FreeWorkspace._set_free
+
+    def recorded(ws, free):
+        set_free(ws, free)
+        kds.append(ws.kd)
+
+    monkeypatch.setattr(solver._FreeWorkspace, "_set_free", recorded)
+    return kds
+
+
+def _grid_mask(q):
+    mask = np.eye(q * q, dtype=bool)
+    for i, k in grid_edges(q):
+        mask[i, k] = mask[k, i] = True
+    return mask
+
+
+def _half_bandwidth(mask, order):
+    position = np.argsort(order)
+    rows, cols = np.nonzero(mask)
+    return int(np.abs(position[rows] - position[cols]).max())
+
+
+class TestWorkingSet:
+    """gamma > 0 box solves iterate on a working set F in reverse
+    Cuthill-McKee order, grow F until the whole certificate holds, and run
+    the dense loop when the reordered band of F is wider than p / 2."""
+
+    def test_growing_working_set_matches_dense_loop(self, lapack_route, monkeypatch):
+        # a cold q = 10 cell: the first pass converges on F, and the whole
+        # certificate then finds zeros with |Sigma - J^-1|_ij > gamma
+        model = _fixed_boost_grid(10, 0)
+        sigma = np.asarray(cd.draw_sample_covariance(model, 1000, 1000))
+        cfg = tight_config(gamma=cd.gamma_schedule(2.08, 100, 1000),
+                           lambda_off=model.lambda_star)
+        ref = _box_loop(sigma, cfg)
+        kds = _working_set_passes(monkeypatch)
+        res = cd.admm_solve(sigma, cfg)
+        assert len(kds) == 2 and max(kds) <= 50
+        assert res.converged and ref.converged
+        for a, b in ((res.j_hat, ref.j_hat), (res.sigma_r_hat, ref.sigma_r_hat)):
+            assert cd.sign_consistency(a, b, cd.DEFAULT_SUPPORT_THRESHOLD)
+        # each answer has a subgradient of the objective with entries within
+        # its KKT residual, so of Frobenius norm at most p kkt; -log det is
+        # strongly convex with modulus 1 / L^2 on the segment between the
+        # two, L the larger top eigenvalue, so |J - J_ref|_F <= p (kkt +
+        # kkt_ref) L^2
+        j, j_ref = np.asarray(res.j_hat), np.asarray(ref.j_hat)
+        top = max(np.linalg.eigvalsh(j)[-1], np.linalg.eigvalsh(j_ref)[-1])
+        bound = 100 * (res.kkt_residual + ref.kkt_residual) * top ** 2
+        assert bound < 1e-6
+        assert np.abs(j - j_ref).max() <= bound
+
+    def test_wide_band_takes_the_dense_loop(self, lapack_route, monkeypatch):
+        # at the adaptive boost F holds most pairs of this q = 6 cell, and in
+        # any order its band is wider than p / 2
+        model = cd.grid_model(6, 1)
+        order = np.random.default_rng(1).permutation(36)
+        sigma = np.asarray(cd.draw_sample_covariance(model, 1000, 1001))[np.ix_(order, order)]
+        cfg = SolverConfig(gamma=cd.gamma_schedule(2.08, 36, 1000), lambda_off=model.lambda_star)
+        loop, kinds = solver._prox_gradient, []
+
+        def recorded(ws, *args):
+            kinds.append(type(ws))
+            return loop(ws, *args)
+
+        ref = _box_loop(sigma, cfg)
+        monkeypatch.setattr(solver, "_prox_gradient", recorded)
+        kds = _working_set_passes(monkeypatch)
+        res = cd.admm_solve(sigma, cfg)
+        assert kds[0] > 18 and kinds == [solver._Workspace]
+        assert res.converged
+        _assert_bitwise(res, vars(ref))
+
+    def test_band_iterations_allocate_no_matrix(self, monkeypatch):
+        # both cells grow F once
+        model = _fixed_boost_grid(15, 0)
+        p = 225
+        kds = _working_set_passes(monkeypatch)
+
+        def solves():
+            for n in (1000, 2000):
+                sigma = np.asarray(cd.draw_sample_covariance(model, n, n))
+                cfg = SolverConfig(gamma=cd.gamma_schedule(2.08, p, n),
+                                   lambda_off=model.lambda_star)
+                assert cd.admm_solve(sigma, cfg).converged
+
+        rises = _allocation_rises(monkeypatch, solves)
+        assert len(kds) == 4 and max(kds) <= p // 2
+        assert len(rises) > 30
+        assert max(rises) < p * p
+
+    def test_order_is_a_deterministic_permutation(self):
+        q = 10
+        mask = _grid_mask(q)
+        scramble = np.random.default_rng(3).permutation(q * q)
+        mask = mask[np.ix_(scramble, scramble)]
+        order = solver._rcm(mask)
+        assert np.array_equal(np.sort(order), np.arange(q * q))
+        assert np.array_equal(solver._rcm(mask.copy()), order)
+        assert _half_bandwidth(mask, order) == q
+
+    @pytest.mark.parametrize("q", [3, 5, 10, 15])
+    def test_one_far_edge_keeps_the_grid_band(self, q):
+        # in the grid's own order an edge between two corners spans up to
+        # the whole matrix
+        p = q * q
+        for far in ((0, p - 1), (q - 1, p - q), (0, q - 1), (0, p - q)):
+            mask = _grid_mask(q)
+            mask[far] = mask[far[::-1]] = True
+            assert _half_bandwidth(mask, solver._rcm(mask)) <= q + 2
 
 
 class TestInversePaths:
