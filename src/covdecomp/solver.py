@@ -16,10 +16,10 @@ alone, factored in their band: the witness program's, whose pinned
 entries never move, or the box program's working set, in reverse
 Cuthill-McKee order, which grows until the whole matrix certifies (QUIC,
 Hsieh et al. 2011); a working set too wide for a band takes every entry
-of J. With gamma = 0 the box program is smooth, and it
-takes projected Newton steps (Bertsekas 1982) instead, handing over to
-the loop when they cannot go on. Both stop on the certified KKT residual,
-and for the box program also on the duality gap.
+of J. With gamma = 0 the box program is smooth, and it takes projected
+Newton steps (Bertsekas 1982) instead, handing over to the loop, on
+every entry of J, when they cannot go on. Both stop on the certified KKT
+residual, and for the box program also on the duality gap.
 """
 
 import logging
@@ -232,8 +232,8 @@ class _FreeWorkspace:
     in which the box program's F grows (see certified).
     """
 
-    def __init__(self, sigma, cfg, free, clip_mask=None):
-        # free is the symmetric mask of F, clip_mask that of the witness's residual
+    def __init__(self, sigma, cfg, free, clip_mask=None, banding=None):
+        # masks of F and of the witness's residual; banding, if known, _rcm(free)
         p = sigma.shape[0]
         self.sigma, self.cfg, self.p, self.clip_mask = sigma, cfg, p, clip_mask
         self.sigma_max = np.abs(sigma).max()
@@ -241,15 +241,17 @@ class _FreeWorkspace:
         self.full, self.full_inv = np.empty((p, p)), np.empty((p, p))
         # _certificate's: z_gamma, the residual, two floats and the flags
         self.scratch = [np.empty((p, p)) for _ in range(4)] + [np.empty((p, p), dtype=bool)]
-        self._set_free(free)
+        self._set_free(free, banding)
 
-    def _set_free(self, free):
+    def _set_free(self, free, banding=None):
         p = self.p
         self.free, self.kkt_mask = free, None if self.clip_mask is None else free
-        self.order = np.arange(p) if self.clip_mask is not None else _rcm(free)
+        if self.clip_mask is None:
+            self.order, self.kd = banding or _rcm(free)
+        else:
+            rows, cols = np.nonzero(free | self.clip_mask)
+            self.order, self.kd = np.arange(p), int(np.max(cols - rows, initial=0))
         self.position = np.argsort(self.order)
-        rows, cols = np.nonzero(free if self.clip_mask is None else free | self.clip_mask)
-        self.kd = int(np.max(np.abs(self.position[rows] - self.position[cols]), initial=0))
         diag = np.arange(p)
         rows, cols = (np.concatenate([diag, a]) for a in np.nonzero(np.triu(free, 1)))
         # flat indices of F in the upper and in the lower triangle; reordered,
@@ -385,7 +387,7 @@ def _rcm(mask):
     # the reverse Cuthill-McKee order (Cuthill & McKee 1969) of the graph of
     # the symmetric mask, which holds the diagonal: breadth first from a
     # least-degree node of each component, new neighbours by degree, ties
-    # by index
+    # by index; returns the order and the mask's half-bandwidth in it
     rows, cols = np.nonzero(mask)
     degree = np.bincount(rows)
     by_degree = cols[np.lexsort((cols, degree[cols], rows))].tolist()
@@ -401,7 +403,9 @@ def _rcm(mask):
                     seen[v] = True
                     order.append(v)
             k += 1
-    return np.array(order[::-1])
+    order = np.array(order[::-1])
+    position = np.argsort(order)
+    return order, int(np.max(np.abs(position[rows] - position[cols])))
 
 
 def _prox_gradient(ws, prox, j):
@@ -732,15 +736,18 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
 
 
 def _working_set(sigma, cfg, prox, j, w):
-    # The gamma > 0 box program on the working set F: the diagonal, the
-    # support of the start j and the pairs with |Sigma - W|_ij > gamma, W
-    # j's inverse off the diagonal, so the pairs off F meet their KKT
-    # conditions at j. A band of F wider than p / 2, factored as one block,
-    # saves too little over the dense loop, which then runs instead.
-    ws = _FreeWorkspace(sigma, cfg, (j != 0) | (np.abs(sigma - w) > cfg.gamma))
-    if ws.kd > ws.p // 2:
+    # The gamma > 0 box program on F (the diagonal, j's support, the pairs with
+    # |Sigma - W|_ij > gamma, W j's inverse off the diagonal); its workspace goes
+    # before _finalize. A band wider than p / 2 runs the dense loop alone
+    # (faster there: BENCH_sweep_workset.json, adaptive_boost_sweep).
+    free = np.subtract(sigma, w)
+    free = (np.abs(free, out=free) > cfg.gamma) | (j != 0)
+    banding = _rcm(free)
+    if banding[1] > sigma.shape[0] // 2:
+        del free, banding
         return _prox_gradient(_Workspace(sigma, cfg), prox, j)
-    return _prox_gradient(ws, _box_prox(cfg.gamma, cfg.lambda_off, slice(ws.p)), j)
+    ws = _FreeWorkspace(sigma, cfg, free, banding=banding)
+    return _prox_gradient(ws, _box_prox(cfg.gamma, cfg.lambda_off, slice(len(free))), j)
 
 
 def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):

@@ -879,8 +879,8 @@ def _working_set_passes(monkeypatch):
     # the half-bandwidth of every pass of the working-set solves that follow
     kds, set_free = [], solver._FreeWorkspace._set_free
 
-    def recorded(ws, free):
-        set_free(ws, free)
+    def recorded(ws, *args):
+        set_free(ws, *args)
         kds.append(ws.kd)
 
     monkeypatch.setattr(solver._FreeWorkspace, "_set_free", recorded)
@@ -937,6 +937,8 @@ class TestWorkingSet:
         order = np.random.default_rng(1).permutation(36)
         sigma = np.asarray(cd.draw_sample_covariance(model, 1000, 1001))[np.ix_(order, order)]
         cfg = SolverConfig(gamma=cd.gamma_schedule(2.08, 36, 1000), lambda_off=model.lambda_star)
+        free = np.eye(36, dtype=bool) | (np.abs(sigma) > cfg.gamma)
+        assert solver._rcm(free)[1] > 18
         loop, kinds = solver._prox_gradient, []
 
         def recorded(ws, *args):
@@ -947,7 +949,8 @@ class TestWorkingSet:
         monkeypatch.setattr(solver, "_prox_gradient", recorded)
         kds = _working_set_passes(monkeypatch)
         res = cd.admm_solve(sigma, cfg)
-        assert kds[0] > 18 and kinds == [solver._Workspace]
+        # no band workspace is made for it
+        assert kds == [] and kinds == [solver._Workspace]
         assert res.converged
         _assert_bitwise(res, vars(ref))
 
@@ -974,10 +977,11 @@ class TestWorkingSet:
         mask = _grid_mask(q)
         scramble = np.random.default_rng(3).permutation(q * q)
         mask = mask[np.ix_(scramble, scramble)]
-        order = solver._rcm(mask)
+        order, kd = solver._rcm(mask)
         assert np.array_equal(np.sort(order), np.arange(q * q))
-        assert np.array_equal(solver._rcm(mask.copy()), order)
-        assert _half_bandwidth(mask, order) == q
+        again = solver._rcm(mask.copy())
+        assert np.array_equal(again[0], order) and again[1] == kd
+        assert _half_bandwidth(mask, order) == kd == q
 
     @pytest.mark.parametrize("q", [3, 5, 10, 15])
     def test_one_far_edge_keeps_the_grid_band(self, q):
@@ -987,7 +991,8 @@ class TestWorkingSet:
         for far in ((0, p - 1), (q - 1, p - q), (0, q - 1), (0, p - q)):
             mask = _grid_mask(q)
             mask[far] = mask[far[::-1]] = True
-            assert _half_bandwidth(mask, solver._rcm(mask)) <= q + 2
+            order, kd = solver._rcm(mask)
+            assert _half_bandwidth(mask, order) == kd <= q + 2
 
 
 class TestInversePaths:
