@@ -16,16 +16,16 @@ alone, factored in their band: the witness program's, whose pinned
 entries never move, or the box program's working set, in reverse
 Cuthill-McKee order, which grows until the whole matrix certifies (QUIC,
 Hsieh et al. 2011); a working set too wide for a band takes every entry
-of J. With gamma = 0 the box program is smooth, and it takes projected
-Newton steps (Bertsekas 1982) instead, handing over to the loop, on
-every entry of J, when they cannot go on. Both stop on the certified KKT
-residual, and for the box program also on the duality gap.
+of J. With gamma = 0 the box program takes projected Newton steps
+(Bertsekas 1982) on its dual, over the residual R alone, handing over to
+the loop, on every entry of J, when they cannot go on. Both stop on the
+certified KKT residual, and for the box program also on the duality gap.
 """
 
 import logging
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -408,15 +408,16 @@ def _rcm(mask):
     return order, int(np.max(np.abs(position[rows] - position[cols])))
 
 
-def _prox_gradient(ws, prox, j):
+def _prox_gradient(ws, prox, j, done=0):
     # ws is a _Workspace or a _FreeWorkspace; prox(m, t, out) writes into
     # out the map of a gradient step m of length t onto the feasible set,
     # which must hold the PD start j. Every iterate is exactly symmetric,
     # since sigma, the start and the prox are. Stops once ws.certified()
-    # holds. Returns ws.solved(iterations, converged, certificate).
+    # holds or at iteration max_iter, done of which came before j. Returns
+    # ws.solved(iterations, converged, certificate).
     history = [ws.start(j)]
     t = 1.0
-    for it in range(1, ws.cfg.max_iter + 1):
+    for it in range(done + 1, ws.cfg.max_iter + 1):
         ws.gradient()
         for _ in range(_BACKTRACKS):
             chol_diag = ws.trial(prox, t)
@@ -454,96 +455,92 @@ def _box_prox(gamma, lam, diagonal):
     return prox
 
 
-def _projected_newton(sigma, cfg, prox, j):
-    # Projected Newton steps (Bertsekas, SIAM J. Control Optim. 1982) on
-    # the smooth gamma = 0 box program; prox is its box clamp. The
-    # eps-active set A holds the pairs within eps of the box whose
-    # gradient G = Sigma - J^-1 pushes outward, eps = min(lambda / 10,
-    # |J - P(J - G)|). Off A the step is the Newton step of the free face,
-    # D = J - J Sigma J - J M J with M the multiplier on A that makes
-    # D_A = 0: since (W (x) W)^-1 = J (x) J, M solves the |A| x |A| system
-    # K m = (J - J Sigma J)_A, K_(ij),(kl) = J_ik J_jl + J_il J_jk. On A
-    # the step is -G. Trial points P(J + a D) halve a from 1 until they
-    # have a Cholesky factor and pass the Armijo test along the projection
-    # arc against the current objective. With |A| > 4p (K then holds up to
-    # 16 p^2 entries), a singular K, or no step length that passes, the
-    # iterate and the rest of max_iter go to _prox_gradient. Stops as
-    # _prox_gradient does and returns what it does, iterations counting
-    # Newton steps and then loop iterations.
+def _dual_newton(sigma, cfg, prox, j, r):
+    # The gamma = 0 box program in its dual, min -log det(Sigma + R) + lambda
+    # |R|_1,off over symmetric zero-diagonal R, of primal point J = (Sigma +
+    # R)^-1 (QUIC, Hsieh et al. 2011); R is kept on its support (upper flat
+    # indices, values), from r if Sigma + r is PD. Projected Newton steps
+    # (Bertsekas 1982) on F, the support then the pairs |J_ij| > lambda,
+    # largest first, up to 4p, in the orthant of its signs s: per pair, the
+    # gradient is g = lambda s - J_F and the Hessian K_(ij),(kl) = J_ik J_jl
+    # + J_il J_jk, with -g / diag(K) on the pairs g pushes to 0 from near it,
+    # and Armijo backtracking; J is then snapped to the box and certified.
     ws = _Workspace(sigma, cfg)
-    p = sigma.shape[0]
-    lam = cfg.lambda_off
-    f0 = ws.start(j)
-    for it in range(1, cfg.max_iter + 1):
-        np.subtract(sigma, ws.j_inv, out=ws.grad)
-        # the projected gradient P(J - G) - J
-        prox(np.subtract(ws.j, ws.grad, out=ws.tmp), 0.0, ws.cand)
-        np.subtract(ws.cand, ws.j, out=ws.tmp)
-        eps = min(0.1 * lam, float(np.sqrt(np.sum(np.multiply(ws.tmp, ws.tmp, out=ws.tmp)))))
-        np.greater_equal(np.abs(ws.j, out=ws.tmp), lam - eps, out=ws.flags)
-        np.less(np.multiply(ws.j, ws.grad, out=ws.tmp), 0.0, out=ws.flags, where=ws.flags)
-        ai, aj = np.divmod(np.flatnonzero(ws.flags), p)
-        upper = ai < aj
-        ai, aj = ai[upper], aj[upper]
-        if ai.size > 4 * p:
-            break
-        # D = -J (G + M) J, which is J - J Sigma J - J M J, in two products
-        # and without the cancellation of J - J Sigma J near the optimum
-        np.matmul(ws.grad, ws.j, out=ws.tmp)
-        if ai.size:
-            jm = ws.j
-            k = (jm[np.ix_(ai, ai)] * jm[np.ix_(aj, aj)]
-                 + jm[np.ix_(ai, aj)] * jm[np.ix_(aj, ai)])
+    p, lam = sigma.shape[0], cfg.lambda_off
+    sup = np.flatnonzero(np.triu(r, 1))
+    rv = r.flat[sup]
+
+    def objective(idx, vals):
+        # factors Sigma + R, R on the pairs idx, in ws.cand; None if not PD
+        np.copyto(ws.cand, sigma)
+        ws.cand.flat[idx] = ws.cand.flat[idx % p * p + idx // p] = sigma.flat[idx] + vals
+        chol_diag, l1 = ws.pd.factor(ws.cand), 2.0 * float(np.abs(vals).sum())
+        if chol_diag is not None:
+            return (lam * l1 if l1 > 0 else 0.0) - 2.0 * float(np.log(chol_diag).sum())
+
+    f0 = objective(sup, rv)
+    if f0 is None:
+        sup, rv, f0 = sup[:0], rv[:0], objective(sup[:0], rv[:0])
+    steps, start, step = 0, j, math.inf
+    if f0 is not None:
+        ws.j = ws.pd.inverse(ws.j)
+        # the objective sums p logs; changes below 1e-12 of |f| + p are rounding
+        slack = 1e-12 * (abs(f0) + p)
+        while steps < cfg.max_iter and sup.size < 4 * p:
+            # stop once the step and J's breach of the box and of slackness are small
+            out = np.abs(ws.j, out=ws.grad)
+            np.fill_diagonal(out, 0.0)
+            out.flat[sup] = out.flat[sup % p * p + sup // p] = 0.0
+            breach = np.abs(ws.j.flat[sup] - lam * np.sign(rv)).max(initial=out.max() - lam)
+            if max(step, breach) <= cfg.kkt_bound(max(ws.sigma_max, ws.j.max())):
+                break
+            grow = np.flatnonzero(np.triu(out > lam, 1))
+            grow = grow[np.argsort(-out.flat[grow], kind="stable")[:4 * p - sup.size]]
+            steps += 1
+            free, x = np.concatenate([sup, grow]), np.concatenate([rv, np.zeros(grow.size)])
+            s = np.sign(np.concatenate([rv, ws.j.flat[grow]]))
+            g, jm = lam * s - ws.j.flat[free], ws.j
+            fi, fj = np.divmod(free, p)
+            k = (jm[np.ix_(fi, fi)] * jm[np.ix_(fj, fj)]
+                 + jm[np.ix_(fi, fj)] * jm[np.ix_(fj, fi)])
+            d = -g / k.diagonal()
+            moved = np.where((x + d) * s > 0, d, -x)
+            act = (np.abs(x) <= float(np.sqrt(np.sum(moved * moved)))) & (g * s > 0)
             try:
-                # (J M J)_A = -(J G J)_A
-                m = np.linalg.solve(k, -np.einsum("ij,ji->i", jm[ai], ws.tmp[:, aj]))
+                d[~act] = np.linalg.solve(k[np.ix_(~act, ~act)], -g[~act])
             except np.linalg.LinAlgError:
                 break
-            # G J + M J, M J adding m_(ij) J_j to row i and m_(ij) J_i to row j
-            np.add.at(ws.tmp, ai, m[:, None] * jm[aj])
-            np.add.at(ws.tmp, aj, m[:, None] * jm[ai])
-        np.matmul(ws.j, ws.tmp, out=ws.step)
-        np.add(ws.step, ws.step.T, out=ws.tmp)
-        np.multiply(ws.tmp, -0.5, out=ws.step)
-        g_act = ws.grad[ai, aj]
-        ws.step[ai, aj] = ws.step[aj, ai] = -g_act
-        # <G, D> on the free entries; D = -G on both triangles of A
-        gd_free = (float(np.sum(np.multiply(ws.grad, ws.step, out=ws.tmp)))
-                   + 2.0 * float(np.sum(g_act * g_act)))
-        # the objective sums O(p^2) terms of size about |f| + p; differences
-        # below 1e-12 of that are rounding, so a step may raise f that much
-        slack = 1e-12 * (abs(f0) + p)
-        a = 1.0
-        for _ in range(_BACKTRACKS):
-            np.multiply(ws.step, a, out=ws.tmp)
-            prox(np.add(ws.j, ws.tmp, out=ws.tmp), 0.0, ws.cand)
-            chol_diag = ws.pd.factor(ws.cand)
-            if chol_diag is not None:
-                f = ws.objective(ws.cand, chol_diag)
-                moved = 2.0 * float(np.sum(g_act * (ws.j[ai, aj] - ws.cand[ai, aj])))
-                if f <= f0 + slack - 1e-4 * (moved - a * gd_free):
+            # <g, step> off the active pairs, twice: a pair is two entries
+            gd_free, a = 2.0 * float(np.sum(g[~act] * d[~act])), 1.0
+            for _ in range(_BACKTRACKS):
+                trial = x + a * d
+                trial[trial * s <= 0] = 0.0
+                f = objective(free, trial)
+                drop = 2.0 * float(np.sum(g[act] * (x[act] - trial[act])))
+                if f is not None and f <= f0 + slack - 1e-4 * (drop - a * gd_free):
                     break
-            a *= 0.5
-        else:
-            break
-        ws.accept()
-        f0 = f
-        cert = ws.certified()
-        if cert is not None:
-            return ws.solved(it, True, cert)
-    else:
-        return ws.solved(cfg.max_iter, False, ws.certificate())
-    rest = replace(cfg, max_iter=cfg.max_iter - it + 1)
-    j_hat, j_inv, iterations, converged, cert = _prox_gradient(
-        _Workspace(sigma, rest), prox, ws.j)
-    return j_hat, j_inv, it - 1 + iterations, converged, cert
+                a *= 0.5
+            else:
+                break
+            ws.j = ws.pd.inverse(ws.j)
+            step, f0 = float(np.abs(trial - x).max(initial=0.0)), f
+            sup, rv = free[trial != 0], trial[trial != 0]
+        prox(ws.j, 0.0, ws.cand)
+        ws.cand.flat[sup] = ws.cand.flat[sup % p * p + sup // p] = lam * np.sign(rv)
+        if ws.pd.factor(ws.cand) is not None:
+            ws.accept()
+            cert = ws.certified()
+            if cert is not None:
+                return ws.solved(steps, True, cert)
+            start = ws.j
+    return _prox_gradient(ws, prox, start, steps)
 
 
 def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None,
                  scratch=None):
     # (kkt, z_gamma, residual, sign conflicts) of one iterate. The residual
     # is read on clip_mask, by default the box |J_ij| == lambda_off, where
-    # the prox and the Newton projection put every clipped entry; the KKT
+    # the prox and the dual's snap put every clipped entry; the KKT
     # residual on kkt_mask only when one is given. The conflict mask is
     # symmetric. scratch holds four p x p float buffers and one
     # boolean one, the first two returned as z_gamma and the residual;
@@ -683,8 +680,8 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         symmetric part enters the program.
     cfg : SolverConfig
     warm_start : SolveResult, optional
-        Restart from a previous solution's ``j_hat`` when it lies inside
-        the box; a re-solve from an optimum converges in one iteration.
+        Restart from a previous solution: its ``j_hat`` if inside the box,
+        with gamma = 0 its ``sigma_r_hat``; from an optimum in one iteration.
 
     Returns
     -------
@@ -693,8 +690,8 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         ``cfg.kkt_bound`` and the duality gap within 10 eps_abs; else
         max_iter ran out, and the last iterate is returned with a warning.
         ``iterations`` counts the loop's iterations over every pass of its
-        working set, or with gamma = 0 projected Newton steps plus the
-        loop's iterations after a hand-over, all within max_iter.
+        working set, or with gamma = 0 dual Newton steps plus the loop's
+        iterations after a hand-over, all within max_iter.
         Whichever path found it, ``sigma_r_hat`` is read on the entries
         exactly on the box, ``|J_ij| == lambda_off``.
 
@@ -729,7 +726,10 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
             j, w = warm, shaped_like(warm_start.sigma_m_hat, sigma, "warm start")
 
     if cfg.gamma == 0:
-        solved = _projected_newton(sigma, cfg, prox, j)
+        # the dual starts from the warm start's residual, unless no box allows one
+        keep = warm_start is not None and np.isfinite(cfg.lambda_off)
+        r = shaped_like(warm_start.sigma_r_hat, sigma, "warm start") if keep else 0.0 * sigma
+        solved = _dual_newton(sigma, cfg, prox, j, r)
     else:
         solved = _working_set(sigma, cfg, prox, j, w)
     return _finalize(solved, sigma, cfg)

@@ -157,7 +157,7 @@ class PdWorkspace:
             self._upper = np.triu(np.ones((p, p), dtype=bool), 1)
 
     def factor(self, a):
-        """Diagonal of the lower Cholesky factor of ``a``, or None if ``a`` is not PD.
+        """A copy of the diagonal of the lower Cholesky factor of ``a``, or None if not PD.
 
         The factor is kept for the next ``inverse``, which also reads ``a``
         on the fallback route, so ``a`` must not change before it.
@@ -172,7 +172,7 @@ class PdWorkspace:
         if self._lapack.potrf(_COL_MAJOR, b"L", self._p, self._fac.ctypes.data,
                               max(self._p, 1)) != 0:
             return None
-        return self._fac.diagonal()
+        return self._fac.diagonal().copy()
 
     def inverse(self, out):
         """Exactly symmetric inverse of the last matrix factored, written

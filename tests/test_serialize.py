@@ -52,12 +52,12 @@ class TestResultRoundTrip:
         assert diag["note"] == "unit"
 
     def test_unconverged_flag_survives(self, tmp_path):
-        sigma = np.asarray(
-            cd.true_covariance(cd.chain_model((0.05, 0.04, 0.03), -0.01))
-        )
-        res = cd.admm_solve(
-            sigma, SolverConfig(gamma=0.0, lambda_off=0.2, max_iter=2)
-        )
+        model = cd.grid_model(3, 7)
+        sigma = np.asarray(cd.true_covariance(model))
+        # its box program takes more than two Newton steps
+        cfg = SolverConfig(gamma=0.0, lambda_off=model.lambda_star)
+        assert cd.admm_solve(sigma, cfg).iterations > 2
+        res = cd.admm_solve(sigma, dataclasses.replace(cfg, max_iter=2))
         d = cd.save_result(res, tmp_path / "result")
         diag = json.loads((d / "diagnostics.json").read_text())
         assert diag["converged"] is False

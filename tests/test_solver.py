@@ -656,7 +656,7 @@ def _assert_bitwise(res, ref):
 def _box_loop(sigma, cfg, start=None):
     # the box program on the dense prox-gradient loop, from start or cold;
     # admm_solve runs it when a gamma > 0 working set's band is wider than
-    # p / 2, and for gamma = 0 when the projected Newton steps hand over
+    # p / 2, and for gamma = 0 when the dual Newton steps hand over
     start = np.diag(1.0 / np.diag(sigma)) if start is None else start
     ws = solver._Workspace(sigma, cfg)
     prox = solver._box_prox(cfg.gamma, cfg.lambda_off, slice(None, None, sigma.shape[0] + 1))
@@ -1024,19 +1024,25 @@ class TestInversePaths:
 
 
 def _no_loop(*args, **kwargs):
-    raise AssertionError("the projected Newton solve handed over to the loop")
+    raise AssertionError("the dual Newton solve handed over to the loop")
+
+
+def _exact_case(q, boost):
+    policy = cd.DiagBoostPolicy() if boost is None else cd.DiagBoostPolicy(fixed=boost)
+    model = cd.grid_model(q, 0, diag_boost_policy=policy)
+    return model, np.asarray(cd.true_covariance(model))
 
 
 class TestProjectedNewton:
-    """gamma = 0 box solves take projected Newton steps and hand over to
-    the prox-gradient loop only when the active set outgrows 4p."""
+    """gamma = 0 box solves take projected Newton steps on the dual, over the
+    residual R, and hand over to the prox-gradient loop only when R's
+    support fills 4p, K is singular, no step length passes or the snapped
+    point fails to certify."""
 
     @pytest.mark.parametrize("q, boost", [(6, 1.0), (10, None)],
                              ids=["fixed_boost_q6", "adaptive_q10"])
     def test_exact_covariance_in_few_steps(self, q, boost, monkeypatch):
-        policy = cd.DiagBoostPolicy() if boost is None else cd.DiagBoostPolicy(fixed=boost)
-        model = cd.grid_model(q, 0, diag_boost_policy=policy)
-        sigma = np.asarray(cd.true_covariance(model))
+        model, sigma = _exact_case(q, boost)
         # the loop's answer at tolerances that keep its own error far
         # below the comparison's; it takes over 1000 iterations at q = 10
         ref = _box_loop(sigma, SolverConfig(gamma=0.0, lambda_off=model.lambda_star,
@@ -1045,24 +1051,52 @@ class TestProjectedNewton:
         monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
         res = cd.admm_solve(sigma, tight_config(gamma=0.0, lambda_off=model.lambda_star))
         assert res.converged
-        assert res.iterations <= 30
+        assert res.iterations <= 10
         assert np.abs(np.asarray(res.j_hat) - np.asarray(ref.j_hat)).max() < 1e-9
+        # the residual's support is the planted S_R
+        _, s_r, _, _ = cd.partition_pairs(model)
+        assert np.array_equal(np.asarray(res.sigma_r_hat) != 0, np.asarray(s_r))
+
+    @pytest.mark.parametrize("q, boost", [(6, 1.0), (10, None)],
+                             ids=["fixed_boost_q6", "adaptive_q10"])
+    def test_routes_agree_with_the_loop(self, q, boost, lapack_route, monkeypatch):
+        model, sigma = _exact_case(q, boost)
+        cfg = SolverConfig(gamma=0.0, lambda_off=model.lambda_star,
+                           eps_abs=1e-12, eps_rel=1e-11, max_iter=20000)
+        ref = _box_loop(sigma, cfg)
+        monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
+        res = cd.admm_solve(sigma, cfg)
+        assert ref.converged and res.converged
+        for name in ("j_hat", "sigma_r_hat"):
+            assert np.abs(np.asarray(getattr(res, name))
+                          - np.asarray(getattr(ref, name))).max() < 1e-9
+
+    def test_warm_resolve_from_an_optimum_takes_one_step(self, monkeypatch):
+        model, sigma = _exact_case(6, 1.0)
+        cfg = tight_config(gamma=0.0, lambda_off=model.lambda_star)
+        res = cd.admm_solve(sigma, cfg)
+        monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
+        again = cd.admm_solve(sigma, cfg, warm_start=res)
+        assert again.converged and again.iterations == 1
+        assert np.abs(np.asarray(again.j_hat) - np.asarray(res.j_hat)).max() < 1e-12
 
     def test_unpenalised_draws_certify(self, monkeypatch):
-        # the program the loop crawls on: its answer is Sigma^-1
+        # the program the loop crawls on: its answer is Sigma^-1, the dual's
+        # start, so one step certifies it
         monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
         for seed in range(20):
             sigma = _random_spd(8, seed, decades=3.0)
             assert np.linalg.cond(sigma) <= 1e3
             res = cd.admm_solve(sigma, SolverConfig(gamma=0.0, lambda_off=math.inf))
             assert res.converged
+            assert res.iterations == 1
             inverse = np.linalg.inv(sigma)
             assert (np.abs(np.asarray(res.j_hat) - inverse).max()
                     <= 1e-6 * np.abs(inverse).max())
 
     def test_small_boxed_program_keeps_its_newton_steps(self, monkeypatch):
-        # a box of 0.01 puts more than p = 8 of the 28 pairs on A, but K
-        # stays small: within 4p the solve keeps its Newton steps
+        # a box of 0.01 puts more than p = 8 of the 28 pairs in R's
+        # support, but K stays small: within 4p the solve keeps its Newton steps
         monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
         for seed in range(10):
             res = cd.admm_solve(_random_spd(8, seed), tight_config(gamma=0.0, lambda_off=0.01))
@@ -1070,18 +1104,29 @@ class TestProjectedNewton:
             assert res.iterations <= 15
 
     def test_wide_active_set_hands_over_to_the_loop(self, monkeypatch):
-        # a box of 1e-6 clips every pair, so after one step |A| = 120 > 4p = 64
+        # a box of 1e-6 holds almost no pair of J, so R's support grows by
+        # the largest pairs until it fills 4p = 64 of the 120. The loop then
+        # takes the rest of max_iter after the Newton steps, each of which
+        # solved one K of at most 4p rows, from the snapped point, every
+        # pair of which is on the box
         sigma = np.asarray(cd.true_covariance(cd.grid_model(4, 0)))
         cfg = SolverConfig(gamma=0.0, lambda_off=1e-6)
-        loop, budgets = solver._prox_gradient, []
+        loop, solve, calls, rows = solver._prox_gradient, np.linalg.solve, [], []
 
-        def counted(ws, *args):
-            budgets.append(ws.cfg.max_iter)
-            return loop(ws, *args)
+        def counted(ws, prox, j, done=0):
+            calls.append((done, np.count_nonzero(np.triu(np.abs(j) == cfg.lambda_off, 1))))
+            return loop(ws, prox, j, done)
+
+        def recorded(k, b):
+            rows.append(len(k))
+            return solve(k, b)
 
         monkeypatch.setattr(solver, "_prox_gradient", counted)
+        monkeypatch.setattr(np.linalg, "solve", recorded)
         res = cd.admm_solve(sigma, cfg)
-        assert budgets == [cfg.max_iter - 1]
+        assert rows and max(rows) <= 64
+        assert calls == [(len(rows), 120)]
+        assert len(rows) < res.iterations < cfg.max_iter
         assert res.converged
 
     def test_interior_optimum_in_clip_band_carries_no_residual(self):

@@ -101,6 +101,15 @@ class TestPdWorkspace:
     def test_indefinite_has_no_factor(self, lapack_route):
         assert symmat.PdWorkspace(2).factor(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
 
+    def test_factor_diagonal_survives_inverse(self, lapack_route):
+        # inverse takes the factor's buffer as scratch, so an objective read
+        # from the diagonal after it must still see the factor's
+        a = _random_spd(20, seed=3)
+        ws = symmat.PdWorkspace(20)
+        diag = ws.factor(a)
+        ws.inverse(np.empty((20, 20)))
+        assert diag.tobytes() == np.diag(np.linalg.cholesky(a)).tobytes()
+
 
 class TestCholesky:
     def test_indefinite_has_no_factor(self):
