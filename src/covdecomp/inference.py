@@ -128,51 +128,54 @@ def lbp_run(m, max_iter, tol):
     j, h = m.j, m.h
     p = j.shape[0]
     exact_mean, exact_var = exact_moments(m)
-    j_diag = np.diag(j).copy()
-    # edge e carries the message src[e] -> tgt[e]; ordered by target, then
-    # source, so bincount adds each node's messages in source order
-    tgt, src = np.nonzero((j != 0.0) & ~np.eye(p, dtype=bool))
-    rev = np.lexsort((tgt, src))  # index of the edge tgt[e] -> src[e]
-    neg_j = -j[tgt, src]
-    neg_j_sq = neg_j * j[tgt, src]
-
-    def beliefs(d_j, d_h):
-        return (j_diag + np.bincount(tgt, weights=d_j, minlength=p),
-                h + np.bincount(tgt, weights=d_h, minlength=p))
-
-    d_j = np.zeros(tgt.size)
-    d_h = np.zeros(tgt.size)
-    belief_j, belief_h = beliefs(d_j, d_h)
-    mean_errors = []
-    var_errors = []
+    # edge e carries the message src[e] -> tgt[e] at J's flat index tgt * p
+    # + src: ordered by target, then source, so bincount adds each node's
+    # messages in source order. J is exactly symmetric, and its diagonal,
+    # the flat multiples of p + 1, is nonzero
+    flat = np.flatnonzero(j)
+    flat = np.delete(flat, np.searchsorted(flat, np.arange(0, p * p, p + 1)))
+    e = flat.size
+    tgt, src = np.divmod(flat, p)
+    rev = np.empty(p * p, dtype=np.intp)
+    rev[flat] = np.arange(e)
+    rev = rev.take(src * p + tgt)  # index of the edge tgt[e] -> src[e]
+    vals = j.take(flat)
+    # stacked: messages d = [dh; dJ], beliefs [1; h; J] and cavities [h; J],
+    # each cavity operand gathered by one take; new messages [-J h; -J^2] / J_cav
+    coef = np.negative(np.concatenate((vals, vals * vals)))
+    at_tgt = np.add.outer([0, p], tgt).ravel()
+    del flat, tgt, vals  # before the message buffers: a lower peak
+    base = np.concatenate((h, np.diag(j)))
+    exact = np.stack((exact_var, exact_mean))
+    d, new, cavity, belief = np.zeros(2 * e), np.empty(2 * e), np.empty(2 * e), np.ones(3 * p)
+    np.add(base, 0.0, out=belief[p:])  # the beliefs of zero messages
+    trace = []  # (mean error, variance error) per sweep
     converged = False
     for _ in range(max_iter):
-        # belief at the source with the target's incoming message removed
-        cavity_j = belief_j[src] - d_j[rev]
-        if np.any(cavity_j <= 0):
+        # belief at the source with the target's incoming message removed;
+        # new is scratch until it takes the messages
+        belief[p:].reshape(2, p).take(src, axis=1, out=cavity.reshape(2, e), mode="clip")
+        d.reshape(2, e).take(rev, axis=1, out=new.reshape(2, e), mode="clip")
+        np.subtract(cavity, new, out=cavity)
+        if cavity[e:].min(initial=1.0) <= 0:
             break
-        cavity_h = belief_h[src] - d_h[rev]
-        new_j = neg_j_sq / cavity_j
-        new_h = neg_j * cavity_h / cavity_j
-        delta = max(np.abs(new_j - d_j).max(initial=0.0),
-                    np.abs(new_h - d_h).max(initial=0.0))
-        d_j, d_h = new_j, new_h
-        belief_j, belief_h = beliefs(d_j, d_h)
-        if np.any(belief_j <= 0):
-            mean_errors.append(np.inf)
-            var_errors.append(np.inf)
+        np.multiply(coef[:e], cavity[:e], out=new[:e])
+        np.divide(new[:e], cavity[e:], out=new[:e])
+        np.divide(coef[e:], cavity[e:], out=new[e:])
+        delta = np.abs(np.subtract(new, d, out=d), out=d).max(initial=0.0)
+        d, new = new, d
+        np.add(base, np.bincount(at_tgt, weights=d, minlength=2 * p), out=belief[p:])
+        if belief[2 * p:].min() <= 0:
+            trace.append((np.inf, np.inf))
         else:
-            mean_errors.append(float(np.abs(belief_h / belief_j - exact_mean).mean()))
-            var_errors.append(float(np.abs(1.0 / belief_j - exact_var).mean()))
-        if max(np.abs(d_j).max(initial=0.0),
-               np.abs(d_h).max(initial=0.0)) > MESSAGE_NORM_LIMIT:
+            # [1; h] / J is [variance; mean]; np.mean's own sum and division
+            err = np.abs(belief[:2 * p].reshape(2, p) / belief[2 * p:] - exact)
+            trace.append(err.sum(axis=1)[::-1] / p)
+        if np.abs(d, out=new).max(initial=0.0) > MESSAGE_NORM_LIMIT:
             break
         if delta < tol:
             converged = True
             break
-    return LbpTrace(
-        mean_errors=np.asarray(mean_errors),
-        var_errors=np.asarray(var_errors),
-        converged=converged,
-        iterations_run=len(mean_errors),
-    )
+    mean_errors, var_errors = np.array(trace).reshape(-1, 2).T
+    return LbpTrace(mean_errors=mean_errors, var_errors=var_errors, converged=converged,
+                    iterations_run=len(trace))

@@ -12,7 +12,7 @@ from .errors import (
     PreconditionViolated,
     SingularSubmatrix,
 )
-from .symmat import (checked_symmetric, cholesky, eigenvalue, hessian_submatrix,
+from .symmat import (PdWorkspace, checked_symmetric, cholesky, eigenvalue, hessian_submatrix,
                      inf_operator_norm, inv_pd)
 
 # Ground-truth models are constructed exactly, so ties are detected at
@@ -55,11 +55,12 @@ class DecompositionModel:
     @cached_property
     def _overall(self):
         """Read-only (Sigma, its lower Cholesky factor, Sigma^-1) of the
-        overall covariance, formed once per model for draw_samples and
-        compare_to_truth, which a sweep calls at every sample size, and
-        for the lbp study's overall precision."""
-        sigma, chol = _overall_covariance(self)
-        arrays = (sigma, chol, inv_pd(sigma))
+        overall covariance, the last two from one factor of Sigma, formed
+        once per model for draw_samples and compare_to_truth, which a sweep
+        calls at every sample size, and for the lbp study's overall precision."""
+        ws = PdWorkspace(self.dim)
+        sigma = _overall_covariance(self, ws)
+        arrays = (sigma, ws.lower(), ws.inverse(np.empty(sigma.shape)))
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -113,52 +114,53 @@ def validate_model(m):
     return _violations(m)
 
 
-def _violations(m, sigma_m=None):
-    # validate_model's check; sigma_m is J_M^-1 when the caller holds it
+def _violations(m, pd_known=False):
+    # validate_model's check, read on the nonzeros of j_markov and
+    # sigma_residual; pd_known skips the two PD checks, which grid_model
+    # has made on the way
     j, r = m.j_markov, m.sigma_residual
     p = j.shape[0]
     lam = m.lambda_star
     violations = []
-    try:
-        if sigma_m is None:
+    if not pd_known:
+        try:
             sigma_m = inv_pd(j)
-    except NotPositiveDefinite:
-        violations.append("positive-definiteness: j_markov is not PD")
-    else:
-        if cholesky(sigma_m - r) is None:
-            violations.append("positive-definiteness: overall covariance is not PD")
-    off = ~np.eye(p, dtype=bool)
-    too_big = np.abs(j) > lam + GROUND_TRUTH_EPS_TIE
-    too_big &= off
-    for i, jj in zip(*np.nonzero(np.triu(too_big))):
-        violations.append(
-            "off-diagonal bound: |j_markov[%d,%d]| = %.6g exceeds lambda_star"
-            % (i, jj, abs(j[i, jj]))
-        )
-    bad_diag = np.nonzero(np.diag(r) != 0.0)[0]
-    for i in bad_diag:
-        violations.append("residual diagonal: sigma_residual[%d,%d] must be zero" % (i, i))
-    clipped = off & (np.abs(j) >= lam - GROUND_TRUTH_EPS_TIE)
-    has_res = off & (r != 0.0)
-    for i, jj in zip(*np.nonzero(np.triu(clipped & ~has_res))):
-        violations.append(
-            "clip-support equivalence: j_markov[%d,%d] at the bound but residual is zero"
-            % (i, jj)
-        )
-    for i, jj in zip(*np.nonzero(np.triu(has_res & ~clipped))):
-        violations.append(
-            "clip-support equivalence: residual at [%d,%d] without a clipped precision entry"
-            % (i, jj)
-        )
-    sign_clash = has_res & (np.sign(r) * np.sign(j) < 0)
-    for i, jj in zip(*np.nonzero(np.triu(sign_clash))):
-        violations.append("sign agreement: residual and precision differ at [%d,%d]" % (i, jj))
+        except NotPositiveDefinite:
+            violations.append("positive-definiteness: j_markov is not PD")
+        else:
+            if cholesky(sigma_m - r) is None:
+                violations.append("positive-definiteness: overall covariance is not PD")
+
+    def upper(a):
+        # a's nonzero pairs i < k, row-major
+        i, k = np.divmod(np.flatnonzero(a), p)
+        return i[i < k], k[i < k]
+
+    # with lambda_star <= the tie band every pair is clipped, the zeros too
+    ji, jk = np.triu_indices(p, 1) if lam <= GROUND_TRUTH_EPS_TIE else upper(j)
+    aj = np.abs(j[ji, jk])
+    big = aj > lam + GROUND_TRUTH_EPS_TIE
+    violations += ["off-diagonal bound: |j_markov[%d,%d]| = %.6g exceeds lambda_star" % t
+                   for t in zip(ji[big], jk[big], aj[big])]
+    violations += ["residual diagonal: sigma_residual[%d,%d] must be zero" % (i, i)
+                   for i in np.flatnonzero(r.diagonal())]
+    bare = (aj >= lam - GROUND_TRUTH_EPS_TIE) & (r[ji, jk] == 0.0)
+    violations += ["clip-support equivalence: j_markov[%d,%d] at the bound but residual is "
+                   "zero" % t for t in zip(ji[bare], jk[bare])]
+    ri, rk = upper(r)
+    jr = j[ri, rk]
+    unclipped = ~(np.abs(jr) >= lam - GROUND_TRUTH_EPS_TIE)
+    violations += ["clip-support equivalence: residual at [%d,%d] without a clipped precision "
+                   "entry" % t for t in zip(ri[unclipped], rk[unclipped])]
+    clash = np.sign(r[ri, rk]) * np.sign(jr) < 0
+    violations += ["sign agreement: residual and precision differ at [%d,%d]" % t
+                   for t in zip(ri[clash], rk[clash])]
     return violations
 
 
-def _build_validated(j, r, lam, context, sigma_m=None):
+def _build_validated(j, r, lam, context, pd_known=False):
     model = DecompositionModel(j_markov=j, sigma_residual=r, lambda_star=float(lam))
-    violations = _violations(model, sigma_m)
+    violations = _violations(model, pd_known)
     if violations:
         raise PreconditionViolated("%s: %s" % (context, "; ".join(violations)))
     return model
@@ -276,20 +278,21 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
             )
         r *= _SHRINK_FACTOR
         shrinks += 1
-    return _build_validated(j_m, r, hi, "grid_model", sigma_m)
+    # J_M has an inverse and the overall covariance a margin, so both are PD
+    return _build_validated(j_m, r, hi, "grid_model", pd_known=True)
 
 
-def _overall_covariance(m):
+def _overall_covariance(m, ws):
+    # J_M^-1 - Sigma_R, factored in the PdWorkspace ws
     sigma = inv_pd(m.j_markov) - m.sigma_residual
-    chol = cholesky(sigma)
-    if chol is None:
+    if ws.factor(sigma) is None:
         raise NotPositiveDefinite("model's overall covariance is not PD")
-    return sigma, chol
+    return sigma
 
 
 def true_covariance(m):
     """Overall covariance ``J_M^-1 - Sigma_R`` of a model."""
-    return _overall_covariance(m)[0]
+    return _overall_covariance(m, PdWorkspace(m.dim))
 
 
 def partition_pairs(m):

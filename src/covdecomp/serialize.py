@@ -110,9 +110,7 @@ def write_trace_csv(trace, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "mean_error", "var_error"])
-        for k in range(trace.iterations_run):
-            writer.writerow(
-                [k + 1, repr(float(trace.mean_errors[k])),
-                 repr(float(trace.var_errors[k]))]
-            )
+        # csv writes each float as its repr
+        writer.writerows(zip(range(1, trace.iterations_run + 1), trace.mean_errors.tolist(),
+                             trace.var_errors.tolist()))
     return Path(path)

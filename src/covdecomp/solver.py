@@ -479,8 +479,11 @@ def _dual_newton(sigma, cfg, prox, j, r):
             return (lam * l1 if l1 > 0 else 0.0) - 2.0 * float(np.log(chol_diag).sum())
 
     f0 = objective(sup, rv)
-    if f0 is None:
+    if f0 is None and sup.size:
         sup, rv, f0 = sup[:0], rv[:0], objective(sup[:0], rv[:0])
+    if f0 is None and not np.isfinite(lam):
+        raise PreconditionViolated(
+            "gamma = 0 with no box is unbounded unless sigma_hat is positive definite")
     steps, start, step = 0, j, math.inf
     if f0 is not None:
         ws.j = ws.pd.inverse(ws.j)
@@ -495,6 +498,13 @@ def _dual_newton(sigma, cfg, prox, j, r):
             if max(step, breach) <= cfg.kkt_bound(max(ws.sigma_max, ws.j.max())):
                 break
             grow = np.flatnonzero(np.triu(out > lam, 1))
+            if not (sup.size or grow.size):
+                # no pair can join F: J = Sigma^-1 is in the box, and Sigma its
+                # inverse; the certificate counts as a step
+                np.copyto(ws.j_inv, sigma)
+                cert = ws.certified()
+                if cert is not None:
+                    return ws.solved(steps + 1, True, cert)
             grow = grow[np.argsort(-out.flat[grow], kind="stable")[:4 * p - sup.size]]
             steps += 1
             free, x = np.concatenate([sup, grow]), np.concatenate([rv, np.zeros(grow.size)])
@@ -691,7 +701,8 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         max_iter ran out, and the last iterate is returned with a warning.
         ``iterations`` counts the loop's iterations over every pass of its
         working set, or with gamma = 0 dual Newton steps plus the loop's
-        iterations after a hand-over, all within max_iter.
+        iterations after a hand-over, all within max_iter; a start that
+        certifies because no pair can enter R's support, as with no box, reads 1.
         Whichever path found it, ``sigma_r_hat`` is read on the entries
         exactly on the box, ``|J_ij| == lambda_off``.
 
@@ -707,12 +718,6 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
         unbounded below.
     """
     sigma = _checked_sigma(sigma_hat)
-    if cfg.gamma == 0 and not np.isfinite(cfg.lambda_off):
-        if cholesky(sigma) is None:
-            raise PreconditionViolated(
-                "gamma = 0 with no box is unbounded unless sigma_hat is "
-                "positive definite")
-
     p = sigma.shape[0]
     prox = _box_prox(cfg.gamma, cfg.lambda_off, slice(None, None, p + 1))
     # the start and its inverse off the diagonal, 0 for diag(1 / Sigma_ii)

@@ -163,9 +163,8 @@ class PdWorkspace:
         on the fallback route, so ``a`` must not change before it.
         """
         if self._lapack is None:
-            self._a = a
-            chol = cholesky(a)
-            return None if chol is None else chol.diagonal()
+            self._a, self._chol = a, cholesky(a)
+            return None if self._chol is None else self._chol.diagonal()
         # read column-major, symmetric a is itself, and the lower factor
         # lands in the column-major lower triangle: C order's upper one
         np.copyto(self._fac, a)
@@ -173,6 +172,11 @@ class PdWorkspace:
                               max(self._p, 1)) != 0:
             return None
         return self._fac.diagonal().copy()
+
+    def lower(self):
+        """The lower Cholesky factor of the last matrix factored, as
+        ``np.linalg.cholesky`` returns it; ``inverse`` overwrites it."""
+        return self._chol if self._lapack is None else np.triu(self._fac).T.copy()
 
     def inverse(self, out):
         """Exactly symmetric inverse of the last matrix factored, written

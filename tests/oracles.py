@@ -357,6 +357,48 @@ def dense_lbp_run(m, max_iter, tol):
     )
 
 
+def reference_violations(m, eps_tie=1e-9):
+    """``validate_model``'s messages, in order, from dense p x p masks.
+
+    Positive definiteness is decided by ``np.linalg.cholesky``, with
+    ``J_M^-1`` from an LU inverse; every other condition is a full boolean
+    mask, read on its upper triangle in row-major order.
+    """
+    j = np.asarray(m.j_markov, dtype=float)
+    r = np.asarray(m.sigma_residual, dtype=float)
+    p = j.shape[0]
+    lam = m.lambda_star
+    violations = []
+    try:
+        np.linalg.cholesky(j)
+    except np.linalg.LinAlgError:
+        violations.append("positive-definiteness: j_markov is not PD")
+    else:
+        try:
+            np.linalg.cholesky(np.linalg.inv(j) - r)
+        except np.linalg.LinAlgError:
+            violations.append("positive-definiteness: overall covariance is not PD")
+    off = ~np.eye(p, dtype=bool)
+    too_big = off & (np.abs(j) > lam + eps_tie)
+    for i, k in zip(*np.nonzero(np.triu(too_big))):
+        violations.append("off-diagonal bound: |j_markov[%d,%d]| = %.6g exceeds lambda_star"
+                          % (i, k, abs(j[i, k])))
+    for i in np.nonzero(np.diag(r) != 0.0)[0]:
+        violations.append("residual diagonal: sigma_residual[%d,%d] must be zero" % (i, i))
+    clipped = off & (np.abs(j) >= lam - eps_tie)
+    has_res = off & (r != 0.0)
+    for i, k in zip(*np.nonzero(np.triu(clipped & ~has_res))):
+        violations.append("clip-support equivalence: j_markov[%d,%d] at the bound but "
+                          "residual is zero" % (i, k))
+    for i, k in zip(*np.nonzero(np.triu(has_res & ~clipped))):
+        violations.append("clip-support equivalence: residual at [%d,%d] without a clipped "
+                          "precision entry" % (i, k))
+    sign_clash = has_res & (np.sign(r) * np.sign(j) < 0)
+    for i, k in zip(*np.nonzero(np.triu(sign_clash))):
+        violations.append("sign agreement: residual and precision differ at [%d,%d]" % (i, k))
+    return violations
+
+
 def doubling_boost(a, start=0.01, factor=2.0, margin=0.01):
     """Diagonal boost c found by doubling from ``start`` until
     lambda_min(a + c I) >= margin, one eigendecomposition per try."""

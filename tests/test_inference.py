@@ -20,7 +20,7 @@ from covdecomp import (
 )
 from covdecomp import cli, symmat
 from covdecomp.inference import MESSAGE_NORM_LIMIT
-from oracles import dense_lbp_run, dense_moments, random_tree_info
+from oracles import dense_lbp_run, dense_moments, random_tree_info, reference_grid_model
 
 
 def frustrated_model(p=4, coupling=0.6):
@@ -318,3 +318,27 @@ def test_lbp_study_takes_no_dense_lu_or_full_spectrum(tmp_path, monkeypatch):
     assert cli.main(["lbp", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     models = json.loads((tmp_path / "out" / "lbp_summary.json").read_text())["models"]
     assert len(models) == 5 and all(m["converged_markov"] for m in models)
+
+
+def test_lbp_study_factors_each_model_five_times(tmp_path, monkeypatch):
+    """Beside grid_model's margin tries, one per residual shrink and one
+    more, ``covdecomp lbp`` on the LAPACK route takes five Cholesky factors
+    per model: J_M^-1 in grid_model, J_M^-1 and the overall covariance in
+    its one factor for L and Sigma^-1, and the PD check of each InfoModel."""
+    if symmat._lapack is None:
+        pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(symmat.PdWorkspace, "factor", counted(symmat.PdWorkspace.factor))
+    monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
+    config = tmp_path / "lbp.json"
+    config.write_text(json.dumps({"grid_sizes": [4], "lbp_models": 3}))
+    assert cli.main(["lbp", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    margin_tries = sum(1 + reference_grid_model(4, cd.derive_seed(0, k))[2] for k in range(3))
+    assert len(calls) == margin_tries + 5 * 3

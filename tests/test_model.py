@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from covdecomp import (
     CovdecompError,
@@ -9,12 +11,15 @@ from covdecomp import (
     MalformedMatrix,
     PreconditionViolated,
     chain_model,
+    draw_sample_covariance,
     grid_model,
     incoherence_report,
     partition_pairs,
     true_covariance,
     validate_model,
 )
+from covdecomp import model as model_module
+from covdecomp import symmat
 from covdecomp.model import grid_edges
 
 from oracles import (
@@ -24,6 +29,7 @@ from oracles import (
     chain_sigma,
     doubling_boost,
     reference_grid_model,
+    reference_violations,
 )
 
 
@@ -225,6 +231,87 @@ class TestValidateModel:
             self._model(j, np.zeros((2, 2)), 1.0)
 
 
+def _far_from_singular(a):
+    # PD decisions of two factorizations agree away from the boundary
+    return abs(np.linalg.eigvalsh(0.5 * (a + a.T)).min()) > 1e-6
+
+
+@st.composite
+def violating_models(draw):
+    """Small models with every kind of violation in reach: off-diagonal
+    entries on, near (within and beyond the tie band) and past the bound,
+    residuals of either sign, too large for an overall PD or off the clip
+    set, residual diagonals, a weak diagonal for a non-PD J_M, and a
+    lambda_star at or below the tie band, where the zero pairs count as
+    clipped."""
+    p = draw(st.integers(min_value=2, max_value=6))
+    lam = draw(st.sampled_from([-0.1, 0.0, 1e-9, 0.2, 0.45]))
+    levels = [0.0, lam, -lam, lam + 5e-10, lam - 5e-10, lam + 1e-8, 0.1, -0.1, 0.6, -0.6]
+    j = np.zeros((p, p))
+    r = np.zeros((p, p))
+    for i in range(p):
+        for k in range(i + 1, p):
+            j[i, k] = j[k, i] = draw(st.sampled_from(levels))
+            r[i, k] = r[k, i] = draw(st.sampled_from([0.0, 0.0, 0.05, -0.05, 3.0]))
+        r[i, i] = draw(st.sampled_from([0.0, 0.0, 0.0, 0.1]))
+    np.fill_diagonal(j, draw(st.sampled_from([0.05, 4.0])))
+    assume(_far_from_singular(j))
+    if np.linalg.eigvalsh(j).min() > 0:
+        assume(_far_from_singular(np.linalg.inv(j) - r))
+    return DecompositionModel(j_markov=j, sigma_residual=r, lambda_star=lam)
+
+
+class TestViolationsAgainstReference:
+    """validate_model, which reads the nonzeros of J_M and Sigma_R, gives
+    the dense masks' messages in their order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(violating_models())
+    def test_same_messages_in_order(self, m):
+        assert validate_model(m) == reference_violations(m)
+
+    @pytest.mark.parametrize("case", ["lambda_at_tie_band", "nonpd_precision",
+                                      "nonpd_overall", "grid"])
+    def test_named_cases(self, case):
+        j = np.array([[2.0, 0.3, 0.0], [0.3, 2.0, -0.1], [0.0, -0.1, 2.0]])
+        r = np.zeros((3, 3))
+        lam, expect = 0.3, None
+        if case == "lambda_at_tie_band":
+            # every pair counts as clipped, the zero pair (0, 2) too
+            lam, expect = 1e-9, "j_markov[0,2] at the bound"
+        elif case == "nonpd_precision":
+            j[0, 1] = j[1, 0] = 2.5
+            expect = "j_markov is not PD"
+        elif case == "nonpd_overall":
+            r[0, 1] = r[1, 0] = 1.0
+            expect = "overall covariance is not PD"
+        m = DecompositionModel(j_markov=j, sigma_residual=r, lambda_star=lam)
+        if case == "grid":
+            m, expect = grid_model(4, 2), None
+        got = validate_model(m)
+        assert got == reference_violations(m)
+        assert (expect is None) == (got == [])
+        assert expect is None or any(expect in v for v in got)
+
+    def test_grid_model_factors_the_margin_matrix_alone(self, monkeypatch):
+        # the margin test on Sigma_M - Sigma_R - 0.01 I implies that the
+        # overall covariance is PD, so Sigma_M - Sigma_R is never factored
+        factored = []
+
+        def recording(a):
+            factored.append(np.array(a))
+            return symmat.cholesky(a)
+
+        monkeypatch.setattr(model_module, "cholesky", recording)
+        for seed in range(3):
+            factored.clear()
+            m = grid_model(5, seed, **SHRINK_HEAVY)
+            overall = symmat.inv_pd(np.asarray(m.j_markov)) - m.sigma_residual
+            assert len(factored) >= 1
+            assert not any(np.array_equal(a, overall) for a in factored)
+            assert np.array_equal(factored[-1], overall - 0.01 * np.eye(m.dim))
+
+
 class TestDecompositionModel:
     @pytest.mark.parametrize("j, r, error", [
         (np.zeros((2, 3)), np.zeros((2, 2)), DimensionMismatch),
@@ -266,6 +353,22 @@ class TestTrueCovariance:
             sigma, sigma_m - np.asarray(chain.sigma_residual), atol=1e-12
         )
         assert np.linalg.eigvalsh(sigma).min() > 0
+
+    @pytest.mark.parametrize("q", [10, 15, 20])
+    def test_overall_reads_one_factor(self, q, lapack_route):
+        # L and Sigma^-1 come from one factor of Sigma, bit for bit as
+        # np.linalg.cholesky and inv_pd form them, so the draws do not move
+        for policy in (DiagBoostPolicy(), DiagBoostPolicy(fixed=1.0)):
+            m = grid_model(q, q, diag_boost_policy=policy)
+            sigma, chol, inverse = m._overall
+            assert np.array_equal(sigma, true_covariance(m))
+            assert np.array_equal(chol, np.linalg.cholesky(sigma)) and chol.flags.c_contiguous
+            assert np.array_equal(inverse, symmat.inv_pd(sigma))
+            apart = DecompositionModel(j_markov=m.j_markov, sigma_residual=m.sigma_residual,
+                                       lambda_star=m.lambda_star)
+            apart.__dict__["_overall"] = (sigma, np.linalg.cholesky(sigma), symmat.inv_pd(sigma))
+            assert np.array_equal(draw_sample_covariance(m, 500, 3),
+                                  draw_sample_covariance(apart, 500, 3))
 
 
 def pairs_of(mask):

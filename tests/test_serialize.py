@@ -129,6 +129,24 @@ class TestTraceCsv:
         assert float(rows[-1][1]) == trace.mean_errors[-1]
         assert float(rows[-1][2]) == trace.var_errors[-1]
 
+    @pytest.mark.parametrize("errors", [
+        [],
+        [(0.5, 0.25), (1.0 / 3.0, 1e-300), (math.inf, math.inf), (2.0 ** -1074, 123456.789)],
+    ], ids=["empty", "with-inf-rows"])
+    def test_bytes_match_a_row_by_row_writer(self, tmp_path, errors):
+        mean = np.array([m for m, _ in errors], dtype=float)
+        var = np.array([v for _, v in errors], dtype=float)
+        trace = cd.LbpTrace(mean_errors=mean, var_errors=var, converged=False,
+                            iterations_run=len(errors))
+        path = cd.write_trace_csv(trace, tmp_path / "trace.csv")
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "mean_error", "var_error"])
+            for k in range(len(errors)):
+                writer.writerow([k + 1, repr(float(mean[k])), repr(float(var[k]))])
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_values_parse_to_float(self, tmp_path):
         j = np.eye(2)
         trace = cd.lbp_run(InfoModel(j, np.array([1.0, 2.0])), max_iter=5, tol=1e-12)

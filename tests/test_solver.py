@@ -1082,7 +1082,7 @@ class TestProjectedNewton:
 
     def test_unpenalised_draws_certify(self, monkeypatch):
         # the program the loop crawls on: its answer is Sigma^-1, the dual's
-        # start, so one step certifies it
+        # start, whose certificate counts as its one step
         monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
         for seed in range(20):
             sigma = _random_spd(8, seed, decades=3.0)
@@ -1093,6 +1093,31 @@ class TestProjectedNewton:
             inverse = np.linalg.inv(sigma)
             assert (np.abs(np.asarray(res.j_hat) - inverse).max()
                     <= 1e-6 * np.abs(inverse).max())
+
+    def test_unpenalised_solve_factors_sigma_once(self, monkeypatch, lapack_route):
+        # no pair can join F, so the start J = Sigma^-1 is certified as it
+        # stands: one factor of Sigma, which also decides boundedness, one
+        # inverse, and _finalize's overall-PD check
+        calls = {"factor": 0, "inverse": 0, "cholesky": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in ("factor", "inverse"):
+            monkeypatch.setattr(symmat.PdWorkspace, name,
+                                counted(name, getattr(symmat.PdWorkspace, name)))
+        monkeypatch.setattr(solver, "cholesky", counted("cholesky", solver.cholesky))
+        monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
+        sigma = _random_spd(8, 0, decades=3.0)
+        res = cd.admm_solve(sigma, SolverConfig(gamma=0.0, lambda_off=math.inf))
+        assert res.converged and res.iterations == 1
+        assert calls == {"factor": 1, "inverse": 1, "cholesky": 1}
+        # the dual point Sigma + R, with R = 0, is J's inverse
+        assert np.array_equal(res.sigma_m_hat, sigma)
+        assert not res.sigma_r_hat.any()
 
     def test_small_boxed_program_keeps_its_newton_steps(self, monkeypatch):
         # a box of 0.01 puts more than p = 8 of the 28 pairs in R's
