@@ -6,6 +6,8 @@ harness.
 
 __version__ = "0.1.0"
 
+import types
+
 from .errors import (
     CovdecompError,
     DimensionMismatch,
@@ -62,54 +64,6 @@ from .solver import (
 )
 from .symmat import hessian_submatrix, inf_operator_norm, logdet_pd
 
-__all__ = [
-    "CovdecompError",
-    "DEFAULT_SUPPORT_THRESHOLD",
-    "DecompositionModel",
-    "DiagBoostPolicy",
-    "DimensionMismatch",
-    "EmptyTruthSupport",
-    "IncoherenceReport",
-    "InfeasibleConstraints",
-    "InfoModel",
-    "LbpTrace",
-    "MalformedCsv",
-    "MalformedMatrix",
-    "MetricsRecord",
-    "NonNumericCell",
-    "NonPositiveDiagonal",
-    "NotPositiveDefinite",
-    "PreconditionViolated",
-    "SCHEMA_VERSION",
-    "SingularSubmatrix",
-    "SolveResult",
-    "SolverConfig",
-    "admm_solve",
-    "chain_model",
-    "compare_to_truth",
-    "derive_seed",
-    "draw_sample_covariance",
-    "draw_samples",
-    "duality_gap",
-    "edit_distance",
-    "exact_moments",
-    "gamma_schedule",
-    "grid_model",
-    "hessian_submatrix",
-    "incoherence_report",
-    "inf_operator_norm",
-    "lbp_run",
-    "logdet_pd",
-    "partition_pairs",
-    "sample_covariance",
-    "sample_covariance_centered",
-    "save_result",
-    "sign_consistency",
-    "soft_threshold_covariance",
-    "support_of",
-    "true_covariance",
-    "validate_model",
-    "walk_summability",
-    "witness_solve",
-    "write_trace_csv",
-]
+# every public name imported above, listed once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -10,7 +10,7 @@ precision means the recursion left the Gaussian family and the run
 records itself as diverged.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .symmat import (as_floats, checked_square, checked_symmetric, cholesky, eigenvalue,
+from .symmat import (as_floats, checked_square, checked_symmetric, eigenvalue,
                      solve_and_inverse_diagonal)
 
 MESSAGE_NORM_LIMIT = 1e12
@@ -31,10 +31,12 @@ MESSAGE_NORM_LIMIT = 1e12
 class InfoModel:
     """Information-form Gaussian: density proportional to
     exp(-x' J x / 2 + h' x). ``j`` is checked with ``checked_symmetric``
-    and kept as a read-only copy."""
+    and kept read-only. The one LDL^T factor that proves ``j`` positive
+    definite also gives the exact moments, kept for ``exact_moments``."""
 
     j: np.ndarray
     h: np.ndarray
+    moments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j = checked_symmetric(self.j, "j")
@@ -43,10 +45,12 @@ class InfoModel:
             raise DimensionMismatch("h has length %d but j is %s" % (h.shape[0], j.shape))
         if not np.isfinite(h).all():
             raise MalformedMatrix("h must be finite")
-        if cholesky(j) is None:
+        moments = solve_and_inverse_diagonal(j, h, pd=True)
+        if moments is None:
             raise NotPositiveDefinite("information matrix must be positive definite")
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "moments", moments)
 
     @property
     def dim(self):
@@ -64,12 +68,12 @@ class LbpTrace:
 
 
 def exact_moments(m):
-    """Exact mean vector and marginal variances of an ``InfoModel``, whose
-    ``j`` is proved positive definite, from one LDL^T factor of ``j``:
-    exact on a diagonal ``j``, where D = j and L = I, so each variance is
+    """Exact mean vector and marginal variances of an ``InfoModel``, from
+    the one LDL^T factor of ``j`` that proved it positive definite: exact
+    on a diagonal ``j``, where D = j and L = I, so each variance is
     ``1 / j_ii``; a Cholesky inverse would read ``(1/sqrt 3)^2`` for ``1/3``.
     """
-    return solve_and_inverse_diagonal(m.j, m.h)
+    return m.moments
 
 
 def walk_summability(j):

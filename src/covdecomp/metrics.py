@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EmptyTruthSupport, NotPositiveDefinite, PreconditionViolated
-from .symmat import as_floats, inv_pd, shaped_like
+from .symmat import PdWorkspace, as_floats, inv_pd, shaped_like
 
 logger = logging.getLogger(__name__)
 
@@ -83,17 +83,18 @@ def _sign_consistent(est, truth, sup_est, sup_truth):
     return bool(np.all(est[sup_truth] * truth[sup_truth] > 0))
 
 
-def _overall_precision_error(sigma_m_hat, sigma_r_hat, true_precision):
-    # sigma_m_hat is a result's exactly symmetric J^-1, and r is symmetric
-    overall_cov = sigma_m_hat - sigma_r_hat
+def _overall_precision_error(sigma_m_hat, sigma_r_hat, true_precision, out=None):
+    # sigma_m_hat is a result's exactly symmetric J^-1, and r is symmetric;
+    # their difference is formed, and factored, in out
+    overall_cov = np.subtract(sigma_m_hat, sigma_r_hat, out=out)
     try:
-        est_precision = inv_pd(overall_cov)
+        est = inv_pd(overall_cov, PdWorkspace(len(overall_cov), overall_cov))
     except NotPositiveDefinite:
         raise NotPositiveDefinite(
             "overall precision is undefined: sigma_m_hat - sigma_r_hat "
             "is not positive definite"
         ) from None
-    return float(np.abs(est_precision - true_precision).max())
+    return float(np.abs(np.subtract(est, true_precision, out=est), out=est).max())
 
 
 def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
@@ -106,15 +107,15 @@ def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
     j_hat, r_hat = result.j_hat, result.sigma_r_hat
     j_true, r_true = truth_model.j_markov, truth_model.sigma_residual
     sigma_true, _, true_precision = truth_model._overall
+    diff = np.empty(sigma_true.shape)  # the one buffer of every difference below
     try:
-        overall_err = _overall_precision_error(result.sigma_m_hat, result.sigma_r_hat,
-                                               true_precision)
+        overall_err = _overall_precision_error(result.sigma_m_hat, r_hat, true_precision, diff)
     except NotPositiveDefinite:
         logger.warning("indefinite overall estimate; recording +inf precision error")
         overall_err = float("inf")
     # a difference of exactly symmetric matrices, so exactly symmetric
-    overall_cov_err = result.sigma_m_hat - r_hat - sigma_true
-    spectral = float(np.abs(np.linalg.eigvalsh(overall_cov_err)).max())
+    np.subtract(np.subtract(result.sigma_m_hat, r_hat, out=diff), sigma_true, out=diff)
+    spectral = float(np.abs(np.linalg.eigvalsh(diff)).max())
     sup_j, sup_j_true, sup_r, sup_r_true = (
         support_of(m, threshold) for m in (j_hat, j_true, r_hat, r_true))
     return MetricsRecord(
@@ -122,8 +123,8 @@ def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
         edit_distance_residual=_edit(sup_r, sup_r_true),
         normalized_edit_markov=_normalized_edit(sup_j, sup_j_true),
         normalized_edit_residual=_normalized_edit(sup_r, sup_r_true),
-        linf_error_j=float(np.abs(j_hat - j_true).max()),
-        linf_error_r=float(np.abs(r_hat - r_true).max()),
+        linf_error_j=float(np.abs(np.subtract(j_hat, j_true, out=diff), out=diff).max()),
+        linf_error_r=float(np.abs(np.subtract(r_hat, r_true, out=diff), out=diff).max()),
         linf_error_precision_overall=overall_err,
         spectral_error_sigma=spectral,
         sign_consistent_r=_sign_consistent(r_hat, r_true, sup_r, sup_r_true),

@@ -248,9 +248,11 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
     for k in clip_idx:
         i, j = edges[k]
         a[i, j] = a[j, i] = hi * np.sign(a[i, j])
+    ws = PdWorkspace(p)
     if policy.fixed is not None:
         c = float(policy.fixed)
-        if cholesky(a + (c - _PD_MARGIN) * np.eye(p)) is None:
+        np.copyto(ws.buffer, a)
+        if ws.factor(_plus_diagonal(ws.buffer, c - _PD_MARGIN)) is None:
             raise PreconditionViolated(
                 "fixed diagonal boost %.3g misses the PD margin %.3g" % (c, _PD_MARGIN)
             )
@@ -261,16 +263,15 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
         c = _BOOST_START
         while lambda_min + c < _PD_MARGIN:
             c *= _BOOST_FACTOR
-    j_m = a + c * np.eye(p)
+    j_m = _plus_diagonal(a, c)
     r = np.zeros((p, p))
     for k in clip_idx:
         i, j = edges[k]
         r[i, j] = r[j, i] = np.sign(j_m[i, j]) * rng.uniform(lo, hi)
-    sigma_m = inv_pd(j_m)
+    sigma_m = inv_pd(j_m, ws)
     # lambda_min(overall) >= margin iff overall - margin I has a factor
-    margin_eye = _PD_MARGIN * np.eye(p)
     shrinks = 0
-    while cholesky(sigma_m - r - margin_eye) is None:
+    while ws.factor(_plus_diagonal(np.subtract(sigma_m, r, out=ws.buffer), -_PD_MARGIN)) is None:
         if shrinks >= _MAX_SHRINKS:
             raise PreconditionViolated(
                 "overall covariance margin %.3g unreachable after %d residual shrinks"
@@ -278,13 +279,23 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
             )
         r *= _SHRINK_FACTOR
         shrinks += 1
-    # J_M has an inverse and the overall covariance a margin, so both are PD
+    # J_M has an inverse and the overall covariance a margin, so both are
+    # PD; the model takes the two read-only arrays without a copy
+    del sigma_m, ws
+    j_m.flags.writeable = r.flags.writeable = False
     return _build_validated(j_m, r, hi, "grid_model", pd_known=True)
 
 
+def _plus_diagonal(a, c):
+    # a + c I, in place
+    a.flat[::len(a) + 1] += c
+    return a
+
+
 def _overall_covariance(m, ws):
-    # J_M^-1 - Sigma_R, factored in the PdWorkspace ws
-    sigma = inv_pd(m.j_markov) - m.sigma_residual
+    # J_M^-1 - Sigma_R, both factored in the PdWorkspace ws
+    sigma = inv_pd(m.j_markov, ws)
+    sigma -= m.sigma_residual
     if ws.factor(sigma) is None:
         raise NotPositiveDefinite("model's overall covariance is not PD")
     return sigma

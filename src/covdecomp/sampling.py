@@ -61,10 +61,11 @@ def draw_sample_covariance(m, n, seed):
     rng = np.random.default_rng(seed)
     b = np.zeros((p, k))
     b[np.diag_indices(k)] = np.sqrt(rng.chisquare(n - np.arange(k)))
-    below = np.tril_indices(p, -1, k)
-    b[below] = rng.standard_normal(below[0].size)
+    below = np.tri(p, k, -1, dtype=bool)  # filled in row-major order, as drawn
+    b[below] = rng.standard_normal(np.count_nonzero(below))
     lb = chol @ b
-    return lb @ lb.T / n
+    w = np.matmul(lb, lb.T, out=b if k == p else None)  # b, if square, is free by now
+    return np.divide(w, n, out=w)
 
 
 def sample_covariance(data):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConstraints, NotPositiveDefinite, PreconditionViolated
-from .symmat import (BandWorkspace, PdWorkspace, as_floats, checked_square, cholesky, logdet_pd,
+from .symmat import (BandWorkspace, PdWorkspace, as_floats, checked_square, copy_upper, logdet_pd,
                      shaped_like, to_band)
 
 logger = logging.getLogger(__name__)
@@ -109,7 +109,7 @@ def _checked_sigma(sigma_hat):
     if np.any(np.diag(sigma) <= 0):
         raise NotPositiveDefinite("sigma_hat needs a strictly positive diagonal")
     # <Sigma, J> over symmetric J sees only the symmetric part of Sigma
-    return 0.5 * (sigma + sigma.T)
+    return sigma if np.array_equal(sigma, sigma.T) else 0.5 * (sigma + sigma.T)
 
 
 def _soft_threshold(m, level, out):
@@ -120,18 +120,26 @@ def _soft_threshold(m, level, out):
     return np.subtract(m, out, out=out)
 
 
+def _start_into(out, j, sigma):
+    # the start j into out; None is the cold start diag(1 / Sigma_ii)
+    if j is not out:
+        np.copyto(out, 0.0 if j is None else j)
+    if j is None:
+        np.fill_diagonal(out, 1.0 / np.diag(sigma))
+
+
 class _Workspace:
     """The p x p buffers and the shared steps of one solve; no iteration
     allocates another p x p array.
 
     ``j`` and ``j_inv`` hold the iterate and its inverse, ``cand`` and
     ``cand_inv`` the trial point's; an accepted trial swaps the pairs.
-    ``grad`` holds the gradient and ``step`` the step. ``tmp`` takes the
-    products that are summed, and ``zg``, ``r``, ``flags`` the certificate,
-    whose residual lies on the box |J_ij| == lambda_off. Every sum that
-    steers the iterates is a pairwise np.sum over an elementwise product:
-    backtracking reacts to summation noise, so a BLAS dot product in its
-    place changes iteration counts.
+    ``grad`` holds the gradient and ``step`` the step; these four are made
+    on first use, which the dual Newton steps put off. Sums and the
+    certificate (its residual on the box |J_ij| == lambda_off) take free
+    buffers. Every sum that steers the iterates is a pairwise np.sum over
+    an elementwise product: backtracking reacts to summation noise, so a
+    BLAS dot product in its place changes iteration counts.
     """
 
     def __init__(self, sigma, cfg):
@@ -140,13 +148,19 @@ class _Workspace:
         self.sigma_max = np.abs(sigma).max()
         self.sigma_diag = np.diag(sigma)
         self.pd = PdWorkspace(p)
-        (self.j, self.j_inv, self.cand, self.cand_inv, self.grad, self.step,
-         self.tmp, self.zg, self.r) = (np.empty((p, p)) for _ in range(9))
+        self.j, self.j_inv = np.empty((p, p)), np.empty((p, p))
         self.flags = np.empty((p, p), dtype=bool)
 
+    def __getattr__(self, name):
+        if name not in ("cand", "cand_inv", "grad", "step"):
+            raise AttributeError(name)
+        setattr(self, name, np.empty_like(self.j))
+        return getattr(self, name)
+
     def start(self, j):
-        """Take the PD start j as the iterate; returns its objective."""
-        np.copyto(self.j, j)
+        """Take the PD start j, or None for diag(1 / Sigma_ii), as the
+        iterate; returns its objective."""
+        _start_into(self.j, j, self.sigma)
         chol_diag = self.pd.factor(self.j)
         if chol_diag is None:
             raise NotPositiveDefinite("starting point is not positive definite")
@@ -156,10 +170,10 @@ class _Workspace:
 
     def objective(self, a, chol_diag):
         # a is PD, so its diagonal is positive and |a|_1,off = |a|_1 - tr a
-        f = (float(np.sum(np.multiply(self.sigma, a, out=self.tmp)))
+        f = (float(np.sum(np.multiply(self.sigma, a, out=self.cand_inv)))
              - 2.0 * float(np.log(chol_diag).sum()))
         if self.cfg.gamma > 0:
-            f += self.cfg.gamma * float(np.abs(a, out=self.tmp).sum() - np.trace(a))
+            f += self.cfg.gamma * float(np.abs(a, out=self.cand_inv).sum() - np.trace(a))
         return f
 
     def gradient(self):
@@ -176,7 +190,7 @@ class _Workspace:
     def step_norm(self):
         """<s, s> for the step s from the iterate to the trial point."""
         np.subtract(self.cand, self.j, out=self.step)
-        return float(np.sum(np.multiply(self.step, self.step, out=self.tmp)))
+        return float(np.sum(np.multiply(self.step, self.step, out=self.cand_inv)))
 
     def accept(self):
         """Make the factored trial point the iterate, with its inverse."""
@@ -187,12 +201,12 @@ class _Workspace:
     def advance(self):
         """accept after step_norm; returns <s, y>, y the gradient change."""
         self.accept()
-        np.subtract(self.cand_inv, self.j_inv, out=self.tmp)
-        return float(np.sum(np.multiply(self.step, self.tmp, out=self.tmp)))
+        tmp = np.subtract(self.cand_inv, self.j_inv, out=self.grad)
+        return float(np.sum(np.multiply(self.step, tmp, out=tmp)))
 
     def certificate(self):
         return _certificate(self.j, self.j_inv, self.sigma, self.cfg,
-                            scratch=(self.zg, self.r, self.tmp, self.grad, self.flags))
+                            scratch=(self.cand, self.cand_inv, self.pd.buffer, self.flags))
 
     def certified(self):
         """The iterate's certificate once its KKT residual is within
@@ -203,14 +217,14 @@ class _Workspace:
         if np.abs(self.sigma_diag - self.j_inv.diagonal()).max() > stop:
             return None
         cert = self.certificate()
-        if (cert[0] <= stop
-                and abs(_gap(self.j, self.sigma, cert[2], cfg, self.tmp)) <= 10.0 * cfg.eps_abs):
+        if (cert[0] <= stop and abs(_gap(self.j, self.sigma, cert[2], cfg, self.pd.buffer))
+                <= 10.0 * cfg.eps_abs):
             return cert
         return None
 
     def solved(self, iterations, converged, cert):
-        """The solve's (J, J^-1, iterations, converged, certificate)."""
-        return self.j, self.j_inv, iterations, converged, cert
+        """The solve's (J, J^-1, iterations, converged, certificate, a free buffer)."""
+        return self.j, self.j_inv, iterations, converged, cert, self.pd.buffer
 
 
 class _FreeWorkspace:
@@ -237,10 +251,9 @@ class _FreeWorkspace:
         p = sigma.shape[0]
         self.sigma, self.cfg, self.p, self.clip_mask = sigma, cfg, p, clip_mask
         self.sigma_max = np.abs(sigma).max()
-        self.tri = np.tri(p, dtype=bool)
         self.full, self.full_inv = np.empty((p, p)), np.empty((p, p))
-        # _certificate's: z_gamma, the residual, two floats and the flags
-        self.scratch = [np.empty((p, p)) for _ in range(4)] + [np.empty((p, p), dtype=bool)]
+        # _certificate's: z_gamma, the residual, a float and the flags
+        self.scratch = [np.empty((p, p)) for _ in range(3)] + [np.empty((p, p), dtype=bool)]
         self._set_free(free, banding)
 
     def _set_free(self, free, banding=None):
@@ -268,13 +281,15 @@ class _FreeWorkspace:
          self.tmp, self.zg) = (np.empty(rows.size) for _ in range(8))
 
     def start(self, j):
-        np.copyto(self.full, j)
-        self.band = to_band(j[np.ix_(self.order, self.order)], self.kd)
+        _start_into(self.full, j, self.sigma)
+        j, (a, b, tmp) = self.full, self.scratch[:3]
+        a = np.take(j, self.order, axis=0, out=a, mode="clip")
+        self.band = to_band(np.take(a, self.order, axis=1, out=b, mode="clip"), self.kd)
         np.take(j, self.upper, out=self.j)
         pinned = ~self.free
-        self.pinned_sigma = float(np.sum(self.sigma * j, where=pinned))
-        self.pinned_l1 = float(np.abs(j).sum(where=pinned))
-        self.pinned_max = float(np.abs(j).max(initial=0.0, where=pinned))
+        self.pinned_sigma = float(np.sum(np.multiply(self.sigma, j, out=tmp), where=pinned))
+        self.pinned_l1 = float(np.abs(j, out=tmp).sum(where=pinned))
+        self.pinned_max = float(tmp.max(initial=0.0, where=pinned))
         chol_diag = self.pd.factor(self.band)
         if chol_diag is None:
             raise NotPositiveDefinite("starting point is not positive definite")
@@ -322,12 +337,12 @@ class _FreeWorkspace:
         np.put(self.full, self.upper, self.j)
         np.put(self.full, self.lower, self.j)
         # J^-1 from the band factor: its lower triangle onto both, unpermuted
-        tmp, tmp2 = self.scratch[2:4]
-        inv = self.pd.selected_inverse(tmp, whole=True)
-        np.copyto(tmp2, inv.T)
-        np.copyto(tmp2, inv, where=self.tri)
-        np.take(tmp2, self.position, axis=0, out=tmp, mode="clip")
-        np.take(tmp, self.position, axis=1, out=self.full_inv, mode="clip")
+        tmp, inv = self.scratch[2], self.full_inv
+        low = self.pd.selected_inverse(tmp, whole=True)
+        np.copyto(inv, low)
+        copy_upper(inv, low.T)
+        np.take(inv, self.position, axis=0, out=tmp, mode="clip")
+        np.take(tmp, self.position, axis=1, out=inv, mode="clip")
         return _certificate(self.full, self.full_inv, self.sigma, self.cfg,
                             self.clip_mask, self.kkt_mask, self.scratch)
 
@@ -370,7 +385,7 @@ class _FreeWorkspace:
         if cert[0] <= stop and abs(gap) <= 10.0 * cfg.eps_abs:
             return cert
         # the pairs off F with |Sigma - J^-1|_ij > gamma join it
-        tmp, grow = self.scratch[2], self.scratch[4]
+        tmp, grow = self.scratch[2], self.scratch[3]
         np.abs(np.subtract(self.sigma, self.full_inv, out=tmp), out=tmp)
         np.greater(np.greater(tmp, cfg.gamma, out=grow), self.free, out=grow)
         if grow.any():
@@ -380,7 +395,7 @@ class _FreeWorkspace:
 
     def solved(self, iterations, converged, cert):
         # cert is certificate()'s, which formed J and J^-1
-        return self.full, self.full_inv, iterations, converged, cert
+        return self.full, self.full_inv, iterations, converged, cert, self.scratch[2]
 
 
 def _rcm(mask):
@@ -445,12 +460,13 @@ def _prox_gradient(ws, prox, j, done=0):
 
 
 def _box_prox(gamma, lam, diagonal):
-    # prox(m, t, out): soft threshold at gamma t, then the clamp to
-    # [-lam, lam]; the entries at the flat indices diagonal pass through
+    # prox(m, t, out), returning out: soft threshold at gamma t, then the
+    # clamp to [-lam, lam]; the entries at the flat indices diagonal pass through
     def prox(m, t, out):
         shrunk = _soft_threshold(m, gamma * t, out) if gamma > 0 else m
         np.clip(shrunk, -lam, lam, out=out)
         out.flat[diagonal] = m.flat[diagonal]
+        return out
 
     return prox
 
@@ -465,16 +481,18 @@ def _dual_newton(sigma, cfg, prox, j, r):
     # gradient is g = lambda s - J_F and the Hessian K_(ij),(kl) = J_ik J_jl
     # + J_il J_jk, with -g / diag(K) on the pairs g pushes to 0 from near it,
     # and Armijo backtracking; J is then snapped to the box and certified.
-    ws = _Workspace(sigma, cfg)
+    # r None is R = 0. Until the snap, ws.j holds J and ws.j_inv is scratch.
     p, lam = sigma.shape[0], cfg.lambda_off
-    sup = np.flatnonzero(np.triu(r, 1))
-    rv = r.flat[sup]
+    sup = np.flatnonzero(np.triu(r, 1)) if r is not None else np.zeros(0, dtype=np.intp)
+    rv = r.flat[sup] if r is not None else np.zeros(0)
+    ws = _Workspace(sigma, cfg)
 
     def objective(idx, vals):
-        # factors Sigma + R, R on the pairs idx, in ws.cand; None if not PD
-        np.copyto(ws.cand, sigma)
-        ws.cand.flat[idx] = ws.cand.flat[idx % p * p + idx // p] = sigma.flat[idx] + vals
-        chol_diag, l1 = ws.pd.factor(ws.cand), 2.0 * float(np.abs(vals).sum())
+        # factors Sigma + R, R on the pairs idx, in place; None if not PD
+        a = ws.pd.buffer
+        np.copyto(a, sigma)
+        a.flat[idx] = a.flat[idx % p * p + idx // p] = sigma.flat[idx] + vals
+        chol_diag, l1 = ws.pd.factor(a), 2.0 * float(np.abs(vals).sum())
         if chol_diag is not None:
             return (lam * l1 if l1 > 0 else 0.0) - 2.0 * float(np.log(chol_diag).sum())
 
@@ -491,13 +509,14 @@ def _dual_newton(sigma, cfg, prox, j, r):
         slack = 1e-12 * (abs(f0) + p)
         while steps < cfg.max_iter and sup.size < 4 * p:
             # stop once the step and J's breach of the box and of slackness are small
-            out = np.abs(ws.j, out=ws.grad)
+            out = np.abs(ws.j, out=ws.j_inv)
             np.fill_diagonal(out, 0.0)
             out.flat[sup] = out.flat[sup % p * p + sup // p] = 0.0
             breach = np.abs(ws.j.flat[sup] - lam * np.sign(rv)).max(initial=out.max() - lam)
             if max(step, breach) <= cfg.kkt_bound(max(ws.sigma_max, ws.j.max())):
                 break
             grow = np.flatnonzero(np.triu(out > lam, 1))
+            grow = grow[np.argsort(-out.flat[grow], kind="stable")[:4 * p - sup.size]]
             if not (sup.size or grow.size):
                 # no pair can join F: J = Sigma^-1 is in the box, and Sigma its
                 # inverse; the certificate counts as a step
@@ -505,21 +524,27 @@ def _dual_newton(sigma, cfg, prox, j, r):
                 cert = ws.certified()
                 if cert is not None:
                     return ws.solved(steps + 1, True, cert)
-            grow = grow[np.argsort(-out.flat[grow], kind="stable")[:4 * p - sup.size]]
             steps += 1
             free, x = np.concatenate([sup, grow]), np.concatenate([rv, np.zeros(grow.size)])
             s = np.sign(np.concatenate([rv, ws.j.flat[grow]]))
             g, jm = lam * s - ws.j.flat[free], ws.j
             fi, fj = np.divmod(free, p)
-            k = (jm[np.ix_(fi, fi)] * jm[np.ix_(fj, fj)]
-                 + jm[np.ix_(fi, fj)] * jm[np.ix_(fj, fi)])
+            k = np.empty((free.size, free.size))  # gathered 64 rows at a time
+            for a in range(0, free.size, 64):
+                rows = slice(a, a + 64)
+                np.multiply(jm[np.ix_(fi[rows], fi)], jm[np.ix_(fj[rows], fj)], out=k[rows])
+                k[rows] += jm[np.ix_(fi[rows], fj)] * jm[np.ix_(fj[rows], fi)]
             d = -g / k.diagonal()
             moved = np.where((x + d) * s > 0, d, -x)
             act = (np.abs(x) <= float(np.sqrt(np.sum(moved * moved)))) & (g * s > 0)
+            if act.any():
+                k = k[np.ix_(~act, ~act)]
             try:
-                d[~act] = np.linalg.solve(k[np.ix_(~act, ~act)], -g[~act])
+                d[~act] = np.linalg.solve(k, -g[~act])
             except np.linalg.LinAlgError:
                 break
+            finally:
+                del k
             # <g, step> off the active pairs, twice: a pair is two entries
             gd_free, a = 2.0 * float(np.sum(g[~act] * d[~act])), 1.0
             for _ in range(_BACKTRACKS):
@@ -552,9 +577,9 @@ def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None,
     # is read on clip_mask, by default the box |J_ij| == lambda_off, where
     # the prox and the dual's snap put every clipped entry; the KKT
     # residual on kkt_mask only when one is given. The conflict mask is
-    # symmetric. scratch holds four p x p float buffers and one
-    # boolean one, the first two returned as z_gamma and the residual;
-    # fresh ones are taken without it.
+    # symmetric. scratch holds three p x p float buffers and one boolean
+    # one, the first two returned as z_gamma and the residual; fresh ones
+    # are taken without it.
     # z_gamma is sign(J_ij) off the zero set; on exact zeros the
     # stationarity system implies the interior value (J^-1 - Sigma)_ij /
     # gamma, clipped to the unit interval. Without the interior term the
@@ -564,9 +589,8 @@ def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None,
     # J, J^-1 and Sigma are exactly symmetric, and so is every matrix
     # formed here.
     if scratch is None:
-        scratch = [np.empty_like(sigma) for _ in range(4)]
-        scratch.append(np.empty(sigma.shape, dtype=bool))
-    zg, r, tmp, tmp2, flags = scratch
+        scratch = [np.empty_like(sigma) for _ in range(3)] + [np.empty(sigma.shape, dtype=bool)]
+    zg, r, tmp, flags = scratch
     if cfg.gamma > 0:
         np.subtract(j_inv, sigma, out=zg)
         np.clip(zg, -cfg.gamma, cfg.gamma, out=zg)
@@ -580,7 +604,7 @@ def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None,
     if clip_mask is None:
         clip_mask = np.equal(np.abs(j_hat, out=tmp), cfg.lambda_off, out=flags)
     np.subtract(j_inv, sigma, out=tmp)
-    np.subtract(tmp, np.multiply(zg, cfg.gamma, out=tmp2), out=tmp)
+    np.subtract(tmp, np.multiply(zg, cfg.gamma, out=r), out=tmp)
     r.fill(0.0)
     np.copyto(r, tmp, where=clip_mask)
     np.fill_diagonal(r, 0.0)
@@ -591,7 +615,9 @@ def _certificate(j_hat, j_inv, sigma, cfg, clip_mask=None, kkt_mask=None,
     np.copyto(r, 0.0, where=conflicts)
     stationarity = np.add(np.subtract(sigma, j_inv, out=tmp), r, out=tmp)
     if cfg.gamma > 0:
-        stationarity += np.multiply(zg, cfg.gamma, out=tmp2)
+        rows = -(-len(zg) // 16)  # 16 blocks of rows take no p x p buffer
+        for a in range(0, len(zg), rows):
+            stationarity[a:a + rows] += zg[a:a + rows] * cfg.gamma
     np.abs(stationarity, out=stationarity)
     kkt = stationarity.max(initial=0.0, where=True if kkt_mask is None else kkt_mask)
     return float(kkt), zg, r, conflicts
@@ -655,7 +681,7 @@ def duality_gap(result, sigma_hat, cfg):
 
 
 def _finalize(solved, sigma, cfg):
-    j_hat, j_inv, iterations, converged, (kkt, zg, r, conflicts) = solved
+    j_hat, j_inv, iterations, converged, (kkt, zg, r, conflicts), *spare = solved
     if not converged:
         logger.warning("solver hit max_iter=%d without converging", cfg.max_iter)
     conflicts = np.triu(conflicts, k=1)
@@ -665,17 +691,18 @@ def _finalize(solved, sigma, cfg):
     # the solve's workspace goes with this call, so nothing else holds them
     for a in (j_hat, j_inv, r, zg):
         a.flags.writeable = False
+    pd = PdWorkspace(sigma.shape[0], *spare)
     return SolveResult(
         j_hat=j_hat,
         sigma_m_hat=j_inv,
         sigma_r_hat=r,
         z_gamma=zg,
         kkt_residual=kkt,
-        duality_gap=_gap(j_hat, sigma, r, cfg),
+        duality_gap=_gap(j_hat, sigma, r, cfg, pd.buffer),
         iterations=iterations,
         converged=converged,
         # is the overall covariance estimate Sigma_M - Sigma_R PD?
-        overall_pd=cholesky(j_inv - r) is not None,
+        overall_pd=pd.factor(np.subtract(j_inv, r, out=pd.buffer)) is not None,
         sign_conflicts=conflicts,
     )
 
@@ -720,20 +747,18 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
     sigma = _checked_sigma(sigma_hat)
     p = sigma.shape[0]
     prox = _box_prox(cfg.gamma, cfg.lambda_off, slice(None, None, p + 1))
-    # the start and its inverse off the diagonal, 0 for diag(1 / Sigma_ii)
-    j, w = np.diag(1.0 / np.diag(sigma)), 0.0
+    # the start and its inverse off the diagonal, None and 0 for diag(1 / Sigma_ii)
+    j, w = None, 0.0
     if warm_start is not None:
         warm = shaped_like(warm_start.j_hat, sigma, "warm start")
         # a warm start outside this box (from a wider one) restarts cold
-        boxed = np.empty_like(warm)
-        prox(warm, 0.0, boxed)
-        if np.array_equal(boxed, warm):
+        if np.array_equal(prox(warm, 0.0, np.empty_like(warm)), warm):
             j, w = warm, shaped_like(warm_start.sigma_m_hat, sigma, "warm start")
 
     if cfg.gamma == 0:
         # the dual starts from the warm start's residual, unless no box allows one
         keep = warm_start is not None and np.isfinite(cfg.lambda_off)
-        r = shaped_like(warm_start.sigma_r_hat, sigma, "warm start") if keep else 0.0 * sigma
+        r = shaped_like(warm_start.sigma_r_hat, sigma, "warm start") if keep else None
         solved = _dual_newton(sigma, cfg, prox, j, r)
     else:
         solved = _working_set(sigma, cfg, prox, j, w)
@@ -746,7 +771,8 @@ def _working_set(sigma, cfg, prox, j, w):
     # before _finalize. A band wider than p / 2 runs the dense loop alone
     # (faster there: BENCH_sweep_workset.json, adaptive_boost_sweep).
     free = np.subtract(sigma, w)
-    free = (np.abs(free, out=free) > cfg.gamma) | (j != 0)
+    free = (np.abs(free, out=free) > cfg.gamma) | (np.eye(len(sigma), dtype=bool) if j is None
+                                                   else j != 0)
     banding = _rcm(free)
     if banding[1] > sigma.shape[0] // 2:
         del free, banding
@@ -786,34 +812,38 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
         (i,j) and (j,i).
     """
     sigma = _checked_sigma(sigma_hat)
-    mask_r, free, start = _witness_pattern(sigma, s_m, s_r, signs_on_sr, cfg)
+    mask_r, free, signs = _witness_pattern(sigma, s_m, s_r, signs_on_sr, cfg)
+    ws = _FreeWorkspace(sigma, cfg, free, mask_r)
+    # the start, lambda_off sign on s_r and a dominant diagonal, in the workspace
+    start = np.sign(signs, out=ws.full)
+    np.copyto(np.multiply(start, cfg.lambda_off, out=start), 0.0, where=~mask_r)
+    rows = np.abs(start, out=ws.full_inv).sum(axis=1)
+    np.fill_diagonal(start, np.maximum(1.0 / np.diag(sigma), rows + 1.0))
     # on _FreeWorkspace's vectors, the p diagonal entries first; no box
     prox = _box_prox(cfg.gamma, math.inf, slice(sigma.shape[0]))
-    solved = _prox_gradient(_FreeWorkspace(sigma, cfg, free, mask_r), prox, start)
-    return _finalize(solved, sigma, cfg)
+    return _finalize(_prox_gradient(ws, prox, start), sigma, cfg)
 
 
 def _witness_pattern(sigma, s_m, s_r, signs_on_sr, cfg):
     # witness_solve's checks on its operands; returns the symmetric masks of
-    # s_r and of the free entries (the diagonal and s_m minus s_r), and the
-    # start: the fixed pattern with a diagonally dominant diagonal
+    # s_r and of the free entries (the diagonal and s_m minus s_r), and
+    # signs_on_sr as floats
     if not np.isfinite(cfg.lambda_off):
         raise PreconditionViolated("witness program needs a finite lambda_off")
     mask_m = _sym_mask(s_m, sigma, "s_m")
     mask_r = _sym_mask(s_r, sigma, "s_r")
-    signs = np.sign(shaped_like(signs_on_sr, sigma, "signs_on_sr"))
+    signs = shaped_like(signs_on_sr, sigma, "signs_on_sr")
     if not np.all(np.diag(mask_m)):
         raise PreconditionViolated("s_m must contain the diagonal")
     if np.any(mask_r & ~mask_m) or np.any(np.diag(mask_r)):
         raise PreconditionViolated("s_r must be off-diagonal and inside s_m")
-    if np.any(signs[mask_r] == 0):
+    # read on the pairs of s_r alone, in row-major order
+    i, k = np.nonzero(mask_r)
+    if np.any(signs[i, k] == 0):
         raise PreconditionViolated("signs_on_sr must be nonzero on every s_r pair")
-    clash = np.argwhere(mask_r & (signs != signs.T))
+    clash = np.flatnonzero(np.sign(signs[i, k]) != np.sign(signs[k, i]))
     if clash.size:
-        i, k = clash[0]
+        i, k = i[clash[0]], k[clash[0]]
         raise PreconditionViolated(
             "signs_on_sr gives opposite signs at (%d, %d) and (%d, %d)" % (i, k, k, i))
-    fixed_r = np.where(mask_r, cfg.lambda_off * signs, 0.0)
-    start = fixed_r + np.diag(
-        np.maximum(1.0 / np.diag(sigma), np.abs(fixed_r).sum(axis=1) + 1.0))
-    return mask_r, mask_m & ~mask_r, start
+    return mask_r, mask_m & ~mask_r, signs

@@ -49,7 +49,8 @@ def checked_square(a, name):
 
 
 def checked_symmetric(a, name):
-    """Read-only float copy of ``a``, a matrix from outside the program.
+    """Read-only float copy of ``a``, a matrix from outside the program,
+    or ``a`` itself if it is read-only, C-ordered and owns its data.
 
     Raises
     ------
@@ -59,7 +60,9 @@ def checked_symmetric(a, name):
         If ``a`` is not numeric or empty, has a non-finite entry or is not
         exactly symmetric.
     """
-    a = np.array(checked_square(a, name))
+    a = checked_square(a, name)
+    if a.flags.writeable or not (a.flags.owndata and a.flags.c_contiguous):
+        a = np.array(a)
     if not np.isfinite(a).all():
         raise MalformedMatrix("%s entries must be finite" % name)
     if not np.array_equal(a, a.T):
@@ -119,20 +122,20 @@ _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 # CblasRowMajor, CblasLeft and CblasLower of cblas_dsymm
 _ROW_MAJOR, _LEFT, _LOWER = 101, 141, 122
 # BandWorkspace's least block size, so that a narrow band is not cut into
-# many blocks that each cost a few numpy calls
+# many blocks that each cost a few numpy calls, and copy_upper's
 _MIN_BLOCK = 32
 
 
-def inv_pd(a):
-    """Exactly symmetric inverse of a positive definite matrix, through a
-    one-shot ``PdWorkspace``.
+def inv_pd(a, ws=None):
+    """Exactly symmetric inverse of a positive definite matrix, through the
+    ``PdWorkspace`` ws or a one-shot one.
 
     Raises
     ------
     NotPositiveDefinite
         If ``a`` has no Cholesky factor.
     """
-    ws = PdWorkspace(a.shape[0])
+    ws = PdWorkspace(a.shape[0]) if ws is None else ws
     if ws.factor(a) is None:
         raise NotPositiveDefinite("matrix is not positive definite")
     return ws.inverse(np.empty(a.shape))
@@ -144,17 +147,16 @@ class PdWorkspace:
     With LAPACK bound, ``factor`` runs ``dpotrf`` in place on a copy of
     its argument, bit for bit ``np.linalg.cholesky``, and ``inverse``
     runs ``dpotri`` into the caller's buffer, so neither allocates a
-    p x p array. Without it, ``factor`` is ``cholesky`` and ``inverse``
-    the symmetrised ``np.linalg.inv``. Arguments must be exactly
-    symmetric float arrays.
+    p x p array; ``buffer``, given or new, holds the factor, is scratch
+    between calls, and a matrix formed in it is factored in place. Without
+    it, ``factor`` is ``cholesky`` and ``inverse`` the symmetrised
+    ``np.linalg.inv``. Arguments must be exactly symmetric float arrays.
     """
 
-    def __init__(self, p):
+    def __init__(self, p, buffer=None):
         self._p = p
         self._lapack = _lapack
-        if self._lapack is not None:
-            self._fac = np.empty((p, p))
-            self._upper = np.triu(np.ones((p, p), dtype=bool), 1)
+        self.buffer = np.empty((p, p)) if buffer is None else buffer
 
     def factor(self, a):
         """A copy of the diagonal of the lower Cholesky factor of ``a``, or None if not PD.
@@ -167,16 +169,17 @@ class PdWorkspace:
             return None if self._chol is None else self._chol.diagonal()
         # read column-major, symmetric a is itself, and the lower factor
         # lands in the column-major lower triangle: C order's upper one
-        np.copyto(self._fac, a)
-        if self._lapack.potrf(_COL_MAJOR, b"L", self._p, self._fac.ctypes.data,
+        if a is not self.buffer:
+            np.copyto(self.buffer, a)
+        if self._lapack.potrf(_COL_MAJOR, b"L", self._p, self.buffer.ctypes.data,
                               max(self._p, 1)) != 0:
             return None
-        return self._fac.diagonal().copy()
+        return self.buffer.diagonal().copy()
 
     def lower(self):
         """The lower Cholesky factor of the last matrix factored, as
         ``np.linalg.cholesky`` returns it; ``inverse`` overwrites it."""
-        return self._chol if self._lapack is None else np.triu(self._fac).T.copy()
+        return self._chol if self._lapack is None else np.triu(self.buffer).T.copy()
 
     def inverse(self, out):
         """Exactly symmetric inverse of the last matrix factored, written
@@ -188,13 +191,21 @@ class PdWorkspace:
         # the transposed factor holds L in C order, which dpotri 'U' reads
         # as L^T; 'L' on the factor in place would differ in the last bit.
         # dpotri fills the lower triangle, which goes onto the upper one
-        # through the factor's buffer; adding 0.0 clears negative zeros
-        np.copyto(out, self._fac.T)
+        # through the buffer; adding 0.0 clears negative zeros
+        np.copyto(out, self.buffer.T)
         _check(self._lapack.potri(_COL_MAJOR, b"U", self._p, out.ctypes.data, max(self._p, 1)))
-        np.copyto(self._fac, out.T)
-        np.copyto(out, self._fac, where=self._upper)
+        np.copyto(self.buffer, out.T)
+        copy_upper(out, self.buffer)
         out += 0.0
         return out
+
+
+def copy_upper(out, src):
+    """``src``'s strict upper triangle onto ``out``'s, with no p x p mask."""
+    for a in range(0, len(out), _MIN_BLOCK):
+        e = a + _MIN_BLOCK
+        out[a:e, e:] = src[a:e, e:]
+        np.copyto(out[a:e, a:e], src[a:e, a:e], where=~np.tri(*out[a:e, a:e].shape, dtype=bool))
 
 
 def _check(info):
@@ -203,19 +214,32 @@ def _check(info):
         raise NotPositiveDefinite("Cholesky factor is singular")
 
 
-def solve_and_inverse_diagonal(a, b):
+def solve_and_inverse_diagonal(a, b, pd=False):
     """``a^-1 b`` and the diagonal of ``a^-1``, for a nonsingular symmetric
     ``a``, from one Bunch-Kaufman LDL^T factor in about p^3 flops: exactly
-    ``1 / a_ii`` on a diagonal ``a``, where L = I and D = a. Without
-    LAPACK, an LU solve and the LU inverse's diagonal."""
+    ``1 / a_ii`` on a diagonal ``a``, where L = I and D = a. With ``pd``,
+    None unless D's inertia makes ``a`` positive definite: 1 x 1 pivots
+    positive, 2 x 2 blocks of positive trace and determinant. Without
+    LAPACK, an LU solve, the LU inverse's diagonal and ``cholesky``."""
     if _lapack is None:
+        if pd and cholesky(a) is None:
+            return None
         return np.linalg.solve(a, b), np.diag(np.linalg.inv(a)).copy()
     p = a.shape[0]
     # symmetric a read column-major is itself; its factor stays in place
     fac, x, ipiv = np.array(a, dtype=float), np.array(b, dtype=float), np.empty(p, np.int64)
     at, ld, piv = fac.ctypes.data, max(p, 1), ipiv.ctypes.data
-    if _lapack.sytrf(_COL_MAJOR, b"L", p, at, ld, piv) != 0:
+    # info > 0 is a zero pivot, which with pd the inertia below rejects
+    if _lapack.sytrf(_COL_MAJOR, b"L", p, at, ld, piv) != 0 and not pd:
         raise NotPositiveDefinite("matrix is singular")
+    # D's diagonal, and in C order's upper triangle its 2 x 2 blocks' other
+    # entry; both rows of a block have a negative ipiv
+    d, e, k = fac.diagonal(), fac.diagonal(1), 0
+    while pd and k < p:
+        n = 1 if ipiv[k] > 0 else 2
+        if not (d[k:k + n].sum() > 0 and (n == 1 or d[k] * d[k + 1] - e[k] * e[k] > 0)):
+            return None
+        k += n
     _lapack.sytrs(_COL_MAJOR, b"L", p, 1, at, ld, piv, x.ctypes.data, ld)
     _lapack.sytri(_COL_MAJOR, b"L", p, at, ld, piv)
     return x, fac.diagonal().copy()

@@ -320,11 +320,12 @@ def test_lbp_study_takes_no_dense_lu_or_full_spectrum(tmp_path, monkeypatch):
     assert len(models) == 5 and all(m["converged_markov"] for m in models)
 
 
-def test_lbp_study_factors_each_model_five_times(tmp_path, monkeypatch):
+def test_lbp_study_factors_each_model_three_times(tmp_path, monkeypatch):
     """Beside grid_model's margin tries, one per residual shrink and one
-    more, ``covdecomp lbp`` on the LAPACK route takes five Cholesky factors
+    more, ``covdecomp lbp`` on the LAPACK route takes three Cholesky factors
     per model: J_M^-1 in grid_model, J_M^-1 and the overall covariance in
-    its one factor for L and Sigma^-1, and the PD check of each InfoModel."""
+    its one factor for L and Sigma^-1. Each InfoModel is proved positive
+    definite by the inertia of the LDL^T factor that gives its moments."""
     if symmat._lapack is None:
         pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
     calls = []
@@ -341,4 +342,4 @@ def test_lbp_study_factors_each_model_five_times(tmp_path, monkeypatch):
     config.write_text(json.dumps({"grid_sizes": [4], "lbp_models": 3}))
     assert cli.main(["lbp", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     margin_tries = sum(1 + reference_grid_model(4, cd.derive_seed(0, k))[2] for k in range(3))
-    assert len(calls) == margin_tries + 5 * 3
+    assert len(calls) == margin_tries + 3 * 3

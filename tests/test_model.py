@@ -18,7 +18,6 @@ from covdecomp import (
     true_covariance,
     validate_model,
 )
-from covdecomp import model as model_module
 from covdecomp import symmat
 from covdecomp.model import grid_edges
 
@@ -295,21 +294,23 @@ class TestViolationsAgainstReference:
 
     def test_grid_model_factors_the_margin_matrix_alone(self, monkeypatch):
         # the margin test on Sigma_M - Sigma_R - 0.01 I implies that the
-        # overall covariance is PD, so Sigma_M - Sigma_R is never factored
-        factored = []
+        # overall covariance is PD, so Sigma_M - Sigma_R is never factored;
+        # grid_model factors J_M and each margin matrix in one PdWorkspace
+        factored, factor = [], symmat.PdWorkspace.factor
 
-        def recording(a):
+        def recording(ws, a):
             factored.append(np.array(a))
-            return symmat.cholesky(a)
+            return factor(ws, a)
 
-        monkeypatch.setattr(model_module, "cholesky", recording)
+        monkeypatch.setattr(symmat.PdWorkspace, "factor", recording)
         for seed in range(3):
             factored.clear()
             m = grid_model(5, seed, **SHRINK_HEAVY)
+            tries = factored[:]  # before the check's own inverse below
             overall = symmat.inv_pd(np.asarray(m.j_markov)) - m.sigma_residual
-            assert len(factored) >= 1
-            assert not any(np.array_equal(a, overall) for a in factored)
-            assert np.array_equal(factored[-1], overall - 0.01 * np.eye(m.dim))
+            assert len(tries) >= 1
+            assert not any(np.array_equal(a, overall) for a in tries)
+            assert np.array_equal(tries[-1], overall - 0.01 * np.eye(m.dim))
 
 
 class TestDecompositionModel:

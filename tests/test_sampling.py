@@ -89,8 +89,10 @@ class TestDrawSampleCovariance:
             draw_sample_covariance(model, n, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        # an n x p sample array at n = 10^5 alone would take 80 MB
+        # an n x p sample array at n = 10^5 alone would take 80 MB; the
+        # draw holds at most three p x p float arrays at once
         assert peaks[1] <= 1.05 * peaks[0] < 10 ** 6
+        assert max(peaks) <= 3 * 8 * model.dim ** 2
 
 
 class TestSampleCovariance:

@@ -1097,8 +1097,8 @@ class TestProjectedNewton:
     def test_unpenalised_solve_factors_sigma_once(self, monkeypatch, lapack_route):
         # no pair can join F, so the start J = Sigma^-1 is certified as it
         # stands: one factor of Sigma, which also decides boundedness, one
-        # inverse, and _finalize's overall-PD check
-        calls = {"factor": 0, "inverse": 0, "cholesky": 0}
+        # inverse, and _finalize's overall-PD check, a second factor
+        calls = {"factor": 0, "inverse": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -1109,12 +1109,11 @@ class TestProjectedNewton:
         for name in ("factor", "inverse"):
             monkeypatch.setattr(symmat.PdWorkspace, name,
                                 counted(name, getattr(symmat.PdWorkspace, name)))
-        monkeypatch.setattr(solver, "cholesky", counted("cholesky", solver.cholesky))
         monkeypatch.setattr(solver, "_prox_gradient", _no_loop)
         sigma = _random_spd(8, 0, decades=3.0)
         res = cd.admm_solve(sigma, SolverConfig(gamma=0.0, lambda_off=math.inf))
         assert res.converged and res.iterations == 1
-        assert calls == {"factor": 1, "inverse": 1, "cholesky": 1}
+        assert calls == {"factor": 2, "inverse": 1}
         # the dual point Sigma + R, with R = 0, is J's inverse
         assert np.array_equal(res.sigma_m_hat, sigma)
         assert not res.sigma_r_hat.any()

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import covdecomp as cd
@@ -216,6 +216,29 @@ class TestSolveAndInverseDiagonal:
         ref_x, ref_var = dense_moments(a, b)
         np.testing.assert_allclose(x, ref_x, rtol=1e-12)
         np.testing.assert_allclose(var, ref_var, rtol=1e-12)
+
+    @pytest.mark.parametrize("a", [
+        np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 2.0]]),  # a 2 x 2 block
+        np.diag([1.0, 0.0, 2.0]),  # a zero pivot
+        np.diag([1.0, -1e-300, 2.0]),
+    ], ids=["2x2_block", "singular", "tiny_negative_pivot"])
+    def test_pd_verdict_rejects(self, a, lapack_route):
+        assert symmat.solve_and_inverse_diagonal(a, np.ones(3), pd=True) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           shift=st.floats(-4.0, 8.0), scale=st.floats(0.0, 1.0))
+    def test_inertia_verdict_is_the_cholesky_verdict(self, p, seed, shift, scale):
+        # a small diagonal makes Bunch-Kaufman take 2 x 2 blocks
+        if symmat._lapack is None:
+            pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
+        x = np.random.default_rng(seed).standard_normal((p, p))
+        a = x + x.T
+        np.fill_diagonal(a, scale * np.diag(a) + shift)
+        w = np.linalg.eigvalsh(a)
+        assume(abs(w[0]) > 1e-8 * np.abs(w).max())
+        moments = symmat.solve_and_inverse_diagonal(a, np.ones(p), pd=True)
+        assert (moments is not None) == (symmat.cholesky(a) is not None)
 
 
 class TestEigenvalue:
