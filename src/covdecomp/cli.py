@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CovdecompError, DimensionMismatch, PreconditionViolated
-from .inference import InfoModel, lbp_run, walk_summability
+from .inference import _with_moments, lbp_run, walk_summability
 from .metrics import DEFAULT_SUPPORT_THRESHOLD, MetricsRecord, compare_to_truth, support_of
 from .model import DiagBoostPolicy, grid_model, true_covariance
 from .sampling import (
@@ -383,18 +383,22 @@ def _cmd_sweep(spec):
 
 
 def _cmd_lbp(spec):
+    if len(spec.grid_sizes) > 1:
+        raise PreconditionViolated("lbp studies one grid size, got %d" % len(spec.grid_sizes))
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    q = spec.grid_sizes[0]
     report = []
     for k in range(spec.lbp_models):
-        model = _build_model(spec, q, derive_seed(spec.seed, k))
-        p = model.dim
-        h = np.random.default_rng(derive_seed(spec.seed, k, 1)).standard_normal(p)
-        entry = {"model": k, "p": p}
-        for tag, j in (("markov", model.j_markov), ("overall", model._overall[2])):
-            info = InfoModel(j=j, h=h)
-            trace = lbp_run(info, LBP_MAX_ITER, LBP_TOL)
+        model = _build_model(spec, spec.grid_sizes[0], derive_seed(spec.seed, k))
+        h = np.random.default_rng(derive_seed(spec.seed, k, 1)).standard_normal(model.dim)
+        entry = {"model": k, "p": model.dim}
+        # exact moments off the overall covariance Sigma: J_M^-1 = Sigma +
+        # Sigma_R, whose zero diagonal leaves both models the variances diag(Sigma)
+        sigma, _, precision = model._overall
+        mean, var = sigma @ h, sigma.diagonal().copy()
+        for tag, j, mu in (("markov", model.j_markov, mean + model.sigma_residual @ h),
+                           ("overall", precision, mean)):
+            trace = lbp_run(_with_moments(j, h, mu, var), LBP_MAX_ITER, LBP_TOL)
             write_trace_csv(trace, out / ("trace_%s_%d.csv" % (tag, k)))
             entry["walk_summability_" + tag] = walk_summability(j)
             entry["converged_" + tag] = trace.converged

@@ -57,6 +57,13 @@ class InfoModel:
         return self.j.shape[0]
 
 
+def _with_moments(j, h, mean, var):
+    # an InfoModel of a checked j proved PD elsewhere, with its exact moments
+    m = object.__new__(InfoModel)
+    m.__dict__.update(j=j, h=h, moments=(mean, var))
+    return m
+
+
 @dataclass
 class LbpTrace:
     """Per-iteration error trace of one belief propagation run."""

@@ -12,8 +12,8 @@ from .errors import (
     PreconditionViolated,
     SingularSubmatrix,
 )
-from .symmat import (PdWorkspace, checked_symmetric, cholesky, eigenvalue, hessian_submatrix,
-                     inf_operator_norm, inv_pd)
+from .symmat import (BandWorkspace, PdWorkspace, checked_symmetric, cholesky, eigenvalue,
+                     hessian_submatrix, inf_operator_norm, inv_pd, to_band)
 
 # Ground-truth models are constructed exactly, so ties are detected at
 # machine-level tolerance; estimates use the looser solver-side tie band.
@@ -57,10 +57,11 @@ class DecompositionModel:
         """Read-only (Sigma, its lower Cholesky factor, Sigma^-1) of the
         overall covariance, the last two from one factor of Sigma, formed
         once per model for draw_samples and compare_to_truth, which a sweep
-        calls at every sample size, and for the lbp study's overall precision."""
+        calls at every sample size, and for the lbp study's models."""
         ws = PdWorkspace(self.dim)
         sigma = _overall_covariance(self, ws)
-        arrays = (sigma, ws.lower(), ws.inverse(np.empty(sigma.shape)))
+        # L first, so that Sigma^-1 can take the factor's buffer
+        arrays = (sigma, ws.lower(), ws.inverse(ws.buffer))
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -70,10 +71,10 @@ class DecompositionModel:
 class DiagBoostPolicy:
     """How grid_model picks the uniform diagonal weighting c*I.
 
-    With ``fixed`` unset, c doubles from 0.01 until lambda_min(J_M) >=
-    0.01; the same margin then gates the overall covariance, shrinking
-    residual magnitudes by 10% per retry. A ``fixed`` value skips the
-    search and is validated against the margin.
+    With ``fixed`` unset, c doubles from 0.01 until lambda_min(J_M) >= 0.01,
+    tried by a band Cholesky factor of J_M - 0.01 I; the same margin then
+    gates the overall covariance, shrinking residual magnitudes by 10% per
+    retry. A ``fixed`` value is the search's one try.
     The experiment protocol uses ``DiagBoostPolicy(fixed=1.0)``: unit
     weighting is the scale the published penalty constants are tuned for.
     """
@@ -225,8 +226,8 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
     Grid edges receive magnitudes in ``magnitude_range`` with random
     signs; a ``clip_fraction`` of them is set to exactly the upper bound
     and carries a residual entry of matching sign. Uniform diagonal
-    weighting is added per ``diag_boost_policy`` until both the precision
-    and the overall covariance are positive definite with margin.
+    weighting is added per ``diag_boost_policy``, each boost tried by a band
+    Cholesky factor, until both precision and overall covariance are PD with margin.
 
     Deterministic for a fixed ``rng_seed``.
     """
@@ -248,22 +249,19 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
     for k in clip_idx:
         i, j = edges[k]
         a[i, j] = a[j, i] = hi * np.sign(a[i, j])
-    ws = PdWorkspace(p)
-    if policy.fixed is not None:
-        c = float(policy.fixed)
-        np.copyto(ws.buffer, a)
-        if ws.factor(_plus_diagonal(ws.buffer, c - _PD_MARGIN)) is None:
-            raise PreconditionViolated(
-                "fixed diagonal boost %.3g misses the PD margin %.3g" % (c, _PD_MARGIN)
-            )
-    else:
-        # lambda_min(a + c I) = lambda_min(a) + c, so one eigenvalue
-        # serves every doubling
-        lambda_min = eigenvalue(a, 0)
-        c = _BOOST_START
-        while lambda_min + c < _PD_MARGIN:
-            c *= _BOOST_FACTOR
+    # lambda_min(a + c I) >= margin iff a + (c - margin) I, of half-bandwidth q, has a factor
+    c = _BOOST_START if policy.fixed is None else float(policy.fixed)
+    band, boost = to_band(a, q), BandWorkspace(p, q)
+    band[:, 0] = c - _PD_MARGIN
+    while boost.factor(band) is None:
+        if policy.fixed is not None:
+            raise PreconditionViolated("fixed diagonal boost %.3g misses the PD margin %.3g"
+                                       % (c, _PD_MARGIN))
+        c *= _BOOST_FACTOR
+        band[:, 0] = c - _PD_MARGIN
+    del band, boost  # before the p x p arrays: a lower peak
     j_m = _plus_diagonal(a, c)
+    ws = PdWorkspace(p)
     r = np.zeros((p, p))
     for k in clip_idx:
         i, j = edges[k]

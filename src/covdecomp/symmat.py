@@ -178,34 +178,39 @@ class PdWorkspace:
 
     def lower(self):
         """The lower Cholesky factor of the last matrix factored, as
-        ``np.linalg.cholesky`` returns it; ``inverse`` overwrites it."""
-        return self._chol if self._lapack is None else np.triu(self.buffer).T.copy()
+        ``np.linalg.cholesky`` returns it, in one new array; an ``inverse``
+        into ``buffer`` overwrites the factor."""
+        return self._chol if self._lapack is None else copy_upper(
+            self.buffer.T.copy(), np.broadcast_to(0.0, self.buffer.shape))  # zeros above
 
     def inverse(self, out):
         """Exactly symmetric inverse of the last matrix factored, written
-        into ``out`` when LAPACK is bound (and returned); a new array
-        otherwise."""
+        into ``out``, which may be ``buffer``, when LAPACK is bound (and
+        returned); a new array otherwise."""
         if self._lapack is None:
             inv = np.linalg.inv(self._a)
             return 0.5 * (inv + inv.T)
-        # the transposed factor holds L in C order, which dpotri 'U' reads
-        # as L^T; 'L' on the factor in place would differ in the last bit.
-        # dpotri fills the lower triangle, which goes onto the upper one
-        # through the buffer; adding 0.0 clears negative zeros
-        np.copyto(out, self.buffer.T)
+        # L in C order, which dpotri 'U' reads as L^T, is the transposed factor, or in
+        # the buffer its upper triangle mirrored ('L' on the factor would differ in the
+        # last bit); dpotri's lower triangle is mirrored up, and adding 0.0 clears -0.0
+        if out is self.buffer:
+            copy_upper(out.T, out)
+        else:
+            np.copyto(out, self.buffer.T)
         _check(self._lapack.potri(_COL_MAJOR, b"U", self._p, out.ctypes.data, max(self._p, 1)))
-        np.copyto(self.buffer, out.T)
-        copy_upper(out, self.buffer)
+        copy_upper(out, out.T)
         out += 0.0
         return out
 
 
 def copy_upper(out, src):
-    """``src``'s strict upper triangle onto ``out``'s, with no p x p mask."""
+    """``src``'s strict upper triangle onto ``out``'s, with no p x p mask;
+    returns ``out``. One may be the other's transpose, to mirror a triangle."""
     for a in range(0, len(out), _MIN_BLOCK):
         e = a + _MIN_BLOCK
         out[a:e, e:] = src[a:e, e:]
         np.copyto(out[a:e, a:e], src[a:e, a:e], where=~np.tri(*out[a:e, a:e].shape, dtype=bool))
+    return out
 
 
 def _check(info):

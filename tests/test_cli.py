@@ -385,6 +385,16 @@ class TestMainEntry:
             assert (out / ("trace_markov_%d.csv" % k)).exists()
             assert (out / ("trace_overall_%d.csv" % k)).exists()
 
+    def test_lbp_refuses_a_second_grid_size(self, tmp_path, caplog):
+        # a study of q = 3 alone would drop the second size without a word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_sizes": [3, 4], "lbp_models": 1}))
+        with caplog.at_level("ERROR", logger="covdecomp.cli"):
+            assert main(["lbp", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert len(caplog.messages) == 1
+        assert "one grid size" in caplog.messages[0]
+        assert not (tmp_path / "out").exists()
+
     def test_fit_is_the_sweeps_first_cell(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid_sizes": [3], "diag_boost": 1.0,

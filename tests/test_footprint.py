@@ -140,3 +140,10 @@ def test_grid_model(policy):
 def test_true_covariance(model15):
     _, peak = _peak(lambda: cd.true_covariance(model15), model15.dim)
     assert peak <= 2
+
+
+def test_overall(model15):
+    # Sigma, L and Sigma^-1, which takes the buffer that factored Sigma
+    arrays, peak = _peak(lambda: cd.DecompositionModel._overall.func(model15), model15.dim)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, model15._overall))
+    assert peak <= 3

@@ -3,6 +3,8 @@ exactness, and divergence handling on frustrated models."""
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from covdecomp import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from covdecomp import cli, symmat
+from covdecomp import cli, inference, symmat
 from covdecomp.inference import MESSAGE_NORM_LIMIT
 from oracles import dense_lbp_run, dense_moments, random_tree_info, reference_grid_model
 
@@ -303,8 +305,9 @@ class TestEdgeListMatchesDenseOracle:
 
 def test_lbp_study_takes_no_dense_lu_or_full_spectrum(tmp_path, monkeypatch):
     """``covdecomp lbp`` on the LAPACK route calls no LU solve or inverse and
-    no full eigenvalue decomposition: moments come from one LDL^T factor,
-    walk-summability and the adaptive boost from one eigenvalue."""
+    no full eigenvalue decomposition: the moments come from each model's
+    overall covariance, each walk-summability from one eigenvalue and the
+    adaptive boost from band Cholesky factors."""
     if symmat._lapack is None:
         pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
 
@@ -322,24 +325,62 @@ def test_lbp_study_takes_no_dense_lu_or_full_spectrum(tmp_path, monkeypatch):
 
 def test_lbp_study_factors_each_model_three_times(tmp_path, monkeypatch):
     """Beside grid_model's margin tries, one per residual shrink and one
-    more, ``covdecomp lbp`` on the LAPACK route takes three Cholesky factors
-    per model: J_M^-1 in grid_model, J_M^-1 and the overall covariance in
-    its one factor for L and Sigma^-1. Each InfoModel is proved positive
-    definite by the inertia of the LDL^T factor that gives its moments."""
+    more, ``covdecomp lbp`` on the LAPACK route takes three dense Cholesky
+    factors per model: J_M^-1 in grid_model, J_M^-1 and the overall
+    covariance in its one factor for L and Sigma^-1. Both information
+    models take their exact moments from that Sigma, with no LDL^T factor,
+    and the two eigenvalues per model are the two walk-summabilities."""
     if symmat._lapack is None:
         pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
     calls = []
 
-    def counted(fn):
+    def counted(fn, name):
         def call(*args):
-            calls.append(fn)
+            calls.append(name)
             return fn(*args)
         return call
 
-    monkeypatch.setattr(symmat.PdWorkspace, "factor", counted(symmat.PdWorkspace.factor))
-    monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
+    monkeypatch.setattr(symmat.PdWorkspace, "factor",
+                        counted(symmat.PdWorkspace.factor, "cholesky"))
+    monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky, "cholesky"))
+    for name in ("eigenvalue", "solve_and_inverse_diagonal"):
+        call = counted(getattr(symmat, name), name)
+        for module in (symmat, inference, cd.model):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, call)
     config = tmp_path / "lbp.json"
     config.write_text(json.dumps({"grid_sizes": [4], "lbp_models": 3}))
     assert cli.main(["lbp", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     margin_tries = sum(1 + reference_grid_model(4, cd.derive_seed(0, k))[2] for k in range(3))
-    assert len(calls) == margin_tries + 3 * 3
+    assert calls.count("cholesky") == margin_tries + 3 * 3
+    assert calls.count("solve_and_inverse_diagonal") == 0
+    assert calls.count("eigenvalue") == 2 * 3
+
+
+@pytest.mark.parametrize("q", [3, 5, 10, 15])
+@pytest.mark.parametrize("route", ["lapack", "fallback"])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_lbp_study_moments_are_the_information_models_moments(q, route, seed):
+    """The moments that ``covdecomp lbp`` reads off each model's overall
+    covariance are those that ``InfoModel`` takes from one factor of each
+    information matrix, on both kernel routes."""
+    if route == "lapack" and symmat._lapack is None:
+        pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
+    studied = []
+
+    def recorded(m, max_iter, tol):
+        studied.append(m)
+        return cd.lbp_run(m, 1, tol)
+
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
+        if route == "fallback":
+            patch.setattr(symmat, "_lapack", None)
+        patch.setattr(cli, "lbp_run", recorded)
+        config = Path(out) / "lbp.json"
+        config.write_text(json.dumps({"grid_sizes": [q], "lbp_models": 2}))
+        assert cli.main(["lbp", "--config", str(config), "--seed", str(seed), "--out", out]) == 0
+        assert len(studied) == 4
+        for m in studied:
+            for got, want in zip(cd.exact_moments(m), cd.exact_moments(InfoModel(m.j, m.h))):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -18,7 +18,7 @@ from covdecomp import (
     true_covariance,
     validate_model,
 )
-from covdecomp import symmat
+from covdecomp import model as model_module, symmat
 from covdecomp.model import grid_edges
 
 from oracles import (
@@ -136,6 +136,18 @@ class TestGridModel:
             assert np.asarray(rebuilt.j_markov).tobytes() == j.tobytes()
             assert (np.asarray(rebuilt.sigma_residual).tobytes()
                     == np.asarray(m.sigma_residual).tobytes())
+
+    @pytest.mark.parametrize("q", [3, 10])
+    def test_adaptive_boost_takes_no_eigenvalue(self, q, monkeypatch, lapack_route):
+        # each boost is tried by a band Cholesky factor
+        def refuse(*args):
+            raise AssertionError("eigenvalue taken")
+
+        for module, name in ((symmat, "eigenvalue"), (model_module, "eigenvalue"),
+                             (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
+            monkeypatch.setattr(module, name, refuse)
+        for seed in range(5):
+            assert grid_model(q, seed).dim == q * q
 
 
 SHRINK_HEAVY = {"clip_fraction": 0.6, "magnitude_range": (0.2, 0.3)}
