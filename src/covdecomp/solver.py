@@ -282,14 +282,21 @@ class _FreeWorkspace:
 
     def start(self, j):
         _start_into(self.full, j, self.sigma)
-        j, (a, b, tmp) = self.full, self.scratch[:3]
-        a = np.take(j, self.order, axis=0, out=a, mode="clip")
-        self.band = to_band(np.take(a, self.order, axis=1, out=b, mode="clip"), self.kd)
+        j = self.full
         np.take(j, self.upper, out=self.j)
-        pinned = ~self.free
-        self.pinned_sigma = float(np.sum(np.multiply(self.sigma, j, out=tmp), where=pinned))
-        self.pinned_l1 = float(np.abs(j, out=tmp).sum(where=pinned))
-        self.pinned_max = float(tmp.max(initial=0.0, where=pinned))
+        if self.clip_mask is None:
+            # the box program's F holds the start's support: zero off F
+            self.band = np.zeros((self.p, self.kd + 1))
+            np.put(self.band, self.banded, self.j)
+            self.pinned_sigma = self.pinned_l1 = self.pinned_max = 0.0
+        else:
+            a, b, tmp = self.scratch[:3]
+            a = np.take(j, self.order, axis=0, out=a, mode="clip")
+            self.band = to_band(np.take(a, self.order, axis=1, out=b, mode="clip"), self.kd)
+            pinned = ~self.free
+            self.pinned_sigma = float(np.sum(np.multiply(self.sigma, j, out=tmp), where=pinned))
+            self.pinned_l1 = float(np.abs(j, out=tmp).sum(where=pinned))
+            self.pinned_max = float(tmp.max(initial=0.0, where=pinned))
         chol_diag = self.pd.factor(self.band)
         if chol_diag is None:
             raise NotPositiveDefinite("starting point is not positive definite")

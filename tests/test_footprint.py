@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import covdecomp as cd
-from covdecomp import solver, symmat
+from covdecomp import inference, solver, symmat
 
 # the benchmark's exact covariance (q = 20) and sweep cells (boost 1.0)
 _EXACT = dict(eps_abs=1e-10, eps_rel=1e-9)
@@ -147,3 +147,13 @@ def test_overall(model15):
     arrays, peak = _peak(lambda: cd.DecompositionModel._overall.func(model15), model15.dim)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, model15._overall))
     assert peak <= 3
+
+
+def test_lbp_run_on_the_overall_precision(model15):
+    # a dense J: its messages d and their update, two layers each, and J_st^2
+    sigma, _, precision = model15._overall
+    h = np.ones(model15.dim)
+    m = inference._with_moments(precision, h, sigma @ h, sigma.diagonal().copy())
+    trace, peak = _peak(lambda: cd.lbp_run(m, 1000, 1e-10), model15.dim)
+    assert trace.iterations_run >= 1
+    assert peak <= 6

@@ -52,6 +52,23 @@ class TestInfoModel:
         with pytest.raises(ValueError, match="read-only"):
             m.j[0, 0] = 5.0
 
+    def test_h_and_moments_read_only(self):
+        m = InfoModel(np.eye(2), [1.0, 2.0])
+        for a in (m.h, *cd.exact_moments(m)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 5.0
+        assert np.array_equal(m.h, [1.0, 2.0])
+
+    def test_h_and_moments_read_only_on_the_study_route(self):
+        # the lbp study's models, built with moments read off Sigma
+        h, mean, var = np.ones(2), np.ones(2), np.ones(2)
+        m = inference._with_moments(InfoModel(np.eye(2), h).j, h, mean, var)
+        for a in (m.h, *cd.exact_moments(m)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 5.0
+        h[0] = 3.0  # the caller's arrays stay its own
+        assert m.h[0] == 1.0
+
     def test_non_square_j_rejected(self):
         with pytest.raises(DimensionMismatch):
             InfoModel(np.ones((2, 3)), np.zeros(2))
@@ -229,18 +246,37 @@ class TestLbpValidation:
         with pytest.raises(PreconditionViolated, match="tol"):
             cd.lbp_run(InfoModel(np.eye(2), np.zeros(2)), max_iter=10, tol=np.nan)
 
+    @pytest.mark.parametrize("max_iter", [2.5, float("inf"), True, "3", None, np.array(3)])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        with pytest.raises(PreconditionViolated, match="max_iter must be an integer"):
+            cd.lbp_run(InfoModel(np.eye(2), np.zeros(2)), max_iter=max_iter, tol=1e-8)
+
+    @pytest.mark.parametrize("tol", ["x", None, True, 1j])
+    def test_non_real_tol_rejected(self, tol):
+        with pytest.raises(PreconditionViolated, match="tol must be a number"):
+            cd.lbp_run(InfoModel(np.eye(2), np.zeros(2)), max_iter=3, tol=tol)
+
+    def test_numpy_scalars_accepted(self):
+        trace = cd.lbp_run(InfoModel(np.eye(2), np.zeros(2)), max_iter=np.int64(3),
+                           tol=np.float32(1e-8))
+        assert trace.converged and trace.iterations_run == 1
+
 
 def assert_same_as_dense(m, **kwargs):
-    """lbp_run reproduces the dense oracle's trace bit for bit."""
+    """Both message layouts of lbp_run, the edge list and the p x p
+    arrays, reproduce the dense oracle's trace bit for bit; returns it."""
     kwargs.setdefault("max_iter", 1000)
     kwargs.setdefault("tol", 1e-10)
-    got = cd.lbp_run(m, **kwargs)
     want = dense_lbp_run(m, **kwargs)
-    assert np.array_equal(got.mean_errors, want.mean_errors)
-    assert np.array_equal(got.var_errors, want.var_errors)
-    assert got.converged == want.converged
-    assert got.iterations_run == want.iterations_run
-    return got
+    for share in (math.inf, -math.inf):  # every J on the edge list, then dense
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "DENSE_EDGE_SHARE", share)
+            got = cd.lbp_run(m, **kwargs)
+        assert np.array_equal(got.mean_errors, want.mean_errors)
+        assert np.array_equal(got.var_errors, want.var_errors)
+        assert got.converged == want.converged
+        assert got.iterations_run == want.iterations_run
+    return want
 
 
 @pytest.fixture(scope="module")
@@ -286,15 +322,29 @@ class TestEdgeListMatchesDenseOracle:
         assert trace.converged and trace.iterations_run == 1
         assert trace.mean_errors[0] == 0.0
 
+    def test_nonpositive_belief_beside_a_non_edge(self):
+        # every belief precision is nonpositive at sweep 5, but no cavity
+        # precision is, so the run goes on; node 0 has the non-edge (0, 3),
+        # whose p x p entries the cavity test must skip, as the diagonal's
+        j = np.array([[1.2, 0.3, -0.7, 0.0],
+                      [0.3, 1.2, -0.6, -0.6],
+                      [-0.7, -0.6, 1.2, -0.3],
+                      [0.0, -0.6, -0.3, 1.2]])
+        trace = assert_same_as_dense(InfoModel(j, np.ones(4)))
+        assert np.isinf(trace.mean_errors[4]) and trace.iterations_run == 6
+        assert not trace.converged
+
     @settings(max_examples=60, deadline=None)
     @given(
-        p=st.integers(min_value=1, max_value=9),
+        p=st.integers(min_value=1, max_value=30),
         seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
         density=st.floats(min_value=0.0, max_value=1.0),
         slack=st.floats(min_value=0.05, max_value=2.0),
         tol=st.sampled_from([0.0, 1e-12, 1e-6]),
     )
     def test_random_sparse_spd(self, p, seed, density, slack, tol):
+        # each pair an edge with probability density, on either side of
+        # the layouts' switch; the others exact zeros
         rng = np.random.default_rng(seed)
         a = np.triu(rng.uniform(-1.0, 1.0, (p, p)) * (rng.random((p, p)) < density), 1)
         a = a + a.T
