@@ -24,8 +24,7 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .symmat import (as_floats, checked_square, checked_symmetric, eigenvalue,
-                     solve_and_inverse_diagonal)
+from .symmat import as_floats, checked_square, checked_symmetric, cholesky, eigenvalue
 
 MESSAGE_NORM_LIMIT = 1e12
 # lbp_run holds a J's messages in p x p arrays when more than this share
@@ -39,9 +38,9 @@ DENSE_EDGE_SHARE = 0.75
 class InfoModel:
     """Information-form Gaussian: density proportional to
     exp(-x' J x / 2 + h' x). ``j`` is checked with ``checked_symmetric``;
-    it, ``h`` and the moments are kept read-only. The one LDL^T factor
-    that proves ``j`` positive definite also gives the exact moments, kept
-    for ``exact_moments``."""
+    it, ``h`` and the moments are kept read-only. A Cholesky factor
+    proves ``j`` positive definite; the exact moments, an LU solve and the
+    diagonal of the LU inverse, are kept for ``exact_moments``."""
 
     j: np.ndarray
     h: np.ndarray
@@ -54,9 +53,9 @@ class InfoModel:
             raise DimensionMismatch("h has length %d but j is %s" % (h.shape[0], j.shape))
         if not np.isfinite(h).all():
             raise MalformedMatrix("h must be finite")
-        moments = solve_and_inverse_diagonal(j, h, pd=True)
-        if moments is None:
+        if cholesky(j) is None:
             raise NotPositiveDefinite("information matrix must be positive definite")
+        moments = np.linalg.solve(j, h), np.diag(np.linalg.inv(j))
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "moments", tuple(map(_read_only, moments)))
@@ -93,8 +92,8 @@ class LbpTrace:
 
 def exact_moments(m):
     """Exact mean vector and marginal variances of an ``InfoModel``, from
-    the one LDL^T factor of ``j`` that proved it positive definite: exact
-    on a diagonal ``j``, where D = j and L = I, so each variance is
+    an LU solve of ``j`` and the diagonal of its LU inverse: exact on a
+    diagonal ``j``, where L = I and U = j, so each variance is
     ``1 / j_ii``; a Cholesky inverse would read ``(1/sqrt 3)^2`` for ``1/3``.
     """
     return m.moments

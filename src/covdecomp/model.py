@@ -134,7 +134,7 @@ def _violations(m, pd_known=False):
 
     def upper(a):
         # a's nonzero pairs i < k, row-major
-        i, k = np.divmod(np.flatnonzero(a), p)
+        i, k = np.divmod(np.flatnonzero(a != 0), p)
         return i[i < k], k[i < k]
 
     # with lambda_star <= the tie band every pair is clipped, the zeros too

@@ -290,9 +290,9 @@ class _FreeWorkspace:
             np.put(self.band, self.banded, self.j)
             self.pinned_sigma = self.pinned_l1 = self.pinned_max = 0.0
         else:
-            a, b, tmp = self.scratch[:3]
-            a = np.take(j, self.order, axis=0, out=a, mode="clip")
-            self.band = to_band(np.take(a, self.order, axis=1, out=b, mode="clip"), self.kd)
+            # the witness's order is the identity
+            tmp = self.scratch[2]
+            self.band = to_band(j, self.kd)
             pinned = ~self.free
             self.pinned_sigma = float(np.sum(np.multiply(self.sigma, j, out=tmp), where=pinned))
             self.pinned_l1 = float(np.abs(j, out=tmp).sum(where=pinned))

@@ -11,13 +11,12 @@ Positive definiteness is decided here alone: ``cholesky`` tests it, and
 ``inv_pd`` is a one-shot ``PdWorkspace``, which factors and inverts in
 reused buffers so that the solver loop runs without allocating.
 ``BandWorkspace`` does the same for banded matrices in band storage,
-forming the inverse on the band alone. ``solve_and_inverse_diagonal``
-solves from one LDL^T factor and ``eigenvalue`` finds one eigenvalue.
-They bind LAPACK ``dpotrf``, ``dpotri``, ``dtrtri``, ``dpbtrf``,
-``dsytrf``, ``dsytrs``, ``dsytri``, ``dsyevr`` and CBLAS ``dsymm`` of the
-OpenBLAS in numpy's wheels, through ``ctypes``; without it they fall
-back to ``cholesky``, the symmetrised ``np.linalg.inv``, an LU solve and
-``eigvalsh``, and ``_lapack`` is the one switch.
+forming the inverse on the band alone, and ``eigenvalue`` finds one
+eigenvalue. They bind LAPACK ``dpotrf``, ``dpotri``, ``dtrtri``,
+``dpbtrf``, ``dsyevr`` and CBLAS ``dsymm`` of the OpenBLAS in numpy's
+wheels, through ``ctypes``; without it they fall back to ``cholesky``,
+the symmetrised ``np.linalg.inv`` and ``eigvalsh``, and ``_lapack`` is
+the one switch.
 """
 
 import ctypes
@@ -80,13 +79,13 @@ def cholesky(a):
         return None
 
 
-_Lapack = namedtuple("_Lapack", "potrf potri trtri pbtrf symm sytrf sytrs sytri syevr")
+_Lapack = namedtuple("_Lapack", "potrf potri trtri pbtrf symm syevr")
 
 
 def _load_lapack():
     # the LAPACKE routines and CBLAS dsymm of the ILP64 OpenBLAS that
     # numpy's wheels bundle; None when this numpy ships no such library.
-    # The dsy* entries allocate their own workspace
+    # dsyevr allocates its own workspace
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     layout, char = ctypes.c_int, ctypes.c_char
@@ -97,9 +96,6 @@ def _load_lapack():
         "scipy_LAPACKE_dpbtrf_work64_": [layout, char, i64, i64, ptr, i64],
         "scipy_cblas_dsymm64_": [layout, ctypes.c_int, ctypes.c_int, i64, i64,
                                  dbl, ptr, i64, ptr, i64, dbl, ptr, i64],
-        "scipy_LAPACKE_dsytrf64_": [layout, char, i64, ptr, i64, ptr],
-        "scipy_LAPACKE_dsytrs64_": [layout, char, i64, i64, ptr, i64, ptr, ptr, i64],
-        "scipy_LAPACKE_dsytri64_": [layout, char, i64, ptr, i64, ptr],
         "scipy_LAPACKE_dsyevr64_": [layout, char, char, char, i64, ptr, i64, dbl, dbl,
                                     i64, i64, dbl, ptr, ptr, ptr, i64, ptr],
     }
@@ -217,37 +213,6 @@ def _check(info):
     # the status of dpotri or dtrtri on a factor; nonzero is a zero pivot
     if info != 0:
         raise NotPositiveDefinite("Cholesky factor is singular")
-
-
-def solve_and_inverse_diagonal(a, b, pd=False):
-    """``a^-1 b`` and the diagonal of ``a^-1``, for a nonsingular symmetric
-    ``a``, from one Bunch-Kaufman LDL^T factor in about p^3 flops: exactly
-    ``1 / a_ii`` on a diagonal ``a``, where L = I and D = a. With ``pd``,
-    None unless D's inertia makes ``a`` positive definite: 1 x 1 pivots
-    positive, 2 x 2 blocks of positive trace and determinant. Without
-    LAPACK, an LU solve, the LU inverse's diagonal and ``cholesky``."""
-    if _lapack is None:
-        if pd and cholesky(a) is None:
-            return None
-        return np.linalg.solve(a, b), np.diag(np.linalg.inv(a)).copy()
-    p = a.shape[0]
-    # symmetric a read column-major is itself; its factor stays in place
-    fac, x, ipiv = np.array(a, dtype=float), np.array(b, dtype=float), np.empty(p, np.int64)
-    at, ld, piv = fac.ctypes.data, max(p, 1), ipiv.ctypes.data
-    # info > 0 is a zero pivot, which with pd the inertia below rejects
-    if _lapack.sytrf(_COL_MAJOR, b"L", p, at, ld, piv) != 0 and not pd:
-        raise NotPositiveDefinite("matrix is singular")
-    # D's diagonal, and in C order's upper triangle its 2 x 2 blocks' other
-    # entry; both rows of a block have a negative ipiv
-    d, e, k = fac.diagonal(), fac.diagonal(1), 0
-    while pd and k < p:
-        n = 1 if ipiv[k] > 0 else 2
-        if not (d[k:k + n].sum() > 0 and (n == 1 or d[k] * d[k + 1] - e[k] * e[k] > 0)):
-            return None
-        k += n
-    _lapack.sytrs(_COL_MAJOR, b"L", p, 1, at, ld, piv, x.ctypes.data, ld)
-    _lapack.sytri(_COL_MAJOR, b"L", p, at, ld, piv)
-    return x, fac.diagonal().copy()
 
 
 def eigenvalue(a, k):

@@ -40,9 +40,15 @@ class TestInfoModel:
         with pytest.raises(ValueError, match="length"):
             InfoModel(np.eye(3), np.zeros(2))
 
-    def test_indefinite_rejected(self):
+    @pytest.mark.parametrize("j", [
+        np.diag([1.0, -1.0]),
+        np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 2.0]]),  # a 2 x 2 block
+        np.diag([1.0, 0.0, 2.0]),  # a zero pivot
+        np.diag([1.0, -1e-300, 2.0]),
+    ], ids=["negative_pivot", "2x2_block", "singular", "tiny_negative_pivot"])
+    def test_indefinite_rejected(self, j, lapack_route):
         with pytest.raises(NotPositiveDefinite):
-            InfoModel(np.diag([1.0, -1.0]), np.zeros(2))
+            InfoModel(j, np.ones(len(j)))
 
     def test_inputs_copied(self):
         j, h = np.eye(2), np.zeros(2)
@@ -378,8 +384,9 @@ def test_lbp_study_factors_each_model_three_times(tmp_path, monkeypatch):
     more, ``covdecomp lbp`` on the LAPACK route takes three dense Cholesky
     factors per model: J_M^-1 in grid_model, J_M^-1 and the overall
     covariance in its one factor for L and Sigma^-1. Both information
-    models take their exact moments from that Sigma, with no LDL^T factor,
-    and the two eigenvalues per model are the two walk-summabilities."""
+    models take their exact moments from that Sigma, with no factor of
+    their own, and the two eigenvalues per model are the two
+    walk-summabilities."""
     if symmat._lapack is None:
         pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
     calls = []
@@ -393,17 +400,14 @@ def test_lbp_study_factors_each_model_three_times(tmp_path, monkeypatch):
     monkeypatch.setattr(symmat.PdWorkspace, "factor",
                         counted(symmat.PdWorkspace.factor, "cholesky"))
     monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky, "cholesky"))
-    for name in ("eigenvalue", "solve_and_inverse_diagonal"):
-        call = counted(getattr(symmat, name), name)
-        for module in (symmat, inference, cd.model):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, call)
+    call = counted(symmat.eigenvalue, "eigenvalue")
+    for module in (symmat, inference, cd.model):
+        monkeypatch.setattr(module, "eigenvalue", call)
     config = tmp_path / "lbp.json"
     config.write_text(json.dumps({"grid_sizes": [4], "lbp_models": 3}))
     assert cli.main(["lbp", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     margin_tries = sum(1 + reference_grid_model(4, cd.derive_seed(0, k))[2] for k in range(3))
     assert calls.count("cholesky") == margin_tries + 3 * 3
-    assert calls.count("solve_and_inverse_diagonal") == 0
     assert calls.count("eigenvalue") == 2 * 3
 
 

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covdecomp as cd
@@ -16,7 +16,7 @@ from covdecomp import (
 )
 from covdecomp import symmat
 from covdecomp.symmat import inv_pd
-from oracles import dense_moments, kron_submatrix, naive_inf_operator_norm, reference_inv_pd
+from oracles import kron_submatrix, naive_inf_operator_norm, reference_inv_pd
 
 
 def spd_matrices(max_dim=6):
@@ -80,7 +80,7 @@ class TestInvPd:
         if not list(libs.glob("libscipy_openblas64_*.so")):
             pytest.skip("no libscipy_openblas64_*.so beside numpy, so no "
                         "scipy_LAPACKE_dpotrf/dpotri_work64_")
-        assert symmat._lapack is not None
+        assert symmat._load_lapack() is not None
 
 
 class TestPdWorkspace:
@@ -188,57 +188,6 @@ class TestBandWorkspace:
         np.fill_diagonal(a, 1.0)
         assert np.linalg.eigvalsh(a).min() < 0
         assert symmat.BandWorkspace(50, 1).factor(symmat.to_band(a, 1)) is None
-
-
-def _bunch_kaufman_pivots(a):
-    # dsytrf's pivot indices, 1-based: row k + 1 swaps with row ipiv[k],
-    # and a negative pair marks a 2 x 2 block
-    f, p = np.array(a, dtype=float), len(a)
-    ipiv = np.empty(p, dtype=np.int64)
-    assert symmat._lapack.sytrf(symmat._COL_MAJOR, b"L", p, f.ctypes.data, p,
-                                ipiv.ctypes.data) == 0
-    return ipiv
-
-
-class TestSolveAndInverseDiagonal:
-    @pytest.mark.parametrize("a, ipiv", [
-        # positive definite: rows 1 and 2 swap, then 2 and 3. No 2 x 2 block
-        # can arise, since it needs a_kk a_rr < alpha^2 a_rk^2, alpha < 1
-        (np.array([[1.0, 2.0, 0.5], [2.0, 5.0, 0.1], [0.5, 0.1, 3.0]]), [2, 3, 3]),
-        # indefinite: a 2 x 2 block on rows 1 and 2
-        (np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 2.0]]), [-2, -2, 3]),
-    ], ids=["pd_swaps", "indefinite_2x2"])
-    def test_pivoted_factor_matches_dense(self, a, ipiv, lapack_route):
-        if lapack_route == "lapack":
-            assert _bunch_kaufman_pivots(a).tolist() == ipiv
-        b = np.array([1.0, -2.0, 0.5])
-        x, var = symmat.solve_and_inverse_diagonal(a, b)
-        ref_x, ref_var = dense_moments(a, b)
-        np.testing.assert_allclose(x, ref_x, rtol=1e-12)
-        np.testing.assert_allclose(var, ref_var, rtol=1e-12)
-
-    @pytest.mark.parametrize("a", [
-        np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 2.0]]),  # a 2 x 2 block
-        np.diag([1.0, 0.0, 2.0]),  # a zero pivot
-        np.diag([1.0, -1e-300, 2.0]),
-    ], ids=["2x2_block", "singular", "tiny_negative_pivot"])
-    def test_pd_verdict_rejects(self, a, lapack_route):
-        assert symmat.solve_and_inverse_diagonal(a, np.ones(3), pd=True) is None
-
-    @settings(max_examples=300, deadline=None)
-    @given(p=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
-           shift=st.floats(-4.0, 8.0), scale=st.floats(0.0, 1.0))
-    def test_inertia_verdict_is_the_cholesky_verdict(self, p, seed, shift, scale):
-        # a small diagonal makes Bunch-Kaufman take 2 x 2 blocks
-        if symmat._lapack is None:
-            pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
-        x = np.random.default_rng(seed).standard_normal((p, p))
-        a = x + x.T
-        np.fill_diagonal(a, scale * np.diag(a) + shift)
-        w = np.linalg.eigvalsh(a)
-        assume(abs(w[0]) > 1e-8 * np.abs(w).max())
-        moments = symmat.solve_and_inverse_diagonal(a, np.ones(p), pd=True)
-        assert (moments is not None) == (symmat.cholesky(a) is not None)
 
 
 class TestEigenvalue:
