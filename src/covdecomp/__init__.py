@@ -21,13 +21,11 @@ from .errors import (
     PreconditionViolated,
     SingularSubmatrix,
 )
-from .inference import InfoModel, LbpTrace, exact_moments, lbp_run, walk_summability
+from .inference import InfoModel, LbpTrace, lbp_run, walk_summability
 from .metrics import (
     DEFAULT_SUPPORT_THRESHOLD,
     MetricsRecord,
     compare_to_truth,
-    edit_distance,
-    sign_consistency,
     support_of,
 )
 from .model import (
@@ -62,7 +60,6 @@ from .solver import (
     soft_threshold_covariance,
     witness_solve,
 )
-from .symmat import hessian_submatrix, inf_operator_norm, logdet_pd
 
 # every public name imported above, listed once
 __all__ = sorted(name for name, value in globals().items()

@@ -39,8 +39,11 @@ class InfoModel:
     """Information-form Gaussian: density proportional to
     exp(-x' J x / 2 + h' x). ``j`` is checked with ``checked_symmetric``;
     it, ``h`` and the moments are kept read-only. A Cholesky factor
-    proves ``j`` positive definite; the exact moments, an LU solve and the
-    diagonal of the LU inverse, are kept for ``exact_moments``."""
+    proves ``j`` positive definite. ``moments`` holds the exact mean
+    vector and marginal variances, from an LU solve of ``j`` and the
+    diagonal of its LU inverse: exact on a diagonal ``j``, where L = I and
+    U = j, so each variance is ``1 / j_ii``; a Cholesky inverse would read
+    ``(1/sqrt 3)^2`` for ``1/3``."""
 
     j: np.ndarray
     h: np.ndarray
@@ -90,15 +93,6 @@ class LbpTrace:
     iterations_run: int
 
 
-def exact_moments(m):
-    """Exact mean vector and marginal variances of an ``InfoModel``, from
-    an LU solve of ``j`` and the diagonal of its LU inverse: exact on a
-    diagonal ``j``, where L = I and U = j, so each variance is
-    ``1 / j_ii``; a Cholesky inverse would read ``(1/sqrt 3)^2`` for ``1/3``.
-    """
-    return m.moments
-
-
 def walk_summability(j):
     """Spectral norm of the entrywise-absolute partial-correlation matrix.
 
@@ -136,9 +130,10 @@ def lbp_run(m, max_iter, tol):
 
     Each iteration updates every directed message once, then records the
     average absolute mean and variance errors of the node beliefs
-    against ``exact_moments``. ``converged`` becomes true when the
-    largest message change drops below ``tol``; a nonpositive cavity
-    precision or a message norm beyond 1e12 halts the run as diverged.
+    against the model's exact ``moments``. ``converged`` becomes true
+    when the largest message change drops below ``tol``; a nonpositive
+    cavity precision or a message norm beyond 1e12 halts the run as
+    diverged.
 
     The messages take one of two layouts, by the share of J's
     off-diagonal pairs that are edges (nonzero). Up to DENSE_EDGE_SHARE
@@ -166,7 +161,7 @@ def lbp_run(m, max_iter, tol):
         raise PreconditionViolated("tol must be >= 0, got %r" % (tol,))
     j, h = m.j, m.h
     p = j.shape[0]
-    exact = np.stack(exact_moments(m)[::-1])  # [variance; mean]
+    exact = np.stack(m.moments[::-1])  # [variance; mean]
     # J's off-diagonal support, as a mask: np.flatnonzero scans a mask
     # several times faster than floats
     edges = j != 0

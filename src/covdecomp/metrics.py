@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EmptyTruthSupport, NotPositiveDefinite, PreconditionViolated
-from .symmat import PdWorkspace, as_floats, inv_pd, shaped_like
+from .symmat import PdWorkspace, checked_square, inv_pd, shaped_like
 
 logger = logging.getLogger(__name__)
 
@@ -43,25 +43,12 @@ def support_of(m, threshold=DEFAULT_SUPPORT_THRESHOLD):
     """Mask of the unordered off-diagonal pairs (i<j) with magnitude above threshold.
 
     Returns a p x p boolean array, true only strictly above the diagonal.
+    Raises PreconditionViolated for a negative or NaN threshold, and what
+    ``checked_square`` raises for an ``m`` that is not a square matrix.
     """
     if not threshold >= 0:
         raise PreconditionViolated("threshold must be >= 0")
-    return np.triu(np.abs(as_floats(m, "matrix")) > threshold, k=1)
-
-
-def edit_distance(a, b, threshold):
-    """Number of unordered pairs in exactly one of the two supports."""
-    a_arr = as_floats(a, "edit_distance operand")
-    b_arr = shaped_like(b, a_arr, "edit_distance operand")
-    return _edit(support_of(a_arr, threshold), support_of(b_arr, threshold))
-
-
-def sign_consistency(est, truth, threshold):
-    """True iff supports match exactly and signs agree on that support."""
-    est_arr = as_floats(est, "sign_consistency estimate")
-    truth_arr = shaped_like(truth, est_arr, "sign_consistency truth")
-    return _sign_consistent(est_arr, truth_arr, support_of(est_arr, threshold),
-                            support_of(truth_arr, threshold))
+    return np.triu(np.abs(checked_square(m, "matrix")) > threshold, k=1)
 
 
 # the three comparisons on supports formed once, as compare_to_truth needs
@@ -102,19 +89,22 @@ def compare_to_truth(result, truth_model, threshold=DEFAULT_SUPPORT_THRESHOLD):
 
     ``linf_error_precision_overall`` degrades to +inf instead of raising
     when the estimated overall covariance is indefinite, so sweep rows
-    for bad cells still carry the remaining metrics.
+    for bad cells still carry the remaining metrics. Raises
+    ``DimensionMismatch`` when a result's matrix is not of the model's
+    shape.
     """
-    j_hat, r_hat = result.j_hat, result.sigma_r_hat
     j_true, r_true = truth_model.j_markov, truth_model.sigma_residual
+    j_hat, sigma_m_hat, r_hat = (shaped_like(getattr(result, name), j_true, name)
+                                 for name in ("j_hat", "sigma_m_hat", "sigma_r_hat"))
     sigma_true, _, true_precision = truth_model._overall
     diff = np.empty(sigma_true.shape)  # the one buffer of every difference below
     try:
-        overall_err = _overall_precision_error(result.sigma_m_hat, r_hat, true_precision, diff)
+        overall_err = _overall_precision_error(sigma_m_hat, r_hat, true_precision, diff)
     except NotPositiveDefinite:
         logger.warning("indefinite overall estimate; recording +inf precision error")
         overall_err = float("inf")
     # a difference of exactly symmetric matrices, so exactly symmetric
-    np.subtract(np.subtract(result.sigma_m_hat, r_hat, out=diff), sigma_true, out=diff)
+    np.subtract(np.subtract(sigma_m_hat, r_hat, out=diff), sigma_true, out=diff)
     spectral = float(np.abs(np.linalg.eigvalsh(diff)).max())
     sup_j, sup_j_true, sup_r, sup_r_true = (
         support_of(m, threshold) for m in (j_hat, j_true, r_hat, r_true))

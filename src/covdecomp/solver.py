@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConstraints, NotPositiveDefinite, PreconditionViolated
-from .symmat import (BandWorkspace, PdWorkspace, as_floats, checked_square, copy_upper, logdet_pd,
-                     shaped_like, to_band)
+from .symmat import (BandWorkspace, PdWorkspace, checked_square, cholesky, copy_upper, shaped_like,
+                     to_band)
 
 logger = logging.getLogger(__name__)
 
@@ -649,7 +649,7 @@ def soft_threshold_covariance(sigma_hat, gamma):
     """
     if not gamma >= 0:
         raise PreconditionViolated("gamma must be >= 0")
-    s = as_floats(sigma_hat, "sigma_hat")
+    s = checked_square(sigma_hat, "sigma_hat")
     shrunk = np.sign(s) * np.maximum(np.abs(s) - gamma, 0.0)
     r = -shrunk
     np.fill_diagonal(r, 0.0)
@@ -684,7 +684,15 @@ def duality_gap(result, sigma_hat, cfg):
     j_hat, sigma_m, sigma_r = (
         shaped_like(getattr(result, name), sigma, name)
         for name in ("j_hat", "sigma_m_hat", "sigma_r_hat"))
-    return _gap(j_hat, sigma, sigma_r, cfg) - logdet_pd(j_hat) - logdet_pd(sigma_m)
+    return _gap(j_hat, sigma, sigma_r, cfg) - _logdet(j_hat) - _logdet(sigma_m)
+
+
+def _logdet(a):
+    # log det of a PD matrix, from its Cholesky factor's diagonal
+    chol = cholesky(a)
+    if chol is None:
+        raise NotPositiveDefinite("matrix is not positive definite")
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def _finalize(solved, sigma, cfg):

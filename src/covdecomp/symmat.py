@@ -336,64 +336,6 @@ class BandWorkspace:
         return out
 
 
-def logdet_pd(m):
-    """Log-determinant of a positive definite matrix via Cholesky.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the factorization encounters a nonpositive pivot.
-    MalformedMatrix
-        If ``m`` does not hold numbers.
-    """
-    chol = cholesky(as_floats(m, "matrix"))
-    if chol is None:
-        raise NotPositiveDefinite("matrix is not positive definite")
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
-def inf_operator_norm(m):
-    """Max absolute row sum |||U|||_inf; 0.0 for empty matrices.
-
-    Accepts rectangular input. The empty convention keeps norms over an
-    empty index partition well defined.
-    """
-    a = as_floats(m, "matrix")
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).sum(axis=1).max())
-
-
-def hessian_submatrix(sigma_m, rows, cols):
-    """Submatrix of the Hessian Gamma = Sigma (x) Sigma without materializing it.
-
-    Entry ((i,j),(k,l)) equals ``sigma_m[i,k] * sigma_m[j,l]`` under
-    Kronecker pair indexing.
-
-    Parameters
-    ----------
-    sigma_m : ndarray of shape (p, p)
-    rows, cols : bool ndarray of shape (p, p)
-        Pair masks selecting Hessian rows and columns, enumerated in
-        row-major order.
-
-    Returns
-    -------
-    ndarray of shape (count_nonzero(rows), count_nonzero(cols))
-
-    Raises
-    ------
-    DimensionMismatch
-        If a mask is not p x p.
-    """
-    s = as_floats(sigma_m, "sigma_m")
-    ri, rj = np.nonzero(shaped_like(rows, s, "rows", dtype=bool))
-    ck, cl = np.nonzero(shaped_like(cols, s, "cols", dtype=bool))
-    return s[np.ix_(ri, ck)] * s[np.ix_(rj, cl)]
-
-
 def shaped_like(a, ref, name, dtype=float):
     """``a`` as an array of ``ref``'s shape and of ``dtype``; raises
     DimensionMismatch otherwise, and MalformedMatrix if it does not hold numbers."""

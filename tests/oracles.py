@@ -310,13 +310,13 @@ def dense_lbp_run(m, max_iter, tol):
     the transpose. Same update order, breaks and trace as
     ``covdecomp.lbp_run``, at O(p^2) work per sweep.
     """
-    from covdecomp import LbpTrace, exact_moments
+    from covdecomp import LbpTrace
     from covdecomp.inference import MESSAGE_NORM_LIMIT
 
     j = np.asarray(m.j, dtype=float)
     h = np.asarray(m.h, dtype=float)
     p = j.shape[0]
-    exact_mean, exact_var = exact_moments(m)
+    exact_mean, exact_var = m.moments
     j_diag = np.diag(j).copy()
     mask = (j != 0.0) & ~np.eye(p, dtype=bool)
     d_j = np.zeros((p, p))

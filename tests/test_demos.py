@@ -1,6 +1,6 @@
 """Smoke tests of the public surface: every name the package exports
-resolves, every demo script runs to completion in-process, and so do the
-README's Python examples."""
+resolves and is named in the README, every demo script runs to
+completion in-process, and so do the README's Python examples."""
 
 import re
 import runpy
@@ -18,6 +18,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_every_export_resolves():
     assert len(set(cd.__all__)) == len(cd.__all__)
     assert [name for name in cd.__all__ if not hasattr(cd, name)] == []
+
+
+def test_readme_names_every_export():
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in cd.__all__
+            if not re.search(r"\b%s\b" % re.escape(name), readme)] == []
 
 
 def test_all_demos_found():

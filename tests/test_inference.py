@@ -60,7 +60,7 @@ class TestInfoModel:
 
     def test_h_and_moments_read_only(self):
         m = InfoModel(np.eye(2), [1.0, 2.0])
-        for a in (m.h, *cd.exact_moments(m)):
+        for a in (m.h, *m.moments):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 5.0
         assert np.array_equal(m.h, [1.0, 2.0])
@@ -69,7 +69,7 @@ class TestInfoModel:
         # the lbp study's models, built with moments read off Sigma
         h, mean, var = np.ones(2), np.ones(2), np.ones(2)
         m = inference._with_moments(InfoModel(np.eye(2), h).j, h, mean, var)
-        for a in (m.h, *cd.exact_moments(m)):
+        for a in (m.h, *m.moments):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 5.0
         h[0] = 3.0  # the caller's arrays stay its own
@@ -97,12 +97,12 @@ class TestInfoModel:
 
 class TestExactMoments:
     def test_identity_precision(self):
-        mean, var = cd.exact_moments(InfoModel(np.eye(2), np.array([1.0, 2.0])))
+        mean, var = InfoModel(np.eye(2), np.array([1.0, 2.0])).moments
         assert np.allclose(mean, [1.0, 2.0])
         assert np.allclose(var, [1.0, 1.0])
 
     def test_scalar_case(self):
-        mean, var = cd.exact_moments(InfoModel(np.array([[2.0]]), np.array([4.0])))
+        mean, var = InfoModel(np.array([[2.0]]), np.array([4.0])).moments
         assert mean[0] == pytest.approx(2.0)
         assert var[0] == pytest.approx(0.5)
 
@@ -111,7 +111,7 @@ class TestExactMoments:
         for i in range(3):
             j[i, i + 1] = j[i + 1, i] = -0.3
         h = np.array([1.0, -2.0, 0.5, 0.0])
-        mean, var = cd.exact_moments(InfoModel(j, h))
+        mean, var = InfoModel(j, h).moments
         ref_mean, ref_var = dense_moments(j, h)
         assert np.allclose(mean, ref_mean, atol=1e-12)
         assert np.allclose(var, ref_var, atol=1e-12)
@@ -122,14 +122,14 @@ class TestExactMoments:
         x = rng.standard_normal((p, 2 * p))
         j = x @ x.T / (2 * p) + 0.1 * np.eye(p)
         h = rng.standard_normal(p)
-        mean, var = cd.exact_moments(InfoModel(j, h))
+        mean, var = InfoModel(j, h).moments
         ref_mean, ref_var = dense_moments(j, h)
         assert np.abs(mean - ref_mean).max() <= 1e-12 * np.abs(ref_mean).max()
         assert np.abs(var - ref_var).max() <= 1e-12 * np.abs(ref_var).max()
 
     def test_diagonal_variances_are_reciprocals(self, lapack_route):
         d = np.array([3.0, 7.0, 0.1, 2.5, 1e-3, 6.0])
-        _, var = cd.exact_moments(InfoModel(np.diag(d), np.ones(6)))
+        _, var = InfoModel(np.diag(d), np.ones(6)).moments
         assert var.tobytes() == (1.0 / d).tobytes()
 
 
@@ -436,5 +436,5 @@ def test_lbp_study_moments_are_the_information_models_moments(q, route, seed):
         assert cli.main(["lbp", "--config", str(config), "--seed", str(seed), "--out", out]) == 0
         assert len(studied) == 4
         for m in studied:
-            for got, want in zip(cd.exact_moments(m), cd.exact_moments(InfoModel(m.j, m.h))):
+            for got, want in zip(m.moments, InfoModel(m.j, m.h).moments):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

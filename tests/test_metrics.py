@@ -62,24 +62,31 @@ class TestSupportOf:
             cd.support_of(np.eye(2), -1.0)
 
 
+def _edit_distance(a, b, threshold):
+    # the edit distance as compare_to_truth forms it
+    return metrics._edit(cd.support_of(a, threshold), cd.support_of(b, threshold))
+
+
+def _sign_consistency(est, truth, threshold):
+    # the sign consistency as compare_to_truth forms it
+    return metrics._sign_consistent(est, truth, cd.support_of(est, threshold),
+                                    cd.support_of(truth, threshold))
+
+
 class TestEditDistance:
     def test_identical_supports(self):
         m = matrix_with_support([(0, 1), (1, 2)], 4)
-        assert cd.edit_distance(m, m.copy(), 1e-6) == 0
+        assert _edit_distance(m, m.copy(), 1e-6) == 0
 
     def test_one_extra_edge(self):
         a = matrix_with_support([(0, 1)], 4)
         b = matrix_with_support([(0, 1), (2, 3)], 4)
-        assert cd.edit_distance(a, b, 1e-6) == 1
+        assert _edit_distance(a, b, 1e-6) == 1
 
     def test_disjoint_supports_add(self):
         a = matrix_with_support([(0, 1), (0, 2)], 4)
         b = matrix_with_support([(1, 3), (2, 3)], 4)
-        assert cd.edit_distance(a, b, 1e-6) == 4
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            cd.edit_distance(np.eye(3), np.eye(4), 1e-6)
+        assert _edit_distance(a, b, 1e-6) == 4
 
     def test_matches_brute_loops(self):
         rng = np.random.default_rng(7)
@@ -89,7 +96,7 @@ class TestEditDistance:
             a, b = 0.5 * (a + a.T), 0.5 * (b + b.T)
             a[np.abs(a) < 1.0] = 0.0
             b[np.abs(b) < 1.0] = 0.0
-            assert cd.edit_distance(a, b, 1e-6) == brute_edit_distance(a, b, 1e-6)
+            assert _edit_distance(a, b, 1e-6) == brute_edit_distance(a, b, 1e-6)
 
     @settings(max_examples=25, deadline=None)
     @given(sa=pair_sets, sb=pair_sets, sc=pair_sets)
@@ -97,18 +104,18 @@ class TestEditDistance:
         a = matrix_with_support(sa, 5)
         b = matrix_with_support(sb, 5)
         c = matrix_with_support(sc, 5)
-        dab = cd.edit_distance(a, b, 1e-6)
-        assert dab == cd.edit_distance(b, a, 1e-6)
-        assert cd.edit_distance(a, a, 1e-6) == 0
-        assert dab <= cd.edit_distance(a, c, 1e-6) + cd.edit_distance(c, b, 1e-6)
+        dab = _edit_distance(a, b, 1e-6)
+        assert dab == _edit_distance(b, a, 1e-6)
+        assert _edit_distance(a, a, 1e-6) == 0
+        assert dab <= _edit_distance(a, c, 1e-6) + _edit_distance(c, b, 1e-6)
 
     @settings(max_examples=25, deadline=None)
     @given(sa=pair_sets, sb=pair_sets, scale=st.floats(min_value=0.01, max_value=100.0))
     def test_rescaling_matrix_and_threshold_together(self, sa, sb, scale):
         a = matrix_with_support(sa, 5, value=0.4)
         b = matrix_with_support(sb, 5, value=0.4)
-        base = cd.edit_distance(a, b, 0.1)
-        assert cd.edit_distance(scale * a, scale * b, 0.1 * scale) == base
+        base = _edit_distance(a, b, 0.1)
+        assert _edit_distance(scale * a, scale * b, 0.1 * scale) == base
 
 
 def _normalized_edit(est, truth, threshold):
@@ -142,31 +149,27 @@ class TestSignConsistency:
         truth = np.eye(3)
         truth[0, 1] = truth[1, 0] = -0.2
         est = truth * 3.0
-        assert cd.sign_consistency(est, truth, 1e-6)
+        assert _sign_consistency(est, truth, 1e-6)
 
     def test_sign_flip_fails(self):
         truth = np.eye(3)
         truth[0, 1] = truth[1, 0] = -0.2
         est = truth.copy()
         est[0, 1] = est[1, 0] = 0.2
-        assert not cd.sign_consistency(est, truth, 1e-6)
+        assert not _sign_consistency(est, truth, 1e-6)
 
     def test_extra_edge_fails_despite_signs(self):
         truth = matrix_with_support([(0, 1)], 3)
         est = matrix_with_support([(0, 1), (1, 2)], 3)
-        assert not cd.sign_consistency(est, truth, 1e-6)
+        assert not _sign_consistency(est, truth, 1e-6)
 
     def test_missing_edge_fails(self):
         truth = matrix_with_support([(0, 1), (1, 2)], 3)
         est = matrix_with_support([(0, 1)], 3)
-        assert not cd.sign_consistency(est, truth, 1e-6)
+        assert not _sign_consistency(est, truth, 1e-6)
 
     def test_empty_supports_are_consistent(self):
-        assert cd.sign_consistency(np.eye(3), np.eye(3) * 2.0, 1e-6)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            cd.sign_consistency(np.eye(2), np.eye(3), 1e-6)
+        assert _sign_consistency(np.eye(3), np.eye(3) * 2.0, 1e-6)
 
 
 def _true_precision(model):
@@ -268,6 +271,15 @@ class TestCompareToTruth:
         direct = np.abs(est - _true_precision(model)).max()
         assert direct > 0.0
         assert rec.linf_error_precision_overall == pytest.approx(direct, rel=1e-8)
+
+    def test_result_of_another_size_rejected(self, exact_result):
+        # a p = 4 chain result against a p = 9 grid model
+        res, model = exact_result
+        with pytest.raises(DimensionMismatch, match="j_hat"):
+            cd.compare_to_truth(res, cd.grid_model(3, 0))
+        broken = cd.SolveResult(**{**res.__dict__, "sigma_r_hat": np.zeros((3, 3))})
+        with pytest.raises(DimensionMismatch, match="sigma_r_hat"):
+            cd.compare_to_truth(broken, model)
 
     def test_threshold_passthrough(self, exact_result):
         res, model = exact_result

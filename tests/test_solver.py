@@ -19,7 +19,7 @@ from covdecomp import (
     PreconditionViolated,
     SolverConfig,
 )
-from covdecomp import solver, symmat
+from covdecomp import metrics, solver, symmat
 from covdecomp.model import grid_edges
 from oracles import (TIGHT, gista, kkt_residual, reference_box_solve,
                      reference_witness_solve, sample_cov_instance, witness_kkt_residual)
@@ -918,7 +918,7 @@ class TestWorkingSet:
         assert len(kds) == 2 and max(kds) <= 50
         assert res.converged and ref.converged
         for a, b in ((res.j_hat, ref.j_hat), (res.sigma_r_hat, ref.sigma_r_hat)):
-            assert cd.sign_consistency(a, b, cd.DEFAULT_SUPPORT_THRESHOLD)
+            assert metrics._sign_consistent(a, b, cd.support_of(a), cd.support_of(b))
         # each answer has a subgradient of the objective with entries within
         # its KKT residual, so of Frobenius norm at most p kkt; -log det is
         # strongly convex with modulus 1 / L^2 on the segment between the
@@ -1216,12 +1216,11 @@ class TestKktBoundAtLargeScale:
         lambda: cd.gamma_schedule(2.0, 4, math.nan),
         lambda: cd.gamma_schedule(math.nan, 4, 100),
         lambda: cd.support_of(np.eye(2), threshold=math.nan),
-        lambda: cd.edit_distance(np.eye(2), np.eye(2), math.nan),
     ],
     ids=["soft_threshold_gamma", "draw_samples_n", "draw_sample_covariance_n",
          "gamma_schedule_p", "gamma_schedule_n", "gamma_schedule_c", "support_threshold",
          "soft_threshold_gamma_nan", "gamma_schedule_p_nan", "gamma_schedule_n_nan",
-         "gamma_schedule_c_nan", "support_threshold_nan", "edit_distance_threshold_nan"],
+         "gamma_schedule_c_nan", "support_threshold_nan"],
 )
 def test_bad_argument_raises_precondition_violated(call):
     with pytest.raises(PreconditionViolated):

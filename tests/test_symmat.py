@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covdecomp as cd
-from covdecomp import (
-    CovdecompError,
-    DimensionMismatch,
-    NotPositiveDefinite,
-    hessian_submatrix,
-    inf_operator_norm,
-    logdet_pd,
-)
-from covdecomp import symmat
+from covdecomp import CovdecompError, NotPositiveDefinite, symmat
+from covdecomp.model import _hessian_block, _max_row_sum
+from covdecomp.solver import _logdet
 from covdecomp.symmat import inv_pd
 from oracles import kron_submatrix, naive_inf_operator_norm, reference_inv_pd
 
@@ -34,20 +28,20 @@ def _spd_from(a):
 class TestLogdetPd:
     def test_matches_eigenvalue_sum(self):
         m = np.diag([1.0, 2.0, 4.0])
-        assert logdet_pd(m) == pytest.approx(np.log(8.0))
+        assert _logdet(m) == pytest.approx(np.log(8.0))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            logdet_pd(np.diag([1.0, -1.0]))
+            _logdet(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefinite):
-            logdet_pd(np.zeros((2, 2)))
+            _logdet(np.zeros((2, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(spd_matrices())
     def test_agrees_with_slogdet(self, a):
         sign, expected = np.linalg.slogdet(a)
         assert sign == 1.0
-        assert logdet_pd(a) == pytest.approx(expected, abs=1e-8)
+        assert _logdet(a) == pytest.approx(expected, abs=1e-8)
 
 
 def _random_spd(p, seed):
@@ -207,18 +201,18 @@ class TestEigenvalue:
 class TestInfOperatorNorm:
     def test_matches_naive_max_row_sum(self, rng):
         a = rng.standard_normal((6, 4))
-        assert inf_operator_norm(a) == pytest.approx(naive_inf_operator_norm(a))
+        assert _max_row_sum(a) == pytest.approx(naive_inf_operator_norm(a))
 
     def test_empty_is_zero(self):
-        assert inf_operator_norm(np.zeros((0, 3))) == 0.0
-        assert inf_operator_norm(np.zeros((3, 0))) == 0.0
+        assert _max_row_sum(np.zeros((0, 3))) == 0.0
+        assert _max_row_sum(np.zeros((3, 0))) == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=12, max_size=12))
     def test_transpose_gives_one_norm(self, vals):
         a = np.array(vals).reshape(3, 4)
         one_norm = np.abs(a).sum(axis=0).max()
-        assert inf_operator_norm(a.T) == pytest.approx(one_norm)
+        assert _max_row_sum(a.T) == pytest.approx(one_norm)
 
 
 def pair_mask(pairs, p):
@@ -236,7 +230,7 @@ class TestHessianSubmatrix:
         # row-major pair lists, the order the masks enumerate
         rows = [(i, j) for i in range(p) for j in range(p) if (i + j) % 2 == 0]
         cols = [(i, j) for i in range(p) for j in range(p) if i <= j]
-        got = hessian_submatrix(sigma, pair_mask(rows, p), pair_mask(cols, p))
+        got = _hessian_block(sigma, pair_mask(rows, p), pair_mask(cols, p))
         np.testing.assert_allclose(got, kron_submatrix(sigma, rows, cols),
                                    atol=1e-12)
 
@@ -244,12 +238,8 @@ class TestHessianSubmatrix:
         sigma = np.eye(3)
         none = pair_mask([], 3)
         one = pair_mask([(0, 1)], 3)
-        assert hessian_submatrix(sigma, none, one).shape == (0, 1)
-        assert hessian_submatrix(sigma, one, none).shape == (1, 0)
-
-    def test_pair_array_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            hessian_submatrix(np.eye(3), np.array([[0, 1], [1, 0]]), pair_mask([], 3))
+        assert _hessian_block(sigma, none, one).shape == (0, 1)
+        assert _hessian_block(sigma, one, none).shape == (1, 0)
 
 
 WORDS = [["a", "b"], ["c", "d"]]
@@ -257,8 +247,8 @@ EYE_MASK = np.eye(2, dtype=bool)
 NO_PAIRS = np.zeros((2, 2), dtype=bool)
 CFG = cd.SolverConfig(gamma=0.1, lambda_off=1.0)
 
-# outside input that numpy cannot turn into floats, or an empty matrix,
-# at each public entry point that converts it
+# outside input that numpy cannot turn into floats, an empty matrix or one
+# of the wrong shape, at each public entry point that converts it
 MALFORMED_INPUT = {
     "info_model_h": lambda: cd.InfoModel(np.eye(2), ["a", "b"]),
     "admm_solve": lambda: cd.admm_solve(WORDS, CFG),
@@ -270,10 +260,11 @@ MALFORMED_INPUT = {
     "walk_summability_empty": lambda: cd.walk_summability(np.zeros((0, 0))),
     "sample_covariance": lambda: cd.sample_covariance(WORDS),
     "support_of": lambda: cd.support_of(WORDS),
-    "edit_distance": lambda: cd.edit_distance(WORDS, np.eye(2), 1e-6),
-    "hessian_submatrix": lambda: hessian_submatrix(WORDS, EYE_MASK, EYE_MASK),
-    "logdet_pd": lambda: logdet_pd(WORDS),
+    "support_of_vector": lambda: cd.support_of(np.ones(3)),
     "soft_threshold_covariance": lambda: cd.soft_threshold_covariance(WORDS, 0.1),
+    "soft_threshold_covariance_vector": lambda: cd.soft_threshold_covariance(np.ones(3), 0.1),
+    "soft_threshold_covariance_non_square":
+        lambda: cd.soft_threshold_covariance(np.ones((2, 3)), 0.1),
 }
 
 
