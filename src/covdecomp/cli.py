@@ -13,7 +13,6 @@ import csv
 import json
 import logging
 import math
-import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -39,6 +38,7 @@ from .serialize import (
     write_trace_csv,
 )
 from .solver import SolverConfig, admm_solve
+from .symmat import checked_number
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +58,7 @@ SWEEP_COLUMNS = ["p", "n", "n_over_logp", "trial", "c_gamma", "lambda"] + _AVERA
 # gamma and lambda_off per cell
 _SOLVER_KEYS = {f.name for f in fields(SolverConfig)} - {"gamma", "lambda_off"}
 # the least value of an integer field of ExperimentSpec, or of each of its items
-_LEAST = {"grid_sizes": 2, "sample_sizes": 1, "trials": 1, "threads": 1, "lbp_models": 1,
-          "seed": 0}
+_LEAST = {"grid_sizes": 2, "sample_sizes": 1, "trials": 1, "threads": 1, "lbp_models": 1}
 
 
 @dataclass
@@ -89,9 +88,10 @@ class ExperimentSpec:
                 raise PreconditionViolated("%s must be a nonempty list" % f.name)
             if f.name in _LEAST and min(items) < _LEAST[f.name]:
                 raise PreconditionViolated("%s must be >= %d" % (f.name, _LEAST[f.name]))
-            if f.name in ("c_gamma", "diag_boost") and not all(
-                    0 < v < math.inf for v in items if v is not None):
-                raise PreconditionViolated("%s must be finite and > 0" % f.name)
+            if f.name == "c_gamma" and not all(0 < v < math.inf for v in items):
+                raise PreconditionViolated("c_gamma must be finite and > 0")
+        derive_seed(self.seed)
+        DiagBoostPolicy(fixed=self.diag_boost)
         if self.data_path == "":
             raise PreconditionViolated("data_path must name a file")
         parse_lambda_policy(self.lambda_policy)
@@ -111,14 +111,14 @@ def _check_type(f, value):
     if f.type is tuple:
         if not isinstance(value, (list, tuple)):
             raise PreconditionViolated("%s must be a list, got %r" % (f.name, value))
-        kind, items, what = type(f.default[0]), value, "a list of %s"
+        kind, items, name = type(f.default[0]), value, "each item of " + f.name
     else:
-        kind, items, what = f.type, [value], "%s"
-    abstract = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+        kind, items, name = f.type, [value], f.name
     for v in items:
-        if not isinstance(v, abstract) or isinstance(v, bool):
-            raise PreconditionViolated(
-                "%s must be %s, got %r" % (f.name, what % kind.__name__, value))
+        if kind in (int, float):
+            checked_number(v, name, integer=kind is int)
+        elif not isinstance(v, kind):
+            raise PreconditionViolated("%s must be a %s, got %r" % (name, kind.__name__, v))
 
 
 def spec_from_config(path=None, **overrides):

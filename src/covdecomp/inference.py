@@ -12,7 +12,6 @@ means the recursion left the Gaussian family and the run records
 itself as diverged.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,8 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
 )
-from .symmat import as_floats, checked_square, checked_symmetric, cholesky, eigenvalue
+from .symmat import (as_floats, checked_number, checked_square, checked_symmetric, cholesky,
+                     eigenvalue)
 
 MESSAGE_NORM_LIMIT = 1e12
 # lbp_run holds a J's messages in p x p arrays when more than this share
@@ -113,8 +113,6 @@ def walk_summability(j):
     """
     # not checked_symmetric: a rescaled D J D need not be exactly symmetric
     a = checked_square(j, "j")
-    if not np.isfinite(a).all():
-        raise MalformedMatrix("information matrix entries must be finite")
     d = np.diag(a)
     if np.any(d <= 0):
         raise NonPositiveDiagonal("information matrix diagonal must be positive")
@@ -151,13 +149,9 @@ def lbp_run(m, max_iter, tol):
         If ``max_iter`` is not an integer or is below 1, or ``tol`` is not
         a real number or is negative or NaN.
     """
-    if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool):
-        raise PreconditionViolated("max_iter must be an integer, got %r" % (max_iter,))
-    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
-        raise PreconditionViolated("tol must be a number, got %r" % (tol,))
-    if not max_iter >= 1:
+    if not checked_number(max_iter, "max_iter", integer=True) >= 1:
         raise PreconditionViolated("max_iter must be >= 1")
-    if not tol >= 0:
+    if not checked_number(tol, "tol") >= 0:
         raise PreconditionViolated("tol must be >= 0, got %r" % (tol,))
     j, h = m.j, m.h
     p = j.shape[0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EmptyTruthSupport, NotPositiveDefinite, PreconditionViolated
-from .symmat import PdWorkspace, checked_square, inv_pd, shaped_like
+from .symmat import PdWorkspace, checked_number, checked_square, inv_pd, shaped_like
 
 logger = logging.getLogger(__name__)
 
@@ -43,10 +43,10 @@ def support_of(m, threshold=DEFAULT_SUPPORT_THRESHOLD):
     """Mask of the unordered off-diagonal pairs (i<j) with magnitude above threshold.
 
     Returns a p x p boolean array, true only strictly above the diagonal.
-    Raises PreconditionViolated for a negative or NaN threshold, and what
-    ``checked_square`` raises for an ``m`` that is not a square matrix.
+    Raises PreconditionViolated for a threshold that is not a number, or is
+    negative or NaN, and what ``checked_square`` raises for a bad ``m``.
     """
-    if not threshold >= 0:
+    if not checked_number(threshold, "threshold") >= 0:
         raise PreconditionViolated("threshold must be >= 0")
     return np.triu(np.abs(checked_square(m, "matrix")) > threshold, k=1)
 

@@ -12,8 +12,8 @@ from .errors import (
     PreconditionViolated,
     SingularSubmatrix,
 )
-from .symmat import (BandWorkspace, PdWorkspace, checked_symmetric, cholesky, eigenvalue, inv_pd,
-                     to_band)
+from .symmat import (BandWorkspace, PdWorkspace, as_floats, checked_number, checked_symmetric,
+                     cholesky, eigenvalue, inv_pd, to_band)
 
 # Ground-truth models are constructed exactly, so ties are detected at
 # machine-level tolerance; estimates use the looser solver-side tie band.
@@ -74,12 +74,16 @@ class DiagBoostPolicy:
     With ``fixed`` unset, c doubles from 0.01 until lambda_min(J_M) >= 0.01,
     tried by a band Cholesky factor of J_M - 0.01 I; the same margin then
     gates the overall covariance, shrinking residual magnitudes by 10% per
-    retry. A ``fixed`` value is the search's one try.
+    retry. A ``fixed`` value, finite and > 0, is the search's one try.
     The experiment protocol uses ``DiagBoostPolicy(fixed=1.0)``: unit
     weighting is the scale the published penalty constants are tuned for.
     """
 
     fixed: float = None
+
+    def __post_init__(self):
+        if self.fixed is not None and not 0 < checked_number(self.fixed, "fixed") < np.inf:
+            raise PreconditionViolated("fixed boost must be finite and > 0, got %r" % (self.fixed,))
 
 
 @dataclass(frozen=True)
@@ -183,10 +187,10 @@ def chain_model(rho, residual_value):
     -------
     DecompositionModel
     """
-    rho = [float(x) for x in rho]
-    if len(rho) != 3:
+    rho = as_floats(rho, "rho")
+    if rho.shape != (3,):
         raise PreconditionViolated("rho must have length 3")
-    if any(abs(x) >= 1.0 for x in rho):
+    if not np.all(np.abs(rho) < 1.0):
         raise PreconditionViolated("|rho_i| must be < 1")
     if abs(rho[0]) <= max(abs(rho[1]), abs(rho[2])):
         raise PreconditionViolated(
@@ -202,7 +206,7 @@ def chain_model(rho, residual_value):
     j_m[np.abs(j_m) < 1e-12 * np.abs(j_m).max()] = 0.0
     lam = abs(j_m[0, 1])
     r = np.zeros((4, 4))
-    r[0, 1] = r[1, 0] = float(residual_value)
+    r[0, 1] = r[1, 0] = checked_number(residual_value, "residual_value")
     return _build_validated(j_m, r, lam, "chain_model")
 
 
@@ -223,18 +227,22 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
                diag_boost_policy=None):
     """Random q x q grid model following the synthetic benchmark protocol.
 
-    Grid edges receive magnitudes in ``magnitude_range`` with random
-    signs; a ``clip_fraction`` of them is set to exactly the upper bound
+    Grid edges receive magnitudes in ``magnitude_range`` (0 <= low <= high - 1e-6)
+    with random signs; a ``clip_fraction`` of them is set to exactly the upper bound
     and carries a residual entry of matching sign. Uniform diagonal
     weighting is added per ``diag_boost_policy``, each boost tried by a band
     Cholesky factor, until both precision and overall covariance are PD with margin.
 
     Deterministic for a fixed ``rng_seed``.
     """
-    if q < 2:
+    if not checked_number(q, "q", integer=True) >= 2:
         raise PreconditionViolated("q must be >= 2")
-    policy = diag_boost_policy or DiagBoostPolicy()
+    if not 0 <= checked_number(clip_fraction, "clip_fraction") <= 1:
+        raise PreconditionViolated("clip_fraction must be in [0, 1]")
     lo, hi = magnitude_range
+    if not 0 <= checked_number(lo, "low") <= checked_number(hi, "high") - 1e-6 < np.inf:
+        raise PreconditionViolated("magnitude_range must be finite, with 0 <= low <= high - 1e-6")
+    policy = diag_boost_policy or DiagBoostPolicy()
     rng = np.random.default_rng(rng_seed)
     p = q * q
     edges = grid_edges(q)
@@ -355,6 +363,9 @@ def incoherence_report(m, m_param, tau=2.0, n=1000, c6=1.0, c7=1.0):
     -------
     IncoherenceReport
     """
+    for k, v in zip(("m_param", "tau", "n", "c6", "c7"), (m_param, tau, n, c6, c7)):
+        if not 0 < checked_number(v, k) < np.inf:
+            raise PreconditionViolated("%s must be finite and > 0, got %r" % (k, v))
     violations = validate_model(m)
     if violations:
         raise PreconditionViolated("model invalid: %s" % "; ".join(violations))
@@ -379,9 +390,8 @@ def incoherence_report(m, m_param, tau=2.0, n=1000, c6=1.0, c7=1.0):
     k_ss = _max_row_sum(g_ss_inv)
     k_m = _max_row_sum(sigma_m)
     a4 = alpha > 0.0 and k_ssr < 0.25
-    denom = m_param - (m_param - 1.0) * alpha
-    a5_rhs = np.inf if denom <= 0 else (m_param - 4.0) * alpha / (4.0 * denom)
-    a5 = bool(k_ss <= a5_rhs)
+    denom = m_param - (m_param - 1.0) * alpha  # = m (1 - alpha) + alpha > 0
+    a5 = bool(k_ss <= (m_param - 4.0) * alpha / (4.0 * denom))
     d = int(np.count_nonzero(j, axis=1).max())
     log_term = np.log(4.0) + tau * np.log(p)
     bound = c6 * d * np.sqrt(log_term / n) + c7 * d * d * log_term / n

@@ -6,7 +6,7 @@ schedule used by the experiments."""
 import numpy as np
 
 from .errors import MalformedMatrix, PreconditionViolated
-from .symmat import as_floats
+from .symmat import as_floats, checked_number
 
 
 def derive_seed(seed, *indices):
@@ -17,6 +17,8 @@ def derive_seed(seed, *indices):
     execution order. The length term and index shift keep distinct
     paths distinct (SeedSequence ignores trailing zero entropy words).
     """
+    if not all(checked_number(v, "seed or index", integer=True) >= 0 for v in (seed,) + indices):
+        raise PreconditionViolated("seed and indices must be >= 0, got %r" % ((seed,) + indices,))
     entropy = (int(seed), len(indices)) + tuple(int(i) + 1 for i in indices)
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
@@ -32,7 +34,7 @@ def draw_samples(m, n, seed):
     -------
     ndarray, shape (n, p)
     """
-    if n < 1:
+    if not checked_number(n, "n", integer=True) >= 1:
         raise PreconditionViolated("n must be >= 1")
     _, chol, _ = m._overall
     return np.random.default_rng(seed).standard_normal((n, chol.shape[0])) @ chol.T
@@ -53,7 +55,7 @@ def draw_sample_covariance(m, n, seed):
     ``sample_covariance(draw_samples(m, n, seed))``, the random stream
     is not.
     """
-    if n < 1:
+    if not checked_number(n, "n", integer=True) >= 1:
         raise PreconditionViolated("n must be >= 1")
     _, chol, _ = m._overall
     p = chol.shape[0]
@@ -110,10 +112,10 @@ def _second_moment(data, centered):
 def gamma_schedule(c_gamma, p, n):
     """Penalty level c_gamma * sqrt(ln(p) / n) (natural log)."""
     # each test is written so that NaN fails it
-    if not p >= 2:
+    if not checked_number(p, "p", integer=True) >= 2:
         raise PreconditionViolated("p must be >= 2")
-    if not n >= 1:
+    if not checked_number(n, "n") >= 1:
         raise PreconditionViolated("n must be >= 1")
-    if not c_gamma > 0:
+    if not checked_number(c_gamma, "c_gamma") > 0:
         raise PreconditionViolated("c_gamma must be positive")
     return float(c_gamma * np.sqrt(np.log(p) / n))

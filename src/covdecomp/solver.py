@@ -24,14 +24,13 @@ certified KKT residual, and for the box program also on the duality gap.
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleConstraints, NotPositiveDefinite, PreconditionViolated
-from .symmat import (BandWorkspace, PdWorkspace, checked_square, cholesky, copy_upper, shaped_like,
-                     to_band)
+from .symmat import (BandWorkspace, PdWorkspace, checked_number, checked_square, cholesky,
+                     copy_upper, shaped_like, to_band)
 
 logger = logging.getLogger(__name__)
 
@@ -58,19 +57,14 @@ class SolverConfig:
     eps_rel: float = 1e-6
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            kind = numbers.Integral if name == "max_iter" else numbers.Real
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise PreconditionViolated("%s must be %s, got %r" % (
-                    name, "an integer" if name == "max_iter" else "a number", value))
         # each test is written so that NaN fails it
-        if not 0 <= self.gamma < math.inf:
+        if not 0 <= checked_number(self.gamma, "gamma") < math.inf:
             raise PreconditionViolated("gamma must be finite and >= 0")
-        if not self.lambda_off > 0:
+        if not checked_number(self.lambda_off, "lambda_off") > 0:
             raise PreconditionViolated("lambda_off must be positive (possibly +inf)")
-        if not self.max_iter >= 1:
+        if not checked_number(self.max_iter, "max_iter", integer=True) >= 1:
             raise PreconditionViolated("max_iter must be >= 1")
-        if not (0 < self.eps_abs < math.inf and 0 < self.eps_rel < math.inf):
+        if not all(0 < checked_number(vars(self)[k], k) < math.inf for k in ("eps_abs", "eps_rel")):
             raise PreconditionViolated("eps_abs and eps_rel must be finite and positive")
 
     def kkt_bound(self, scale):
@@ -104,8 +98,6 @@ class SolveResult:
 
 def _checked_sigma(sigma_hat):
     sigma = checked_square(sigma_hat, "sigma_hat")
-    if not np.isfinite(sigma).all():
-        raise PreconditionViolated("sigma_hat has non-finite entries")
     if np.any(np.diag(sigma) <= 0):
         raise NotPositiveDefinite("sigma_hat needs a strictly positive diagonal")
     # <Sigma, J> over symmetric J sees only the symmetric part of Sigma
@@ -647,7 +639,7 @@ def soft_threshold_covariance(sigma_hat, gamma):
         Off-diagonal entries sign(-x)(|x| - gamma)_+ of Sigma_hat,
         zero diagonal; satisfies sigma_estimate_off == -sigma_r_off.
     """
-    if not gamma >= 0:
+    if not checked_number(gamma, "gamma") >= 0:
         raise PreconditionViolated("gamma must be >= 0")
     s = checked_square(sigma_hat, "sigma_hat")
     shrunk = np.sign(s) * np.maximum(np.abs(s) - gamma, 0.0)
@@ -676,9 +668,9 @@ def duality_gap(result, sigma_hat, cfg):
     <Sigma_hat, J> = p - lambda ||Sigma_R||_{1,off} - gamma ||J||_{1,off}
     into the dual; at the optimum the gap is zero. Raises
     ``DimensionMismatch`` for a non-square sigma_hat or a result of
-    another size, ``MalformedMatrix`` for an empty or non-numeric one,
-    ``PreconditionViolated`` for a non-finite sigma_hat and
-    ``NotPositiveDefinite`` when j_hat or sigma_m_hat is not PD.
+    another size, ``MalformedMatrix`` for an empty, non-numeric or
+    non-finite one and ``NotPositiveDefinite`` when j_hat or sigma_m_hat
+    is not PD.
     """
     sigma = _checked_sigma(sigma_hat)
     j_hat, sigma_m, sigma_r = (
@@ -753,11 +745,11 @@ def admm_solve(sigma_hat, cfg, warm_start=None):
     DimensionMismatch
         If sigma_hat is not square or the warm start's size differs.
     MalformedMatrix
-        If sigma_hat is empty or does not hold numbers.
+        If sigma_hat is empty, does not hold numbers or has a non-finite
+        entry.
     PreconditionViolated
-        If sigma_hat has a non-finite entry, or if gamma is 0 and
-        lambda_off infinite while sigma_hat is not PD: that program is
-        unbounded below.
+        If gamma is 0 and lambda_off infinite while sigma_hat is not PD:
+        that program is unbounded below.
     """
     sigma = _checked_sigma(sigma_hat)
     p = sigma.shape[0]
@@ -819,9 +811,10 @@ def witness_solve(sigma_hat, s_m, s_r, signs_on_sr, cfg):
         If sigma_hat is not square, or s_m, s_r or signs_on_sr is not of
         its shape.
     MalformedMatrix
-        If sigma_hat is empty, or it or signs_on_sr does not hold numbers.
+        If sigma_hat is empty or has a non-finite entry, or it or
+        signs_on_sr does not hold numbers.
     PreconditionViolated
-        If sigma_hat has a non-finite entry, lambda_off is infinite,
+        If lambda_off is infinite,
         s_r is not inside s_m, the diagonal is not inside s_m, or
         signs_on_sr is zero on an s_r pair or differs in sign between
         (i,j) and (j,i).

@@ -3,9 +3,9 @@
 Everything downstream (models, solver, diagnostics) moves matrices
 around as plain float ndarrays, and sets of index pairs as p x p boolean
 masks; the helpers here are the only linear-algebra primitives the
-package needs. ``as_floats`` is the one conversion of outside input to
-numbers, and ``checked_symmetric`` the one check on a symmetric matrix
-from outside: models validate theirs once, and carry read-only copies.
+package needs. Outside input enters through ``as_floats`` (to numbers),
+``checked_number`` (a scalar), ``checked_square`` (a finite square matrix)
+and ``checked_symmetric``: models validate theirs once, keep them read-only.
 
 Positive definiteness is decided here alone: ``cholesky`` tests it, and
 ``inv_pd`` is a one-shot ``PdWorkspace``, which factors and inverts in
@@ -20,12 +20,13 @@ the one switch.
 """
 
 import ctypes
+import numbers
 from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedMatrix, NotPositiveDefinite
+from .errors import DimensionMismatch, MalformedMatrix, NotPositiveDefinite, PreconditionViolated
 
 
 def as_floats(a, name, dtype=float):
@@ -36,14 +37,24 @@ def as_floats(a, name, dtype=float):
         raise MalformedMatrix("%s must hold numbers" % name) from None
 
 
+def checked_number(value, name, integer=False):
+    """``value``, a real number (an integer if ``integer``) but no bool, or PreconditionViolated."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise PreconditionViolated("%s must be %s, got %r" % (name, what, value))
+    return value
+
+
 def checked_square(a, name):
     """``a`` as a float ndarray; DimensionMismatch if it is not a square
-    matrix, MalformedMatrix if it is not numeric or is empty."""
+    matrix, MalformedMatrix if it is empty, not numeric or not finite."""
     a = as_floats(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("%s must be a square matrix, got shape %s" % (name, a.shape))
     if a.size == 0:
         raise MalformedMatrix("%s is empty" % name)
+    if not np.isfinite(a).all():
+        raise MalformedMatrix("%s entries must be finite" % name)
     return a
 
 
@@ -62,8 +73,6 @@ def checked_symmetric(a, name):
     a = checked_square(a, name)
     if a.flags.writeable or not (a.flags.owndata and a.flags.c_contiguous):
         a = np.array(a)
-    if not np.isfinite(a).all():
-        raise MalformedMatrix("%s entries must be finite" % name)
     if not np.array_equal(a, a.T):
         raise MalformedMatrix("%s is not exactly symmetric" % name)
     a.flags.writeable = False

@@ -239,14 +239,6 @@ def brute_partition(j_markov, sigma_residual):
     return s_m, s_r, s, s_c
 
 
-def soft_threshold_entry(x, gamma):
-    """S_gamma(x) = sign(-x) (|x| - gamma)_+ for one scalar."""
-    mag = abs(x) - gamma
-    if mag <= 0:
-        return 0.0
-    return -mag if x > 0 else mag
-
-
 def brute_support(a, threshold):
     a = np.asarray(a, dtype=float)
     pairs = set()

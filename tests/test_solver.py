@@ -15,6 +15,7 @@ import covdecomp as cd
 from covdecomp import (
     DimensionMismatch,
     InfeasibleConstraints,
+    MalformedMatrix,
     NotPositiveDefinite,
     PreconditionViolated,
     SolverConfig,
@@ -117,10 +118,10 @@ class TestClosedFormCases:
         bad = np.eye(3)
         bad[0, 1] = bad[1, 0] = math.nan
         cfg = SolverConfig(gamma=0.0, lambda_off=1.0)
-        with pytest.raises(PreconditionViolated, match="non-finite"):
+        with pytest.raises(MalformedMatrix, match="finite"):
             cd.admm_solve(bad, cfg)
         s_m = np.eye(3, dtype=bool)
-        with pytest.raises(PreconditionViolated, match="non-finite"):
+        with pytest.raises(MalformedMatrix, match="finite"):
             cd.witness_solve(bad, s_m, np.zeros((3, 3), dtype=bool), np.zeros((3, 3)), cfg)
 
     def test_asymmetric_input_solves_its_symmetric_part(self):
@@ -501,7 +502,7 @@ class TestDualityGapErrors:
             cd.duality_gap(res, np.eye(4), cfg)
         bad = np.eye(3)
         bad[0, 0] = math.nan
-        with pytest.raises(PreconditionViolated, match="non-finite"):
+        with pytest.raises(MalformedMatrix, match="finite"):
             cd.duality_gap(res, bad, cfg)
 
 

@@ -1,4 +1,7 @@
+import math
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covdecomp as cd
-from covdecomp import CovdecompError, NotPositiveDefinite, symmat
+from covdecomp import (CovdecompError, MalformedMatrix, NotPositiveDefinite, PreconditionViolated,
+                       symmat)
 from covdecomp.model import _hessian_block, _max_row_sum
 from covdecomp.solver import _logdet
 from covdecomp.symmat import inv_pd
@@ -272,3 +276,108 @@ MALFORMED_INPUT = {
 def test_malformed_input_raises_typed_error(call):
     with pytest.raises(CovdecompError):
         call()
+
+
+CHAIN = cd.chain_model((0.05, 0.04, 0.03), -0.01)
+# the chain's truth, read as a solve's result
+TRUTH = SimpleNamespace(j_hat=CHAIN.j_markov, sigma_m_hat=inv_pd(CHAIN.j_markov),
+                        sigma_r_hat=CHAIN.sigma_residual)
+
+# every public scalar parameter that symmat.checked_number guards, as the
+# call on a value of it and whether it takes only integers
+SCALARS = {
+    "draw_samples-n": (lambda v: cd.draw_samples(CHAIN, v, 0), True),
+    "draw_sample_covariance-n": (lambda v: cd.draw_sample_covariance(CHAIN, v, 0), True),
+    "gamma_schedule-p": (lambda v: cd.gamma_schedule(2.0, v, 10), True),
+    "gamma_schedule-n": (lambda v: cd.gamma_schedule(2.0, 10, v), False),
+    "gamma_schedule-c_gamma": (lambda v: cd.gamma_schedule(v, 10, 10), False),
+    "support_of-threshold": (lambda v: cd.support_of(np.eye(3), v), False),
+    "compare_to_truth-threshold": (lambda v: cd.compare_to_truth(TRUTH, CHAIN, v), False),
+    "soft_threshold_covariance-gamma":
+        (lambda v: cd.soft_threshold_covariance(np.eye(3), v), False),
+    "grid_model-q": (lambda v: cd.grid_model(v, 0), True),
+    "grid_model-clip_fraction": (lambda v: cd.grid_model(3, 0, clip_fraction=v), False),
+    "grid_model-low": (lambda v: cd.grid_model(3, 0, magnitude_range=(v, 0.2)), False),
+    "grid_model-high": (lambda v: cd.grid_model(3, 0, magnitude_range=(0.15, v)), False),
+    "chain_model-residual_value": (lambda v: cd.chain_model((0.05, 0.04, 0.03), v), False),
+    "incoherence_report-m_param": (lambda v: cd.incoherence_report(CHAIN, v), False),
+    "incoherence_report-tau": (lambda v: cd.incoherence_report(CHAIN, 83.0, tau=v), False),
+    "incoherence_report-n": (lambda v: cd.incoherence_report(CHAIN, 83.0, n=v), False),
+    "incoherence_report-c6": (lambda v: cd.incoherence_report(CHAIN, 83.0, c6=v), False),
+    "incoherence_report-c7": (lambda v: cd.incoherence_report(CHAIN, 83.0, c7=v), False),
+    "derive_seed-seed": (lambda v: cd.derive_seed(v, 0), True),
+    "derive_seed-index": (lambda v: cd.derive_seed(0, v), True),
+    "DiagBoostPolicy-fixed": (lambda v: cd.DiagBoostPolicy(fixed=v), False),
+}
+# None leaves the boost adaptive; a NaN residual is a non-finite matrix
+NOT_SCALAR_FAULTS = {"DiagBoostPolicy-fixed-none", "chain_model-residual_value-nan"}
+BAD_SCALARS = [
+    pytest.param(call, value, id="%s-%s" % (name, kind))
+    for name, (call, integer) in SCALARS.items()
+    for kind, value in [("bool", True), ("string", "1"), ("none", None),
+                        ("fraction", 2.5) if integer else ("nan", math.nan)]
+    if "%s-%s" % (name, kind) not in NOT_SCALAR_FAULTS
+]
+
+
+@pytest.mark.parametrize("call, value", BAD_SCALARS)
+def test_bad_scalar_raises_precondition_violated(call, value):
+    with pytest.raises(PreconditionViolated):
+        call(value)
+
+
+# values of the right type outside their range
+OUT_OF_RANGE = {
+    "derive_seed-negative-seed": lambda: cd.derive_seed(-1),
+    "derive_seed-negative-index": lambda: cd.derive_seed(0, -2),
+    "grid_model-clip_fraction-above-1": lambda: cd.grid_model(3, 0, clip_fraction=1.5),
+    "grid_model-clip_fraction-negative": lambda: cd.grid_model(3, 0, clip_fraction=-0.1),
+    "grid_model-low-above-high": lambda: cd.grid_model(3, 0, magnitude_range=(0.2, 0.15)),
+    "grid_model-infinite-high": lambda: cd.grid_model(3, 0, magnitude_range=(0.15, math.inf)),
+    "DiagBoostPolicy-nan": lambda: cd.DiagBoostPolicy(fixed=math.nan),
+    "DiagBoostPolicy-inf": lambda: cd.DiagBoostPolicy(fixed=math.inf),
+    "DiagBoostPolicy-zero": lambda: cd.DiagBoostPolicy(fixed=0.0),
+    "incoherence_report-negative-tau": lambda: cd.incoherence_report(CHAIN, 83.0, tau=-1.0),
+    "chain_model-rho-nan": lambda: cd.chain_model((math.nan, 0.04, 0.03), -0.01),
+    "chain_model-rho-scalar": lambda: cd.chain_model(0.05, -0.01),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_out_of_range_scalar_raises_precondition_violated(call):
+    with pytest.raises(PreconditionViolated):
+        call()
+
+
+NOT_FINITE = np.eye(3)
+NOT_FINITE[0, 1] = NOT_FINITE[1, 0] = math.inf
+
+# a matrix or vector from outside that is not finite, or not numbers, at
+# each public entry point that reads it through symmat.checked_square or as_floats
+MALFORMED_MATRIX = {
+    "admm_solve": lambda: cd.admm_solve(NOT_FINITE, CFG),
+    "witness_solve": lambda: cd.witness_solve(NOT_FINITE, np.eye(3, dtype=bool),
+                                              np.zeros((3, 3), dtype=bool), np.zeros((3, 3)), CFG),
+    "duality_gap": lambda: cd.duality_gap(None, NOT_FINITE, CFG),
+    "support_of": lambda: cd.support_of(NOT_FINITE),
+    "soft_threshold_covariance": lambda: cd.soft_threshold_covariance(NOT_FINITE, 0.1),
+    "walk_summability": lambda: cd.walk_summability(NOT_FINITE),
+    "DecompositionModel": lambda: cd.DecompositionModel(NOT_FINITE, np.zeros((3, 3)), 1.0),
+    "InfoModel": lambda: cd.InfoModel(NOT_FINITE, np.zeros(3)),
+    "chain_model-rho": lambda: cd.chain_model(["a", "b", "c"], -0.01),
+    "chain_model-residual_value": lambda: cd.chain_model((0.05, 0.04, 0.03), math.nan),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_MATRIX.values(), ids=MALFORMED_MATRIX.keys())
+def test_malformed_matrix_raises_malformed_matrix(call):
+    with pytest.raises(MalformedMatrix):
+        call()
+
+
+def test_only_symmat_imports_numbers():
+    # the scalar rule lives in symmat.checked_number alone
+    src = Path(symmat.__file__).parent
+    importers = [p.name for p in sorted(src.glob("*.py"))
+                 if re.search(r"^\s*(import|from) numbers\b", p.read_text(), re.MULTILINE)]
+    assert importers == ["symmat.py"]
