@@ -13,7 +13,7 @@ from .errors import (
     SingularSubmatrix,
 )
 from .symmat import (BandWorkspace, PdWorkspace, as_floats, checked_number, checked_symmetric,
-                     cholesky, eigenvalue, inv_pd, to_band)
+                     cholesky, eigenvalue, inv_pd, seeded_rng)
 
 # Ground-truth models are constructed exactly, so ties are detected at
 # machine-level tolerance; estimates use the looser solver-side tie band.
@@ -210,19 +210,6 @@ def chain_model(rho, residual_value):
     return _build_validated(j_m, r, lam, "chain_model")
 
 
-def grid_edges(q):
-    """Undirected 4-nearest-neighbor edges of a q x q grid, row-major nodes."""
-    edges = []
-    for row in range(q):
-        for col in range(q):
-            i = row * q + col
-            if col + 1 < q:
-                edges.append((i, i + 1))
-            if row + 1 < q:
-                edges.append((i, i + q))
-    return edges
-
-
 def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
                diag_boost_policy=None):
     """Random q x q grid model following the synthetic benchmark protocol.
@@ -230,36 +217,43 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
     Grid edges receive magnitudes in ``magnitude_range`` (0 <= low <= high - 1e-6)
     with random signs; a ``clip_fraction`` of them is set to exactly the upper bound
     and carries a residual entry of matching sign. Uniform diagonal
-    weighting is added per ``diag_boost_policy``, each boost tried by a band
-    Cholesky factor, until both precision and overall covariance are PD with margin.
+    weighting is added per ``diag_boost_policy``, each boost and residual shrink tried
+    by a band Cholesky factor, until precision and overall covariance are PD with margin.
 
-    Deterministic for a fixed ``rng_seed``.
+    Deterministic for a fixed ``rng_seed``, an integer >= 0.
     """
     if not checked_number(q, "q", integer=True) >= 2:
         raise PreconditionViolated("q must be >= 2")
     if not 0 <= checked_number(clip_fraction, "clip_fraction") <= 1:
         raise PreconditionViolated("clip_fraction must be in [0, 1]")
-    lo, hi = magnitude_range
+    try:
+        lo, hi = magnitude_range
+    except (TypeError, ValueError):
+        raise PreconditionViolated(
+            "magnitude_range must be a pair, got %r" % (magnitude_range,)) from None
     if not 0 <= checked_number(lo, "low") <= checked_number(hi, "high") - 1e-6 < np.inf:
         raise PreconditionViolated("magnitude_range must be finite, with 0 <= low <= high - 1e-6")
     policy = diag_boost_policy or DiagBoostPolicy()
-    rng = np.random.default_rng(rng_seed)
+    rng = seeded_rng(rng_seed)
     p = q * q
-    edges = grid_edges(q)
-    a = np.zeros((p, p))
-    for i, j in edges:
-        # keep non-clipped magnitudes strictly below the bound so the
-        # clip set stays unambiguous at ground-truth tie tolerance
-        v = rng.uniform(lo, hi - 1e-6) * (-1.0, 1.0)[rng.integers(0, 2)]
-        a[i, j] = a[j, i] = v
-    n_clip = int(np.ceil(clip_fraction * len(edges)))
-    clip_idx = rng.choice(len(edges), size=n_clip, replace=False)
-    for k in clip_idx:
-        i, j = edges[k]
-        a[i, j] = a[j, i] = hi * np.sign(a[i, j])
-    # lambda_min(a + c I) >= margin iff a + (c - margin) I, of half-bandwidth q, has a factor
+    # the grid's edges (i, k), nodes row by row: each node's right edge, then its down edge
+    i, down = np.nonzero(np.stack([np.arange(1, p + 1) % q != 0, np.arange(p) < p - q], 1))
+    k = i + np.where(down, q, 1)
+    # the stream of one rng.uniform(lo, hi - 1e-6) and one rng.integers(0, 2)
+    # per edge, decoded: per pair of edges, the first's uniform, one word whose
+    # bits 31 and 63 are their signs (integers reads 32 bits at a time) and the
+    # second's uniform. Non-clipped magnitudes stay strictly below the bound so
+    # that the clip set stays unambiguous at ground-truth tie tolerance
+    words = rng.bit_generator.random_raw(3 * len(i) // 2).reshape(-1, 3)
+    v = float(lo) + (float(hi - 1e-6) - float(lo)) * (
+        (words[:, [0, 2]].ravel() >> np.uint64(11)) * 2.0 ** -53)
+    v *= (words[:, [1]] >> np.uint64([31, 63]) & np.uint64(1)).ravel() * 2.0 - 1.0
+    clip = rng.choice(len(i), size=int(np.ceil(clip_fraction * len(i))), replace=False)
+    v[clip] = hi * np.sign(v[clip])
+    # lambda_min(J_M) >= margin iff J_M - margin I, in band of half-width q, has a factor
     c = _BOOST_START if policy.fixed is None else float(policy.fixed)
-    band, boost = to_band(a, q), BandWorkspace(p, q)
+    band, boost = np.zeros((p, q + 1)), BandWorkspace(p, q)
+    band[i, k - i] = v
     band[:, 0] = c - _PD_MARGIN
     while boost.factor(band) is None:
         if policy.fixed is not None:
@@ -267,35 +261,50 @@ def grid_model(q, rng_seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
                                        % (c, _PD_MARGIN))
         c *= _BOOST_FACTOR
         band[:, 0] = c - _PD_MARGIN
+    band[:, 0] = c
+    r = np.sign(v[clip]) * rng.uniform(lo, hi, size=len(clip))
+    r = _shrink_to_margin(band, i[clip], k[clip], r)
     del band, boost  # before the p x p arrays: a lower peak
-    j_m = _plus_diagonal(a, c)
-    ws = PdWorkspace(p)
-    r = np.zeros((p, p))
-    for k in clip_idx:
-        i, j = edges[k]
-        r[i, j] = r[j, i] = np.sign(j_m[i, j]) * rng.uniform(lo, hi)
-    sigma_m = inv_pd(j_m, ws)
-    # lambda_min(overall) >= margin iff overall - margin I has a factor
-    shrinks = 0
-    while ws.factor(_plus_diagonal(np.subtract(sigma_m, r, out=ws.buffer), -_PD_MARGIN)) is None:
-        if shrinks >= _MAX_SHRINKS:
-            raise PreconditionViolated(
-                "overall covariance margin %.3g unreachable after %d residual shrinks"
-                % (_PD_MARGIN, _MAX_SHRINKS)
-            )
+    # J_M is PD and the overall covariance has a margin; the model takes the
+    # two read-only arrays without a copy
+    j_m, r_m = np.zeros((p, p)), np.zeros((p, p))
+    j_m[i, k] = j_m[k, i] = v
+    j_m.flat[::p + 1] = c
+    r_m[i[clip], k[clip]] = r_m[k[clip], i[clip]] = r
+    j_m.flags.writeable = r_m.flags.writeable = False
+    return _build_validated(j_m, r_m, hi, "grid_model", pd_known=True)
+
+
+def _shrink_to_margin(band, m, n, r):
+    # r, times 0.9 per try until lambda_min(J^-1 - R) >= margin, for J in band (lower
+    # diagonals 0, 1 and q) and R holding r at (m, n) and (n, m): by congruence, until
+    # J - margin J^2 - J R J, of half-bandwidth 3q, has a factor
+    p, q = band.shape[0], band.shape[1] - 1
+    kd, t = min(3 * q, p - 1), np.arange(p)
+    # J's column t holds w[t] at rows t + (0, 1, -1, q, -q), zero off the grid
+    rows, w = (t[:, None] + [0, 1, -1, q, -q]) % p, np.zeros((p, 5))
+    w[:, [0, 1, 3]] = band[:, [0, 1, q]]
+    w[1:, 2], w[q:, 4] = band[:-1, 1], band[:-q, q]
+
+    def jsj(m, n, s):
+        # J S J on the band, S holding s at (m, n): (J S J)[a, b] sums J[a, m] s J[n, b],
+        # and band storage keeps a >= b at b (kd + 1) + a - b
+        a, b = rows[m][:, :, None], rows[n][:, None, :]
+        lower = a >= b
+        terms = w[m][:, :, None] * w[n][:, None, :] * s[:, None, None]
+        return np.bincount((b * kd + a)[lower], terms[lower], p * (kd + 1)).reshape(p, kd + 1)
+
+    j = -jsj(t, t, np.full(p, _PD_MARGIN))
+    j[:, [0, 1, q]] += band[:, [0, 1, q]]
+    jrj = jsj(np.concatenate([m, n]), np.concatenate([n, m]), np.concatenate([r, r]))
+    ws = BandWorkspace(p, kd)
+    for _ in range(_MAX_SHRINKS + 1):
+        if ws.factor(j - jrj) is not None:
+            return r
         r *= _SHRINK_FACTOR
-        shrinks += 1
-    # J_M has an inverse and the overall covariance a margin, so both are
-    # PD; the model takes the two read-only arrays without a copy
-    del sigma_m, ws
-    j_m.flags.writeable = r.flags.writeable = False
-    return _build_validated(j_m, r, hi, "grid_model", pd_known=True)
-
-
-def _plus_diagonal(a, c):
-    # a + c I, in place
-    a.flat[::len(a) + 1] += c
-    return a
+        jrj *= _SHRINK_FACTOR
+    raise PreconditionViolated("overall covariance margin %.3g unreachable after %d residual "
+                               "shrinks" % (_PD_MARGIN, _MAX_SHRINKS))
 
 
 def _overall_covariance(m, ws):

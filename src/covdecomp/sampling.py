@@ -6,7 +6,7 @@ schedule used by the experiments."""
 import numpy as np
 
 from .errors import MalformedMatrix, PreconditionViolated
-from .symmat import as_floats, checked_number
+from .symmat import as_floats, checked_number, seeded_rng
 
 
 def derive_seed(seed, *indices):
@@ -36,8 +36,9 @@ def draw_samples(m, n, seed):
     """
     if not checked_number(n, "n", integer=True) >= 1:
         raise PreconditionViolated("n must be >= 1")
+    rng = seeded_rng(seed)
     _, chol, _ = m._overall
-    return np.random.default_rng(seed).standard_normal((n, chol.shape[0])) @ chol.T
+    return rng.standard_normal((n, chol.shape[0])) @ chol.T
 
 
 def draw_sample_covariance(m, n, seed):
@@ -57,10 +58,10 @@ def draw_sample_covariance(m, n, seed):
     """
     if not checked_number(n, "n", integer=True) >= 1:
         raise PreconditionViolated("n must be >= 1")
+    rng = seeded_rng(seed)
     _, chol, _ = m._overall
     p = chol.shape[0]
     k = min(n, p)
-    rng = np.random.default_rng(seed)
     b = np.zeros((p, k))
     b[np.diag_indices(k)] = np.sqrt(rng.chisquare(n - np.arange(k)))
     below = np.tri(p, k, -1, dtype=bool)  # filled in row-major order, as drawn

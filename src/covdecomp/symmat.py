@@ -4,8 +4,8 @@ Everything downstream (models, solver, diagnostics) moves matrices
 around as plain float ndarrays, and sets of index pairs as p x p boolean
 masks; the helpers here are the only linear-algebra primitives the
 package needs. Outside input enters through ``as_floats`` (to numbers),
-``checked_number`` (a scalar), ``checked_square`` (a finite square matrix)
-and ``checked_symmetric``: models validate theirs once, keep them read-only.
+``checked_number`` (a scalar), ``seeded_rng`` (a seed), ``checked_square`` (a finite
+square matrix) and ``checked_symmetric``: models validate theirs once, keep them read-only.
 
 Positive definiteness is decided here alone: ``cholesky`` tests it, and
 ``inv_pd`` is a one-shot ``PdWorkspace``, which factors and inverts in
@@ -43,6 +43,13 @@ def checked_number(value, name, integer=False):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise PreconditionViolated("%s must be %s, got %r" % (name, what, value))
     return value
+
+
+def seeded_rng(seed):
+    """``np.random.default_rng(seed)`` for an integer ``seed >= 0``, or PreconditionViolated."""
+    if not checked_number(seed, "rng_seed", integer=True) >= 0:
+        raise PreconditionViolated("rng_seed must be >= 0, got %r" % (seed,))
+    return np.random.default_rng(seed)
 
 
 def checked_square(a, name):

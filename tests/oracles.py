@@ -401,6 +401,14 @@ def doubling_boost(a, start=0.01, factor=2.0, margin=0.01):
     return c
 
 
+def grid_edges(q):
+    """The q x q grid's 4-nearest-neighbor edges (i, k), i < k, in sorted
+    order, nodes numbered row by row."""
+    p = q * q
+    return sorted([(i, i + 1) for i in range(p) if (i + 1) % q]
+                  + [(i, i + q) for i in range(p - q)])
+
+
 def reference_grid_model(q, seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2),
                          fixed=None, start=0.01, factor=2.0, margin=0.01):
     """``(j_markov, sigma_residual, shrinks)`` of ``grid_model``'s protocol.
@@ -414,9 +422,7 @@ def reference_grid_model(q, seed, clip_fraction=0.2, magnitude_range=(0.15, 0.2)
     rng = np.random.default_rng(seed)
     p = q * q
     eye = np.eye(p)
-    edges = [(i, i + 1) for i in range(p) if (i + 1) % q]
-    edges += [(i, i + q) for i in range(p - q)]
-    edges.sort()
+    edges = grid_edges(q)
     a = np.zeros((p, p))
     for i, j in edges:
         a[i, j] = a[j, i] = rng.uniform(lo, hi - 1e-6) * rng.choice([-1.0, 1.0])

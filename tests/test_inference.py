@@ -22,7 +22,7 @@ from covdecomp import (
 )
 from covdecomp import cli, inference, symmat
 from covdecomp.inference import MESSAGE_NORM_LIMIT
-from oracles import dense_lbp_run, dense_moments, random_tree_info, reference_grid_model
+from oracles import dense_lbp_run, dense_moments, random_tree_info
 
 
 def frustrated_model(p=4, coupling=0.6):
@@ -379,13 +379,13 @@ def test_lbp_study_takes_no_dense_lu_or_full_spectrum(tmp_path, monkeypatch):
     assert len(models) == 5 and all(m["converged_markov"] for m in models)
 
 
-def test_lbp_study_factors_each_model_three_times(tmp_path, monkeypatch):
-    """Beside grid_model's margin tries, one per residual shrink and one
-    more, ``covdecomp lbp`` on the LAPACK route takes three dense Cholesky
-    factors per model: J_M^-1 in grid_model, J_M^-1 and the overall
-    covariance in its one factor for L and Sigma^-1. Both information
-    models take their exact moments from that Sigma, with no factor of
-    their own, and the two eigenvalues per model are the two
+def test_lbp_study_factors_each_model_twice(tmp_path, monkeypatch):
+    """``covdecomp lbp`` on the LAPACK route takes two dense Cholesky
+    factors per model, both in ``_overall``: J_M, for J_M^-1, and the
+    overall covariance, in its one factor for L and Sigma^-1. grid_model
+    tries its boosts and margins by band factors, with no dense one. Both
+    information models take their exact moments from that Sigma, with no
+    factor of their own, and the two eigenvalues per model are the two
     walk-summabilities."""
     if symmat._lapack is None:
         pytest.skip("numpy bundles no scipy_openblas64 LAPACKE routines")
@@ -406,8 +406,7 @@ def test_lbp_study_factors_each_model_three_times(tmp_path, monkeypatch):
     config = tmp_path / "lbp.json"
     config.write_text(json.dumps({"grid_sizes": [4], "lbp_models": 3}))
     assert cli.main(["lbp", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    margin_tries = sum(1 + reference_grid_model(4, cd.derive_seed(0, k))[2] for k in range(3))
-    assert calls.count("cholesky") == margin_tries + 3 * 3
+    assert calls.count("cholesky") == 2 * 3
     assert calls.count("eigenvalue") == 2 * 3
 
 

@@ -19,7 +19,6 @@ from covdecomp import (
     validate_model,
 )
 from covdecomp import model as model_module, symmat
-from covdecomp.model import grid_edges
 
 from oracles import (
     brute_incoherence,
@@ -27,6 +26,7 @@ from oracles import (
     chain_j_analytic,
     chain_sigma,
     doubling_boost,
+    grid_edges,
     reference_grid_model,
     reference_violations,
 )
@@ -170,11 +170,22 @@ class TestGridModelAgainstReference:
         assert np.asarray(m.sigma_residual).tobytes() == expected[1].tobytes()
         return expected[2]
 
-    @pytest.mark.parametrize("q", [3, 5, 10, 15, 20])
+    @pytest.mark.parametrize("q", [2, 3, 5, 10, 15, 20])
     def test_default_protocol(self, q):
+        # at q = 2 the margin's band, of half-width min(3q, p - 1), is the whole matrix
         for seed in range(10):
             for fixed in (None, 1.0):
                 self._assert_same(q, seed, {}, fixed)
+
+    @pytest.mark.parametrize("clip_fraction", [0.0, 1.0])
+    @pytest.mark.parametrize("q", [2, 5, 10])
+    def test_clip_fraction_extremes(self, q, clip_fraction):
+        # no residual, or one on every edge, which shrinks at every q
+        shrinks = [self._assert_same(q, seed, {"clip_fraction": clip_fraction,
+                                               "magnitude_range": magnitudes}, fixed)
+                   for seed in range(10) for fixed in (None, 1.0)
+                   for magnitudes in ((0.15, 0.2), (0.3, 0.45))]
+        assert (max(shrinks) > 0) == (clip_fraction == 1.0)
 
     @pytest.mark.parametrize("q", [3, 5, 10, 15, 20])
     def test_residual_shrinks(self, q):
@@ -305,24 +316,36 @@ class TestViolationsAgainstReference:
         assert expect is None or any(expect in v for v in got)
 
     def test_grid_model_factors_the_margin_matrix_alone(self, monkeypatch):
-        # the margin test on Sigma_M - Sigma_R - 0.01 I implies that the
-        # overall covariance is PD, so Sigma_M - Sigma_R is never factored;
-        # grid_model factors J_M and each margin matrix in one PdWorkspace
-        factored, factor = [], symmat.PdWorkspace.factor
+        # grid_model takes no dense factor or inverse: it tries the overall
+        # margin on J - J (0.01 I + Sigma_R) J, congruent to
+        # Sigma_M - Sigma_R - 0.01 I, by one band factor of half-bandwidth
+        # min(3q, p - 1) per residual shrink and one more
+        if symmat._lapack is None:
+            pytest.skip("the band factor's numpy fallback is a dense factor")
 
-        def recording(ws, a):
-            factored.append(np.array(a))
-            return factor(ws, a)
+        def refuse(*args):
+            raise AssertionError("dense factor or inverse taken")
 
-        monkeypatch.setattr(symmat.PdWorkspace, "factor", recording)
-        for seed in range(3):
-            factored.clear()
-            m = grid_model(5, seed, **SHRINK_HEAVY)
-            tries = factored[:]  # before the check's own inverse below
-            overall = symmat.inv_pd(np.asarray(m.j_markov)) - m.sigma_residual
-            assert len(tries) >= 1
-            assert not any(np.array_equal(a, overall) for a in tries)
-            assert np.array_equal(tries[-1], overall - 0.01 * np.eye(m.dim))
+        for owner, name in ((symmat.PdWorkspace, "factor"), (symmat.PdWorkspace, "inverse"),
+                            (symmat, "inv_pd"), (model_module, "inv_pd")):
+            monkeypatch.setattr(owner, name, refuse)
+        tried, factor = [], symmat.BandWorkspace.factor
+
+        def recording(ws, band):
+            tried.append(np.array(band))
+            return factor(ws, band)
+
+        monkeypatch.setattr(symmat.BandWorkspace, "factor", recording)
+        for q in (2, 3, 5):
+            p, kd = q * q, min(3 * q, q * q - 1)
+            for seed in range(3):
+                tried.clear()
+                m = grid_model(q, seed, **SHRINK_HEAVY)
+                margins = [band for band in tried if band.shape[1] == kd + 1]
+                assert len(margins) == 1 + reference_grid_model(q, seed, **SHRINK_HEAVY)[2]
+                j, r = np.asarray(m.j_markov), np.asarray(m.sigma_residual)
+                expected = symmat.to_band(j - j @ (0.01 * np.eye(p) + r) @ j, kd)
+                np.testing.assert_allclose(margins[-1], expected, rtol=0, atol=1e-14)
 
 
 class TestDecompositionModel:

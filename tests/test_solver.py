@@ -21,8 +21,7 @@ from covdecomp import (
     SolverConfig,
 )
 from covdecomp import metrics, solver, symmat
-from covdecomp.model import grid_edges
-from oracles import (TIGHT, gista, kkt_residual, reference_box_solve,
+from oracles import (TIGHT, gista, grid_edges, kkt_residual, reference_box_solve,
                      reference_witness_solve, sample_cov_instance, witness_kkt_residual)
 
 

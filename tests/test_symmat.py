@@ -296,6 +296,9 @@ SCALARS = {
     "soft_threshold_covariance-gamma":
         (lambda v: cd.soft_threshold_covariance(np.eye(3), v), False),
     "grid_model-q": (lambda v: cd.grid_model(v, 0), True),
+    "grid_model-rng_seed": (lambda v: cd.grid_model(3, v), True),
+    "draw_samples-seed": (lambda v: cd.draw_samples(CHAIN, 5, v), True),
+    "draw_sample_covariance-seed": (lambda v: cd.draw_sample_covariance(CHAIN, 5, v), True),
     "grid_model-clip_fraction": (lambda v: cd.grid_model(3, 0, clip_fraction=v), False),
     "grid_model-low": (lambda v: cd.grid_model(3, 0, magnitude_range=(v, 0.2)), False),
     "grid_model-high": (lambda v: cd.grid_model(3, 0, magnitude_range=(0.15, v)), False),
@@ -334,6 +337,11 @@ OUT_OF_RANGE = {
     "grid_model-clip_fraction-negative": lambda: cd.grid_model(3, 0, clip_fraction=-0.1),
     "grid_model-low-above-high": lambda: cd.grid_model(3, 0, magnitude_range=(0.2, 0.15)),
     "grid_model-infinite-high": lambda: cd.grid_model(3, 0, magnitude_range=(0.15, math.inf)),
+    "grid_model-one-magnitude": lambda: cd.grid_model(3, 0, magnitude_range=(0.1,)),
+    "grid_model-scalar-magnitude": lambda: cd.grid_model(3, 0, magnitude_range=0.2),
+    "grid_model-negative-seed": lambda: cd.grid_model(3, -1),
+    "draw_samples-negative-seed": lambda: cd.draw_samples(CHAIN, 5, -3),
+    "draw_sample_covariance-negative-seed": lambda: cd.draw_sample_covariance(CHAIN, 5, -3),
     "DiagBoostPolicy-nan": lambda: cd.DiagBoostPolicy(fixed=math.nan),
     "DiagBoostPolicy-inf": lambda: cd.DiagBoostPolicy(fixed=math.inf),
     "DiagBoostPolicy-zero": lambda: cd.DiagBoostPolicy(fixed=0.0),
